@@ -1,7 +1,8 @@
 // Extension ablation: availability of a replicated Farview pool through a
 // node crash and recovery (DESIGN.md §12, EXPERIMENTS.md "ext_failover").
 //
-// A closed-loop client issues table reads against a `FarviewCluster` while
+// A closed-loop client issues table reads against a replicated pool (a
+// one-shard `ShardedPool`) while
 // replica 0 crashes at 3 ms and restarts at 6 ms; a periodic writer keeps
 // mutating the table so the crashed replica misses epochs and must resync
 // from a survivor before rejoining rotation. The timeline counts completed
@@ -18,7 +19,7 @@
 
 #include "benchlib/experiment.h"
 #include "common/logging.h"
-#include "fv/cluster.h"
+#include "fv/sharding.h"
 #include "table/generator.h"
 
 namespace farview {
@@ -56,7 +57,8 @@ struct ClusterRun {
 /// plus the cluster's reliability counters.
 ClusterRun RunCluster(const Table& rows, int num_replicas,
                       double resync_gbps) {
-  ClusterConfig cc;
+  ShardedConfig sc;
+  ClusterConfig& cc = sc.cluster;
   // Replicated runs stand up N nodes on one host; shrink the functional
   // backing (timing-neutral) so three replicas do not allocate 3 GiB.
   cc.node.dram.channel_capacity = 64 * kMiB;
@@ -68,8 +70,9 @@ ClusterRun RunCluster(const Table& rows, int num_replicas,
   cc.replication.resync_rate_bytes_per_sec = GbpsToBytesPerSec(resync_gbps);
 
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, /*client_id=*/1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, /*client_id=*/1);
   FV_CHECK(client.OpenConnection().ok());
 
   FTable ft;

@@ -35,7 +35,6 @@
 #include "common/alloc_counter.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "fv/cluster.h"
 #include "fv/megaclient.h"
 #include "fv/region_scheduler.h"
 #include "fv/sharding.h"
@@ -180,24 +179,24 @@ Measurement RunExtFaults() {
   });
 }
 
-/// ext_failover-style replicated pool: two replicas, replica 0 crashing at
-/// 3 ms and restarting at 6 ms, a closed-loop reader failing over through
-/// the circuit breakers and a periodic writer forcing a resync stream on
-/// rejoin — the replication-layer event mix (DESIGN.md §12).
+/// ext_failover-style replicated pool (one shard, two replicas): replica 0
+/// crashing at 3 ms and restarting at 6 ms, a closed-loop reader failing
+/// over through the circuit breakers and a periodic writer forcing a resync
+/// stream on rejoin — the replication-layer event mix (DESIGN.md §12).
 Measurement RunExtFailover() {
   constexpr uint64_t kBytes = 1 * kMiB;
   constexpr SimTime kHorizon = 12 * kMillisecond;
-  ClusterConfig cc;
-  cc.node.dram.channel_capacity = 64 * kMiB;
-  cc.node.retry.enabled = true;
-  cc.node.faults.enabled = true;
-  cc.node.faults.node_crash_at = 3 * kMillisecond;
-  cc.node.faults.node_restart_at = 6 * kMillisecond;
-  cc.num_replicas = 2;
+  ShardedConfig sc;
+  sc.cluster.node.dram.channel_capacity = 64 * kMiB;
+  sc.cluster.node.retry.enabled = true;
+  sc.cluster.node.faults.enabled = true;
+  sc.cluster.node.faults.node_crash_at = 3 * kMillisecond;
+  sc.cluster.node.faults.node_restart_at = 6 * kMillisecond;
+  sc.cluster.num_replicas = 2;
 
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, /*client_id=*/1);
+  ShardedPool pool(&engine, sc);
+  ShardedClient client(&pool, /*client_id=*/1);
   FV_CHECK(client.OpenConnection().ok());
   TableGenerator gen(kBytes);
   Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), kBytes / 64, 100);

@@ -195,8 +195,8 @@ class PooledByteAllocator {
 
 /// Typed face of the pooled allocator: routes objects of any `T` through
 /// ByteBlockPool's power-of-two size classes. Pair with
-/// `std::allocate_shared` for per-request control blocks (e.g.
-/// ClusterClient's mirrored-write state), so steady-state request traffic
+/// `std::allocate_shared` for per-request control blocks (e.g. the pool
+/// client's mirrored-write state), so steady-state request traffic
 /// recycles through the pool instead of hitting the global allocator
 /// (DESIGN.md §8a).
 template <typename T>

@@ -1,7 +1,6 @@
 #include "fv/client.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -20,6 +19,12 @@ struct FarviewClient::ReliableCall {
   bool settled = false;    ///< user callback already invoked
   std::function<void(Result<FvResult>)> done;
 };
+
+FailureKind ClassifyFailure(const Status& s) {
+  if (s.IsUnavailable() || s.IsDeadlineExceeded()) return FailureKind::kHealth;
+  if (s.IsResourceExhausted()) return FailureKind::kShed;
+  return FailureKind::kRequest;
+}
 
 FarviewClient::FarviewClient(FarviewNode* node, int client_id)
     : node_(node), client_id_(client_id) {
@@ -82,80 +87,78 @@ Status FarviewClient::ImportTable(const TableEntry& entry) {
 Result<SimTime> FarviewClient::TableWrite(const FTable& table,
                                           const Table& rows) {
   if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
+  return AwaitSync<Result<SimTime>>(node_->engine(), [&](auto done) {
+    TableWriteAsync(table, rows, std::move(done));
+  });
+}
+
+void FarviewClient::TableWriteAsync(const FTable& table, const Table& rows,
+                                    std::function<void(Result<SimTime>)> done) {
+  FV_CHECK(qp_ != nullptr) << "not connected";
   if (!rows.schema().Equals(table.schema)) {
-    return Status::InvalidArgument("row data does not match table schema");
+    done(Status::InvalidArgument("row data does not match table schema"));
+    return;
   }
   if (rows.num_rows() != table.num_rows) {
-    return Status::InvalidArgument("row count does not match table");
+    done(Status::InvalidArgument("row count does not match table"));
+    return;
   }
-  std::optional<Result<SimTime>> out;
   node_->TableWrite(qp_->qp_id, table.vaddr, rows.data(), rows.size_bytes(),
-                    [&out](Result<SimTime> r) { out.emplace(std::move(r)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableWrite did not complete";
-  return std::move(*out);
+                    std::move(done));
 }
 
 Result<FvResult> FarviewClient::TableRead(const FTable& table) {
   if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
-  std::optional<Result<FvResult>> out;
-  TableReadAsync(table,
-                 [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableRead did not complete";
-  return std::move(*out);
+  return AwaitSync<Result<FvResult>>(node_->engine(), [&](auto done) {
+    TableReadAsync(table, std::move(done));
+  });
 }
 
 Status FarviewClient::LoadPipeline(Pipeline pipeline) {
   if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
-  std::optional<Status> out;
-  node_->LoadPipeline(qp_->qp_id, std::move(pipeline),
-                      [&out](Status s) { out.emplace(std::move(s)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "LoadPipeline did not complete";
-  return *out;
+  return AwaitSync<Status>(node_->engine(), [&](auto done) {
+    LoadPipelineAsync(std::move(pipeline), std::move(done));
+  });
 }
 
 Result<FvResult> FarviewClient::FarviewRequest(const FvRequest& request) {
   if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
-  std::optional<Result<FvResult>> out;
-  FarviewRequestAsync(request,
-                      [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "FarviewRequest did not complete";
-  return std::move(*out);
+  return AwaitSync<Result<FvResult>>(node_->engine(), [&](auto done) {
+    FarviewRequestAsync(request, std::move(done));
+  });
 }
 
 void FarviewClient::FarviewRequestAsync(
     const FvRequest& request, std::function<void(Result<FvResult>)> done) {
-  FV_CHECK(qp_ != nullptr) << "not connected";
-  if (node_->config().retry.enabled) {
-    IssueWithRetries(Verb::kFarview, request, std::move(done));
-    return;
-  }
-  if (GateBlocked()) {
-    done(GateError());
-    return;
-  }
-  node_->FarviewRequest(qp_->qp_id, request, std::move(done));
+  SubmitAsync(Verb::kFarview, request, std::move(done));
 }
 
 void FarviewClient::TableReadAsync(const FTable& table,
                                    std::function<void(Result<FvResult>)> done) {
+  SubmitAsync(Verb::kRead, ScanRequest(table), std::move(done));
+}
+
+void FarviewClient::SubmitAsync(Verb verb, const FvRequest& request,
+                                std::function<void(Result<FvResult>)> done) {
   FV_CHECK(qp_ != nullptr) << "not connected";
   if (node_->config().retry.enabled) {
-    FvRequest req;
-    req.vaddr = table.vaddr;
-    req.len = table.SizeBytes();
-    IssueWithRetries(Verb::kRead, req, std::move(done));
+    IssueWithRetries(verb, request, std::move(done));
     return;
   }
   if (GateBlocked()) {
     done(GateError());
     return;
   }
-  node_->TableRead(qp_->qp_id, table.vaddr, table.SizeBytes(),
-                   std::move(done));
+  Post(verb, request, std::move(done));
+}
+
+void FarviewClient::Post(Verb verb, const FvRequest& request,
+                         std::function<void(Result<FvResult>)> done) {
+  if (verb == Verb::kRead) {
+    node_->TableRead(qp_->qp_id, request.vaddr, request.len, std::move(done));
+  } else {
+    node_->FarviewRequest(qp_->qp_id, request, std::move(done));
+  }
 }
 
 bool FarviewClient::GateBlocked() {
@@ -207,21 +210,15 @@ void FarviewClient::StartReliableAttempt(std::shared_ptr<ReliableCall> call) {
       return;
     }
     const Status s = res.status();
-    // `ResourceExhausted` is retryable too: the node is healthy but
-    // shedding, and its retry-after hint floors the backoff below.
-    if (s.IsUnavailable() || s.IsDeadlineExceeded() ||
-        s.IsResourceExhausted()) {
+    // Sheds retry too: the node is healthy, and its retry-after hint floors
+    // the backoff below.
+    if (ClassifyFailure(s) != FailureKind::kRequest) {
       HandleAttemptFailure(call, s);
     } else {
       FinishReliable(call, std::move(res));  // not retryable
     }
   };
-  if (call->verb == Verb::kRead) {
-    node_->TableRead(qp_->qp_id, call->request.vaddr, call->request.len,
-                     on_result);
-  } else {
-    node_->FarviewRequest(qp_->qp_id, call->request, on_result);
-  }
+  Post(call->verb, call->request, std::move(on_result));
   // The attempt's completion timeout. A resolved attempt (either way) bumps
   // the token, turning this event into a no-op.
   node_->engine()->ScheduleAfter(
@@ -287,14 +284,21 @@ void FarviewClient::LoadPipelineAsync(Pipeline pipeline,
   node_->LoadPipeline(qp_->qp_id, std::move(pipeline), std::move(done));
 }
 
-FvRequest FarviewClient::ScanRequest(const FTable& table,
-                                     bool vectorized) const {
+FvRequest FarviewClient::ScanRequest(const FTable& table, bool vectorized) {
   FvRequest req;
   req.vaddr = table.vaddr;
   req.len = table.SizeBytes();
   req.tuple_bytes = table.schema.tuple_width();
   req.vectorized = vectorized;
   return req;
+}
+
+Result<FvResult> FarviewClient::LoadAndScan(Result<Pipeline> pipeline,
+                                            const FTable& table,
+                                            bool vectorized) {
+  FV_RETURN_IF_ERROR(pipeline.status());
+  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline).value()));
+  return FarviewRequest(ScanRequest(table, vectorized));
 }
 
 Result<FvResult> FarviewClient::FvSelect(const FTable& table,
@@ -304,65 +308,50 @@ Result<FvResult> FarviewClient::FvSelect(const FTable& table,
   PipelineBuilder builder(table.schema);
   builder.Select(std::move(predicates));
   if (!projection.empty()) builder.Project(std::move(projection));
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline, builder.Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table, vectorized));
+  return LoadAndScan(builder.Build(), table, vectorized);
 }
 
 Result<FvResult> FarviewClient::FvDistinct(const FTable& table,
                                            std::vector<int> key_columns,
                                            const GroupingConfig& config) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .Distinct(std::move(key_columns), config)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(PipelineBuilder(table.schema)
+                         .Distinct(std::move(key_columns), config)
+                         .Build(),
+                     table);
 }
 
 Result<FvResult> FarviewClient::FvGroupBy(const FTable& table,
                                           std::vector<int> key_columns,
                                           std::vector<AggSpec> aggs,
                                           const GroupingConfig& config) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .GroupBy(std::move(key_columns), std::move(aggs),
-                                   config)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(PipelineBuilder(table.schema)
+                         .GroupBy(std::move(key_columns), std::move(aggs),
+                                  config)
+                         .Build(),
+                     table);
 }
 
 Result<FvResult> FarviewClient::FvRegexSelect(const FTable& table, int column,
                                               const std::string& pattern) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .RegexSelect(column, pattern)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(
+      PipelineBuilder(table.schema).RegexSelect(column, pattern).Build(),
+      table);
 }
 
 Result<FvResult> FarviewClient::FvJoinSmall(const FTable& table,
                                             int probe_key, const Table& build,
                                             int build_key) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .HashJoinSmall(probe_key, build, build_key)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(PipelineBuilder(table.schema)
+                         .HashJoinSmall(probe_key, build, build_key)
+                         .Build(),
+                     table);
 }
 
 Result<FvResult> FarviewClient::FvDecryptRead(const FTable& table,
                                               const uint8_t key[16],
                                               const uint8_t nonce[16]) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .Decrypt(key, nonce)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(
+      PipelineBuilder(table.schema).Decrypt(key, nonce).Build(), table);
 }
 
 }  // namespace farview

@@ -3,9 +3,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "fv/farview_node.h"
 #include "fv/request.h"
 #include "operators/pipeline.h"
@@ -24,6 +26,37 @@ struct FTable {
 
   uint64_t SizeBytes() const { return num_rows * schema.tuple_width(); }
 };
+
+/// How the client layers treat a failed attempt (DESIGN.md §7, §12, §15):
+/// the one classification behind "retry?", "penalize the replica?" and
+/// "rotate to another replica?".
+enum class FailureKind {
+  /// `Unavailable` / `DeadlineExceeded`: the node may be dead. Retried,
+  /// recorded on the replica's circuit breaker, failed over.
+  kHealth,
+  /// `ResourceExhausted`: the node is healthy but shedding load. Retried
+  /// no sooner than its retry-after hint; never trips a breaker.
+  kShed,
+  /// Anything else (bad request, MMU error): the request's own fault.
+  /// Reported as is, never retried, never penalizes a replica.
+  kRequest,
+};
+
+/// Classifies a non-OK status.
+FailureKind ClassifyFailure(const Status& s);
+
+/// Synchronous form of an async call: posts it through `post` with a
+/// callback capturing the outcome, then drives `engine` until it settles
+/// (not at all when it settled synchronously). Only valid when no other
+/// traffic must stay pending — the engine runs dry.
+template <typename T, typename Post>
+T AwaitSync(sim::Engine* engine, Post&& post) {
+  std::optional<T> out;
+  post([&out](T r) { out.emplace(std::move(r)); });
+  if (!out.has_value()) engine->Run();
+  FV_CHECK(out.has_value()) << "synchronous call did not settle";
+  return std::move(*out);
+}
 
 /// A compute-node client of a Farview node, implementing the paper's
 /// programmatic interface (Section 4.2):
@@ -149,8 +182,19 @@ class FarviewClient {
                       std::function<void(Result<FvResult>)> done);
   void LoadPipelineAsync(Pipeline pipeline, std::function<void(Status)> done);
 
+  /// The entry point both async verbs share: `Verb::kRead` reads
+  /// [`request.vaddr`, `+ request.len`) raw, `Verb::kFarview` runs the
+  /// loaded pipeline over it.
+  void SubmitAsync(Verb verb, const FvRequest& request,
+                   std::function<void(Result<FvResult>)> done);
+
+  /// Async form of `TableWrite`. The rows are copied into memory before
+  /// the call returns; the completion carries the write's ack time.
+  void TableWriteAsync(const FTable& table, const Table& rows,
+                       std::function<void(Result<SimTime>)> done);
+
   /// Builds the standard request for a full scan of `table`.
-  FvRequest ScanRequest(const FTable& table, bool vectorized = false) const;
+  static FvRequest ScanRequest(const FTable& table, bool vectorized = false);
 
   /// Installs a health gate consulted before every data-path attempt
   /// (DESIGN.md §12). When the gate returns false the node is known-dead
@@ -165,6 +209,9 @@ class FarviewClient {
   /// State of one call under the retry policy (defined in client.cc).
   struct ReliableCall;
 
+  /// Posts one attempt of `verb` to the node.
+  void Post(Verb verb, const FvRequest& request,
+            std::function<void(Result<FvResult>)> done);
   /// Entry: allocates the call state and issues the first attempt.
   void IssueWithRetries(Verb verb, const FvRequest& request,
                         std::function<void(Result<FvResult>)> done);
@@ -183,6 +230,10 @@ class FarviewClient {
   bool GateBlocked();
   /// The status fast-failed calls settle with.
   static Status GateError();
+  /// Body of the convenience queries: load `pipeline`, then scan `table`
+  /// through it.
+  Result<FvResult> LoadAndScan(Result<Pipeline> pipeline, const FTable& table,
+                               bool vectorized = false);
 
   FarviewNode* node_;
   int client_id_;

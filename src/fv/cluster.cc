@@ -1,19 +1,13 @@
 #include "fv/cluster.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
 
-#include "common/bytes.h"
 #include "common/logging.h"
 
 namespace farview {
-
-// ---------------------------------------------------------------------------
-// FarviewCluster
-// ---------------------------------------------------------------------------
 
 FarviewCluster::FarviewCluster(sim::Engine* engine,
                                const ClusterConfig& config)
@@ -285,563 +279,6 @@ void FarviewCluster::CompleteRejoin(int r) {
                                          replica.restarted_at);
   // A replica waiting for a resync source can proceed now.
   StartParkedRejoins();
-}
-
-// ---------------------------------------------------------------------------
-// ClusterClient
-// ---------------------------------------------------------------------------
-
-/// One routed (read / operator) call, re-issued across replicas on
-/// failover until a replica answers or none is left.
-struct ClusterClient::RoutedCall {
-  Verb verb = Verb::kRead;
-  FvRequest request;  ///< kFarview payload
-  FTable table;       ///< kRead payload
-  uint64_t tried_mask = 0;
-  /// True while the current hop occupies a Half-Open probe slot of its
-  /// replica's breaker; the hop's outcome must settle that slot.
-  bool probe_hop = false;
-  /// Last `ResourceExhausted` seen while rotating (DESIGN.md §15). When the
-  /// rotation exhausts, the call settles with this typed status (retry-after
-  /// hint intact) instead of the generic fast-fail, so the caller's backoff
-  /// can honor the server's hint.
-  Status shed_error;
-  std::function<void(Result<FvResult>)> done;
-};
-
-/// One mirrored write: primary hop, then parallel mirror hops.
-struct ClusterClient::MirroredWrite {
-  uint64_t vaddr = 0;
-  const Table* rows = nullptr;  ///< caller keeps it alive until completion
-  uint64_t epoch = 0;
-  std::vector<int> targets;  ///< in-rotation replicas at issue, index order
-  size_t primary_pos = 0;    ///< current primary candidate within `targets`
-  int pending_mirrors = 0;
-  SimTime last_ack = 0;
-  Status error;  ///< first primary-hop error, reported if all hops fail
-  std::function<void(Result<SimTime>)> done;
-};
-
-ClusterClient::ClusterClient(FarviewCluster* cluster, int client_id)
-    : cluster_(cluster),
-      client_id_(client_id),
-      alive_(std::make_shared<bool>(true)) {
-  FV_CHECK(cluster_ != nullptr);
-  const int n = cluster_->num_replicas();
-  loaded_version_.assign(static_cast<size_t>(n), 0);
-  for (int r = 0; r < n; ++r) {
-    // Distinct jitter stream per (client, replica) breaker, derived from
-    // the cluster seed so runs reproduce bit-for-bit.
-    const uint64_t seed = cluster_->config().seed * 0x9E3779B97F4A7C15ull +
-                          static_cast<uint64_t>(client_id_) * 1000003ull +
-                          static_cast<uint64_t>(r);
-    breakers_.push_back(std::make_unique<CircuitBreaker>(
-        cluster_->engine(), cluster_->config().breaker, seed,
-        &cluster_->node(r).stats()));
-  }
-  for (int r = 0; r < n; ++r) {
-    // The nodes outlive this client; the alive flag voids the observer.
-    cluster_->node(r).AddDownObserver([alive = alive_, this, r](bool down) {
-      if (!*alive || !down) return;
-      // Crash observed: force the breaker open so nothing waits out a
-      // timeout against a known-dead replica.
-      breakers_[static_cast<size_t>(r)]->ForceOpen();
-    });
-  }
-  rejoin_hook_id_ = cluster_->AddRejoinHook(
-      [this](int r, std::function<void()> hook_done) {
-        OnRejoin(r, std::move(hook_done));
-      });
-}
-
-ClusterClient::~ClusterClient() {
-  *alive_ = false;
-  cluster_->RemoveRejoinHook(rejoin_hook_id_);
-  CloseConnection();
-}
-
-Status ClusterClient::OpenConnection() {
-  if (!clients_.empty()) {
-    return Status::FailedPrecondition("connection already open");
-  }
-  // Build into a local vector and commit only on full success: a partial
-  // clients_ would make connected() true while data-path methods index it
-  // by replica id past its end.
-  std::vector<std::unique_ptr<FarviewClient>> clients;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    auto client =
-        std::make_unique<FarviewClient>(&cluster_->node(r), client_id_);
-    FV_RETURN_IF_ERROR(client->OpenConnection());
-    client->SetHealthGate(
-        [breaker = breakers_[static_cast<size_t>(r)].get()]() {
-          return !breaker->BlocksAttempts();
-        });
-    clients.push_back(std::move(client));
-  }
-  clients_ = std::move(clients);
-  return Status::OK();
-}
-
-void ClusterClient::CloseConnection() { clients_.clear(); }
-
-Status ClusterClient::AllocTableMem(FTable* table) {
-  if (clients_.empty()) return Status::FailedPrecondition("not connected");
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kAlloc;
-  entry.client_id = client_id_;
-  entry.bytes = table->SizeBytes();
-  const uint64_t epoch = cluster_->AppendEntry(entry);
-  uint64_t vaddr = 0;
-  bool have_vaddr = false;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    if (!cluster_->CanApply(r)) {
-      cluster_->MarkMissed(r, epoch);
-      continue;
-    }
-    FTable replica_table = *table;
-    const Status allocated =
-        clients_[static_cast<size_t>(r)]->AllocTableMem(&replica_table);
-    if (!allocated.ok()) {
-      // Control ops are synchronous and deterministic, so the failure is
-      // not replica health: abort the epoch before reporting it, or a
-      // replica that missed it would replay a doomed alloc (vaddr still 0)
-      // on rejoin and crash recovery.
-      cluster_->AbortEntry(epoch);
-      return allocated;
-    }
-    if (!have_vaddr) {
-      vaddr = replica_table.vaddr;
-      have_vaddr = true;
-      cluster_->SetEntryVaddr(epoch, vaddr);
-    } else if (replica_table.vaddr != vaddr) {
-      cluster_->AbortEntry(epoch);
-      return Status::Internal("replica allocators diverged");
-    }
-    cluster_->MarkApplied(r, epoch);
-  }
-  if (!have_vaddr) {
-    cluster_->AbortEntry(epoch);
-    return Status::Unavailable("no in-rotation replica for allocation");
-  }
-  table->vaddr = vaddr;
-  return Status::OK();
-}
-
-Status ClusterClient::FreeTableMem(FTable* table) {
-  if (clients_.empty()) return Status::FailedPrecondition("not connected");
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kFree;
-  entry.client_id = client_id_;
-  entry.vaddr = table->vaddr;
-  const uint64_t epoch = cluster_->AppendEntry(entry);
-  bool applied_any = false;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    if (!cluster_->CanApply(r)) {
-      cluster_->MarkMissed(r, epoch);
-      continue;
-    }
-    FTable replica_table = *table;
-    const Status freed =
-        clients_[static_cast<size_t>(r)]->FreeTableMem(&replica_table);
-    if (!freed.ok()) {
-      // See AllocTableMem: a request error (e.g. freeing foreign memory)
-      // must not leave a live entry that recovery would replay and fail on.
-      cluster_->AbortEntry(epoch);
-      return freed;
-    }
-    cluster_->MarkApplied(r, epoch);
-    applied_any = true;
-  }
-  if (!applied_any) {
-    cluster_->AbortEntry(epoch);
-    return Status::Unavailable("no in-rotation replica for free");
-  }
-  table->vaddr = 0;
-  return Status::OK();
-}
-
-Result<TableEntry> ClusterClient::ShareTable(const FTable& table) {
-  if (clients_.empty()) return Status::FailedPrecondition("not connected");
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kShare;
-  entry.client_id = client_id_;
-  entry.vaddr = table.vaddr;
-  const uint64_t epoch = cluster_->AppendEntry(entry);
-  std::optional<TableEntry> shared;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    if (!cluster_->CanApply(r)) {
-      cluster_->MarkMissed(r, epoch);
-      continue;
-    }
-    Result<TableEntry> replica_entry =
-        clients_[static_cast<size_t>(r)]->ShareTable(table);
-    if (!replica_entry.ok()) {
-      // See AllocTableMem: abort so recovery skips the failed epoch.
-      cluster_->AbortEntry(epoch);
-      return replica_entry.status();
-    }
-    if (!shared.has_value()) shared = std::move(replica_entry.value());
-    cluster_->MarkApplied(r, epoch);
-  }
-  if (!shared.has_value()) {
-    cluster_->AbortEntry(epoch);
-    return Status::Unavailable("no in-rotation replica for share");
-  }
-  return std::move(*shared);
-}
-
-Result<SimTime> ClusterClient::TableWrite(const FTable& table,
-                                          const Table& rows) {
-  std::optional<Result<SimTime>> out;
-  TableWriteAsync(table, rows,
-                  [&out](Result<SimTime> r) { out.emplace(std::move(r)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableWrite did not complete";
-  return std::move(*out);
-}
-
-void ClusterClient::TableWriteAsync(
-    const FTable& table, const Table& rows,
-    std::function<void(Result<SimTime>)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
-  if (!rows.schema().Equals(table.schema)) {
-    done(Status::InvalidArgument("row data does not match table schema"));
-    return;
-  }
-  if (rows.num_rows() != table.num_rows) {
-    done(Status::InvalidArgument("row count does not match table"));
-    return;
-  }
-  // Per-write control blocks recycle through the byte-block pool's size
-  // classes (DESIGN.md Â§8a) so a write-heavy steady state stays off the
-  // global allocator.
-  auto mw = std::allocate_shared<MirroredWrite>(PooledAllocator<MirroredWrite>());
-  mw->vaddr = table.vaddr;
-  mw->rows = &rows;
-  mw->done = std::move(done);
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kWrite;
-  entry.client_id = client_id_;
-  entry.vaddr = table.vaddr;
-  entry.bytes = rows.size_bytes();
-  mw->epoch = cluster_->AppendEntry(entry);
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    if (cluster_->CanApply(r)) {
-      mw->targets.push_back(r);
-    } else {
-      cluster_->MarkMissed(r, mw->epoch);
-    }
-  }
-  if (mw->targets.empty()) {
-    // Nothing applied the write: abort the epoch so recovery skips it
-    // (otherwise a lone restarted replica would wait forever for a resync
-    // source holding bytes that never existed).
-    cluster_->AbortEntry(mw->epoch);
-    auto cb = std::move(mw->done);
-    cb(Status::Unavailable("no in-rotation replica for mirrored write"));
-    return;
-  }
-  TryPrimaryWrite(std::move(mw));
-}
-
-void ClusterClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
-  if (mw->primary_pos >= mw->targets.size()) {
-    // Every candidate primary failed: no replica holds the bytes, so the
-    // epoch must not be resynced.
-    cluster_->AbortEntry(mw->epoch);
-    auto cb = std::move(mw->done);
-    cb(mw->error.ok()
-           ? Status::Unavailable("mirrored write failed on every replica")
-           : mw->error);
-    return;
-  }
-  const int primary = mw->targets[mw->primary_pos];
-  cluster_->node(primary).TableWrite(
-      clients_[static_cast<size_t>(primary)]->qp()->qp_id, mw->vaddr,
-      mw->rows->data(), mw->rows->size_bytes(),
-      [this, mw, primary](Result<SimTime> res) {
-        if (!res.ok()) {
-          const Status& s = res.status();
-          if (!s.IsUnavailable() && !s.IsDeadlineExceeded()) {
-            // Not a health signal (e.g. an MMU error on a stale vaddr):
-            // the same request would fail on every replica, so fencing
-            // the primary — and then each candidate in turn — would empty
-            // the rotation over one bad write. No bytes landed anywhere;
-            // abort the epoch and report the error to the caller.
-            cluster_->AbortEntry(mw->epoch);
-            auto cb = std::move(mw->done);
-            cb(res.status());
-            return;
-          }
-          // The primary died under the write: record the failover and try
-          // the next candidate as primary.
-          cluster_->MarkMissed(primary, mw->epoch);
-          cluster_->node(primary).stats().RecordFailover();
-          if (mw->error.ok()) mw->error = s;
-          ++mw->primary_pos;
-          TryPrimaryWrite(mw);
-          return;
-        }
-        cluster_->MarkApplied(primary, mw->epoch);
-        mw->last_ack = res.value();
-        // Primary acked: forward to the remaining live replicas in
-        // parallel (the primary->secondary mirror hop).
-        mw->pending_mirrors =
-            static_cast<int>(mw->targets.size() - mw->primary_pos - 1);
-        if (mw->pending_mirrors == 0) {
-          auto cb = std::move(mw->done);
-          cb(mw->last_ack);
-          return;
-        }
-        for (size_t i = mw->primary_pos + 1; i < mw->targets.size(); ++i) {
-          const int secondary = mw->targets[i];
-          cluster_->node(secondary)
-              .TableWrite(
-                  clients_[static_cast<size_t>(secondary)]->qp()->qp_id,
-                  mw->vaddr, mw->rows->data(), mw->rows->size_bytes(),
-                  [this, mw, secondary](Result<SimTime> mirror) {
-                    if (mirror.ok()) {
-                      cluster_->MarkApplied(secondary, mw->epoch);
-                      mw->last_ack = std::max(mw->last_ack, mirror.value());
-                    } else {
-                      // Missed mirror: the secondary converges via resync;
-                      // the cluster write still committed on the primary.
-                      // No error classification here — whatever the cause,
-                      // the primary holds bytes the secondary lacks, and
-                      // resync from the primary is the repair either way.
-                      cluster_->MarkMissed(secondary, mw->epoch);
-                    }
-                    if (--mw->pending_mirrors == 0) {
-                      auto cb = std::move(mw->done);
-                      cb(mw->last_ack);
-                    }
-                  });
-        }
-      });
-}
-
-Status ClusterClient::LoadPipeline(PipelineFactory factory) {
-  std::optional<Status> out;
-  LoadPipelineAsync(std::move(factory),
-                    [&out](Status s) { out.emplace(std::move(s)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "LoadPipeline did not complete";
-  return *out;
-}
-
-void ClusterClient::LoadPipelineAsync(PipelineFactory factory,
-                                      std::function<void(Status)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
-  FV_CHECK(factory != nullptr);
-  pipeline_factory_ = std::move(factory);
-  const uint64_t version = ++pipeline_version_;
-  struct LoadAll {
-    int pending = 0;
-    Status error;
-    std::function<void(Status)> done;
-  };
-  auto state = std::make_shared<LoadAll>();
-  state->done = std::move(done);
-  std::vector<int> targets;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    if (cluster_->CanApply(r)) targets.push_back(r);
-  }
-  if (targets.empty()) {
-    state->done(Status::Unavailable("no in-rotation replica for load"));
-    return;
-  }
-  state->pending = static_cast<int>(targets.size());
-  for (const int r : targets) {
-    Result<Pipeline> pipeline = pipeline_factory_();
-    if (!pipeline.ok()) {
-      if (state->error.ok()) state->error = pipeline.status();
-      if (--state->pending == 0) state->done(state->error);
-      continue;
-    }
-    clients_[static_cast<size_t>(r)]->LoadPipelineAsync(
-        std::move(pipeline.value()),
-        [alive = alive_, this, state, r, version](Status loaded) {
-          if (*alive && loaded.ok()) {
-            loaded_version_[static_cast<size_t>(r)] = version;
-          }
-          if (!loaded.ok() && state->error.ok()) state->error = loaded;
-          if (--state->pending == 0) state->done(state->error);
-        });
-  }
-}
-
-void ClusterClient::OnRejoin(int replica, std::function<void()> done) {
-  // Reload the current pipeline recipe when the recovered replica is
-  // behind (it missed a LoadPipeline while out of rotation). Pipelines
-  // survive the crash itself (configuration flash), so a replica that was
-  // current stays current.
-  if (clients_.empty() || pipeline_factory_ == nullptr ||
-      loaded_version_[static_cast<size_t>(replica)] == pipeline_version_) {
-    done();
-    return;
-  }
-  Result<Pipeline> pipeline = pipeline_factory_();
-  if (!pipeline.ok()) {
-    // The replica still rejoins (its bytes are in sync) but keeps a stale
-    // loaded_version_, so PickReplica fences it from operator traffic
-    // until a later LoadPipeline succeeds. Reads are unaffected.
-    FV_LOG(kWarning) << "pipeline factory failed during rejoin of replica "
-                     << replica << ": " << pipeline.status().ToString()
-                     << "; replica serves reads only";
-    done();
-    return;
-  }
-  const uint64_t version = pipeline_version_;
-  clients_[static_cast<size_t>(replica)]->LoadPipelineAsync(
-      std::move(pipeline.value()),
-      [alive = alive_, this, replica, version, done](Status loaded) {
-        if (*alive && loaded.ok() && version == pipeline_version_) {
-          loaded_version_[static_cast<size_t>(replica)] = version;
-        } else if (*alive && !loaded.ok()) {
-          // Same degraded mode as a factory failure: rejoin for reads,
-          // fenced from operator routing while the pipeline is stale.
-          FV_LOG(kWarning) << "pipeline reload failed during rejoin of "
-                           << "replica " << replica << ": "
-                           << loaded.ToString()
-                           << "; replica serves reads only";
-        }
-        done();
-      });
-}
-
-int ClusterClient::PickReplica(uint64_t tried_mask, Verb verb, bool* probe) {
-  const int n = cluster_->num_replicas();
-  for (int i = 0; i < n; ++i) {
-    const int r = (rr_cursor_ + i) % n;
-    if ((tried_mask >> r) & 1u) continue;
-    if (!cluster_->InSync(r)) continue;  // epoch fencing
-    if (verb == Verb::kFarview && pipeline_factory_ != nullptr &&
-        loaded_version_[static_cast<size_t>(r)] != pipeline_version_) {
-      // Rejoined without the current pipeline (reload failed or is still
-      // in flight): operator calls would fail non-retryably, so route
-      // them elsewhere; the replica still serves reads.
-      continue;
-    }
-    if (!breakers_[static_cast<size_t>(r)]->AllowRequest(probe)) continue;
-    rr_cursor_ = (r + 1) % n;
-    return r;
-  }
-  return -1;
-}
-
-void ClusterClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
-  bool probe = false;
-  const int r = PickReplica(call->tried_mask, call->verb, &probe);
-  if (r < 0) {
-    // Fast-fail: every replica is fenced, tripped, or already tried.
-    // Counted on replica 0's stats (the cluster-level sink). When at least
-    // one replica shed the call, report that typed status instead — the
-    // pool is healthy but saturated, and the retry-after hint must survive
-    // to the caller's backoff (DESIGN.md §15).
-    cluster_->node(0).stats().RecordFastFail();
-    auto cb = std::move(call->done);
-    if (!call->shed_error.ok()) {
-      cb(std::move(call->shed_error));
-      return;
-    }
-    cb(Status::Unavailable("no in-sync replica available (fast-fail)"));
-    return;
-  }
-  call->tried_mask |= uint64_t{1} << r;
-  call->probe_hop = probe;
-  cluster_->node(r).stats().RecordClusterRequest();
-  auto on_done = [this, call, r](Result<FvResult> res) {
-    CircuitBreaker& breaker = *breakers_[static_cast<size_t>(r)];
-    // Read before any re-route: a failover hop overwrites `probe_hop`.
-    const bool probe_hop = call->probe_hop;
-    if (res.ok()) {
-      breaker.RecordSuccess(probe_hop);
-      auto cb = std::move(call->done);
-      cb(std::move(res));
-      return;
-    }
-    const Status& s = res.status();
-    if (s.IsResourceExhausted()) {
-      // Shed load (DESIGN.md §15): the replica is healthy, just refusing
-      // work — no breaker penalty, no failover count. Rotate to another
-      // replica that may have headroom; remember the typed status so an
-      // exhausted rotation reports the shed (with its retry-after hint)
-      // rather than a generic fast-fail.
-      breaker.RecordShed(probe_hop);
-      call->shed_error = s;
-      IssueRouted(call);
-      return;
-    }
-    if (!s.IsUnavailable() && !s.IsDeadlineExceeded()) {
-      // Not a health signal (bad request, schema mismatch): report it,
-      // don't penalize the replica. A probe hop still settles its slot as
-      // a success — the replica answered, the error is the request's
-      // fault — otherwise the slot would leak and a breaker whose every
-      // probe drew a bad request would wedge Half-Open forever.
-      if (probe_hop) breaker.RecordSuccess(/*probe=*/true);
-      auto cb = std::move(call->done);
-      cb(std::move(res));
-      return;
-    }
-    breaker.RecordFailure(probe_hop);
-    cluster_->node(r).stats().RecordFailover();
-    IssueRouted(call);
-  };
-  if (call->verb == Verb::kRead) {
-    clients_[static_cast<size_t>(r)]->TableReadAsync(call->table,
-                                                     std::move(on_done));
-  } else {
-    clients_[static_cast<size_t>(r)]->FarviewRequestAsync(call->request,
-                                                          std::move(on_done));
-  }
-}
-
-Result<FvResult> ClusterClient::TableRead(const FTable& table) {
-  std::optional<Result<FvResult>> out;
-  TableReadAsync(table,
-                 [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableRead did not complete";
-  return std::move(*out);
-}
-
-void ClusterClient::TableReadAsync(
-    const FTable& table, std::function<void(Result<FvResult>)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
-  auto call = std::allocate_shared<RoutedCall>(PooledAllocator<RoutedCall>());
-  call->verb = Verb::kRead;
-  call->table = table;
-  call->done = std::move(done);
-  IssueRouted(std::move(call));
-}
-
-Result<FvResult> ClusterClient::FarviewRequest(const FvRequest& request) {
-  std::optional<Result<FvResult>> out;
-  FarviewRequestAsync(
-      request, [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "FarviewRequest did not complete";
-  return std::move(*out);
-}
-
-void ClusterClient::FarviewRequestAsync(
-    const FvRequest& request, std::function<void(Result<FvResult>)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
-  auto call = std::allocate_shared<RoutedCall>(PooledAllocator<RoutedCall>());
-  call->verb = Verb::kFarview;
-  call->request = request;
-  call->done = std::move(done);
-  IssueRouted(std::move(call));
-}
-
-FvRequest ClusterClient::ScanRequest(const FTable& table,
-                                     bool vectorized) const {
-  FvRequest req;
-  req.vaddr = table.vaddr;
-  req.len = table.SizeBytes();
-  req.tuple_bytes = table.schema.tuple_width();
-  req.vectorized = vectorized;
-  return req;
 }
 
 }  // namespace farview

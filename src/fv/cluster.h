@@ -6,18 +6,11 @@
 #include <memory>
 #include <vector>
 
-#include "fv/client.h"
 #include "fv/farview_node.h"
 #include "fv/replication.h"
 #include "sim/engine.h"
 
 namespace farview {
-
-/// Builds a fresh `Pipeline` on demand. `Pipeline` is move-only, so a
-/// replicated load keeps the recipe instead of the object: every replica —
-/// including one rejoining after a crash — gets its own instance from the
-/// same factory. Must be deterministic (same pipeline every call).
-using PipelineFactory = std::function<Result<Pipeline>()>;
 
 /// Configuration of a replicated Farview pool (DESIGN.md §12).
 struct ClusterConfig {
@@ -42,7 +35,7 @@ struct ClusterConfig {
   /// Crash-recovery resync stream parameters.
   ReplicationConfig replication;
 
-  /// Per-replica circuit-breaker policy used by every `ClusterClient`.
+  /// Per-replica circuit-breaker policy used by every pool client.
   CircuitBreakerPolicy breaker;
 };
 
@@ -130,7 +123,7 @@ class FarviewCluster {
     return replicas_[static_cast<size_t>(r)].in_sync_at;
   }
 
-  // --- Replication-log interface (used by ClusterClient) ------------------
+  // --- Replication-log interface (used by ShardedClient) ------------------
 
   /// Appends an entry; returns its epoch (1-based, monotone).
   uint64_t AppendEntry(LogEntry entry);
@@ -206,120 +199,6 @@ class FarviewCluster {
   std::vector<LogEntry> log_;
   std::map<int, RejoinHook> rejoin_hooks_;
   int next_hook_id_ = 1;
-};
-
-/// Client of a replicated pool: the paper's programmatic interface (Section
-/// 4.2) over N replicas, with client-side failover (DESIGN.md §12).
-///
-/// One `FarviewClient` per replica carries the PR 2 retry policy; on top,
-/// this router keeps a per-replica `CircuitBreaker` and routes each read /
-/// operator call to the next in-sync replica (deterministic round-robin)
-/// whose breaker admits it. A retryable failure (`Unavailable`,
-/// `DeadlineExceeded`) records on the breaker and fails over to the next
-/// eligible replica; when none is left the call settles immediately with
-/// `Unavailable` (fast-fail — no timeout or backoff is burned on a pool
-/// that is known-dead). Writes and allocations are mirrored: applied on
-/// the primary (first in-rotation replica), then forwarded to the
-/// remaining live replicas, with every outcome recorded in the cluster's
-/// replication log.
-///
-/// Synchronous wrappers drive the engine like `FarviewClient`'s; the async
-/// forms require the caller to keep referenced row data alive until the
-/// completion fires (mirror hops read it after the primary's ack).
-class ClusterClient {
- public:
-  ClusterClient(FarviewCluster* cluster, int client_id);
-  ~ClusterClient();
-
-  ClusterClient(const ClusterClient&) = delete;
-  ClusterClient& operator=(const ClusterClient&) = delete;
-
-  /// Connects to every replica. Call before the fault schedule begins (a
-  /// connection cannot be opened to a crashed replica).
-  Status OpenConnection();
-  void CloseConnection();
-
-  bool connected() const { return !clients_.empty(); }
-  int client_id() const { return client_id_; }
-  FarviewCluster* cluster() { return cluster_; }
-
-  /// Per-replica building blocks, for tests and introspection.
-  FarviewClient& replica_client(int r) {
-    return *clients_[static_cast<size_t>(r)];
-  }
-  CircuitBreaker& breaker(int r) { return *breakers_[static_cast<size_t>(r)]; }
-
-  // --- Memory management (mirrored; logged) -------------------------------
-
-  /// Allocates the table on every in-rotation replica and checks the
-  /// replicas' allocators agreed on the address.
-  Status AllocTableMem(FTable* table);
-  Status FreeTableMem(FTable* table);
-
-  /// Shares the table's memory on every in-rotation replica; returns the
-  /// catalog entry another client can import.
-  Result<TableEntry> ShareTable(const FTable& table);
-
-  // --- Data path -----------------------------------------------------------
-
-  /// Mirrored write: primary first, then the surviving secondaries in
-  /// parallel; completes at the last mirror ack. Replicas out of rotation
-  /// (or failing mid-write) miss the epoch and converge via resync.
-  Result<SimTime> TableWrite(const FTable& table, const Table& rows);
-  void TableWriteAsync(const FTable& table, const Table& rows,
-                       std::function<void(Result<SimTime>)> done);
-
-  /// Loads the factory's pipeline on every in-rotation replica and keeps
-  /// the factory for rejoin reloads.
-  Status LoadPipeline(PipelineFactory factory);
-  void LoadPipelineAsync(PipelineFactory factory,
-                         std::function<void(Status)> done);
-
-  /// Routed read / operator calls (round-robin + breaker + failover).
-  Result<FvResult> TableRead(const FTable& table);
-  void TableReadAsync(const FTable& table,
-                      std::function<void(Result<FvResult>)> done);
-  Result<FvResult> FarviewRequest(const FvRequest& request);
-  void FarviewRequestAsync(const FvRequest& request,
-                           std::function<void(Result<FvResult>)> done);
-
-  /// Builds the standard request for a full scan of `table`.
-  FvRequest ScanRequest(const FTable& table, bool vectorized = false) const;
-
- private:
-  /// State of one routed call across failover hops.
-  struct RoutedCall;
-  /// State of one mirrored write across the primary and mirror hops.
-  struct MirroredWrite;
-
-  /// Next eligible replica (in-sync, breaker admits, not yet tried), or -1.
-  /// Operator calls additionally require the replica's loaded pipeline to be
-  /// current — a replica whose rejoin reload failed serves reads only.
-  /// `probe` reports whether the admission consumed a Half-Open probe slot;
-  /// the hop's outcome must be recorded on the breaker with that flag.
-  int PickReplica(uint64_t tried_mask, Verb verb, bool* probe);
-  /// Routes (or re-routes after failover) one call.
-  void IssueRouted(std::shared_ptr<RoutedCall> call);
-  /// Issues the primary write of `mw`, advancing past dead primaries.
-  void TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw);
-  /// Rejoin hook: reload the current pipeline on a recovered replica.
-  void OnRejoin(int replica, std::function<void()> done);
-
-  FarviewCluster* cluster_;
-  int client_id_;
-  std::vector<std::unique_ptr<FarviewClient>> clients_;
-  std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
-  /// Deterministic round-robin cursor over replicas.
-  int rr_cursor_ = 0;
-  /// Current pipeline recipe (empty = none loaded) and its version, vs the
-  /// version each replica has loaded — rejoin reloads exactly when behind.
-  PipelineFactory pipeline_factory_;
-  uint64_t pipeline_version_ = 0;
-  std::vector<uint64_t> loaded_version_;
-  int rejoin_hook_id_ = 0;
-  /// Liveness flag shared with the crash observers registered on the
-  /// (longer-lived) nodes; the destructor clears it.
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace farview

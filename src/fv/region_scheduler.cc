@@ -9,12 +9,38 @@
 
 namespace farview {
 
-RegionScheduler::RegionScheduler(FarviewNode* node) : node_(node) {
+RegionScheduler::RegionScheduler(FarviewNode* node)
+    : node_(node), alive_(std::make_shared<bool>(true)) {
   FV_CHECK(node_ != nullptr);
   for (int r = 0; r < node_->num_regions(); ++r) {
     regions_.push_back(RegionSlot{&node_->region(r), "", false});
   }
   FV_CHECK(!regions_.empty());
+  node_->AddDownObserver([alive = alive_, this](bool down) {
+    if (!*alive || !down) return;
+    last_crash_at_ = node_->engine()->Now();
+    FlushOnCrash();
+  });
+}
+
+RegionScheduler::~RegionScheduler() { *alive_ = false; }
+
+void RegionScheduler::FlushOnCrash() {
+  NodeStats& stats = node_->stats();
+  for (auto& [id, tenant] : tenants_) {
+    for (Job& job : tenant.jobs) {
+      stats.RecordFailure(job.ctx->qp_id);
+      stats.RecordCrashFailure();
+      node_->engine()->ScheduleAfter(0, [done = std::move(job.ctx->done)]() {
+        done(Status::Unavailable("node crashed with the job queued"));
+      });
+    }
+    tenant.jobs.clear();
+    tenant.deficit = 0;
+    tenant.active = false;
+  }
+  rotation_.clear();
+  total_waiting_ = 0;
 }
 
 void RegionScheduler::Submit(int client_id, int qp_id,
@@ -42,6 +68,14 @@ void RegionScheduler::OnArrival(Job job) {
   job.ctx->ingress_done = node_->engine()->Now();
   NodeStats& stats = node_->stats();
   const FarviewConfig& cfg = node_->config();
+  if (node_->down()) {
+    stats.RecordFailure(job.ctx->qp_id);
+    stats.RecordCrashFailure();
+    node_->engine()->ScheduleAfter(0, [done = std::move(job.ctx->done)]() {
+      done(Status::Unavailable("node down"));
+    });
+    return;
+  }
   // Node-wide backlog bound, enforced in every mode (DESIGN.md §15): the
   // waiting set must never grow without limit, admission on or off.
   if (total_waiting_ >= static_cast<size_t>(cfg.scheduler_queue_cap)) {
@@ -230,6 +264,13 @@ void RegionScheduler::FinishJob(size_t slot_index,
                                 Result<FvResult> res) {
   regions_[slot_index].busy = false;
   ++jobs_completed_;
+  // A crash after the job reached the node voids it: waiting jobs were
+  // flushed, so this one was reconfiguring or executing when its region
+  // state died with the node.
+  if (res.ok() && ctx->ingress_done <= last_crash_at_) {
+    node_->stats().RecordCrashFailure();
+    res = Status::Unavailable("node crashed during execution");
+  }
   if (res.ok()) {
     res.value().issued_at = ctx->submitted;
     node_->stats().RecordCompletion(*ctx);

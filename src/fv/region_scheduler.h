@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,11 +42,16 @@ namespace farview {
 ///
 /// Scheduler jobs carry the same `RequestContext` as directly-submitted
 /// requests and report completions into the node's `NodeStats`, so the
-/// telemetry covers both submission paths.
+/// telemetry covers both submission paths. They also get the crash
+/// contract `FvFaultConfig` documents for dedicated connections: arrivals
+/// while the node is down fail with `Unavailable`, waiting jobs are flushed
+/// at the crash, and a job that reached the node at or before the crash
+/// (reconfiguring or executing then) fails at completion.
 class RegionScheduler {
  public:
   /// The scheduler takes over all currently-unassigned regions of `node`.
   explicit RegionScheduler(FarviewNode* node);
+  ~RegionScheduler();
 
   RegionScheduler(const RegionScheduler&) = delete;
   RegionScheduler& operator=(const RegionScheduler&) = delete;
@@ -137,6 +143,9 @@ class RegionScheduler {
   void FinishJob(size_t slot_index, const RequestContextPtr& ctx,
                  Result<FvResult> res);
 
+  /// Crash observer: fails every waiting job with `Unavailable`.
+  void FlushOnCrash();
+
   FarviewNode* node_;
   std::vector<RegionSlot> regions_;
   /// Bounded per-tenant backlogs, keyed by client id (map: deterministic
@@ -149,6 +158,12 @@ class RegionScheduler {
   uint64_t jobs_completed_ = 0;
   uint64_t reconfigurations_ = 0;
   uint64_t affinity_hits_ = 0;
+  /// Instant of the node's most recent crash seen by this scheduler; jobs
+  /// that arrived at or before it fail at completion. -1 = never crashed.
+  SimTime last_crash_at_ = -1;
+  /// Liveness flag shared with the crash observer registered on the
+  /// (possibly longer-lived) node; the destructor clears it.
+  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace farview

@@ -152,32 +152,6 @@ SimTime Optimizer::EstimateLocal(const QuerySpec& spec, const Schema& schema,
   return total;
 }
 
-SimTime Optimizer::EstimateSharded(const QuerySpec& spec,
-                                   const Schema& schema,
-                                   const TableStats& stats,
-                                   int num_shards) const {
-  if (num_shards <= 1) {
-    return EstimateFarview(spec, schema, stats, /*vectorized=*/false,
-                           /*smart_addressing=*/false, 0);
-  }
-  // The fragments run in parallel on independent shards; the offload term
-  // is the slowest (== any, under an even range split) fragment.
-  TableStats fragment = stats;
-  fragment.num_rows =
-      CeilDiv(stats.num_rows, static_cast<uint64_t>(num_shards));
-  const SimTime slowest_fragment =
-      EstimateFarview(spec, schema, fragment, /*vectorized=*/false,
-                      /*smart_addressing=*/false, 0);
-  // Gather/merge term: every shard's result lands at the client and is
-  // re-scanned once (concatenation or partial-aggregate merge). Partial
-  // outputs do not shrink with S — every shard may emit every group.
-  const uint64_t gathered =
-      static_cast<uint64_t>(num_shards) *
-      EstimateOutputBytes(spec, schema, fragment);
-  return slowest_fragment +
-         TransferTime(gathered, cpu_.dram_read_bytes_per_sec);
-}
-
 PhysicalPlan Optimizer::Plan(const QuerySpec& spec, const Schema& schema,
                              const TableStats& stats) const {
   PhysicalPlan plan;

@@ -88,18 +88,6 @@ class Optimizer {
   SimTime EstimateLocal(const QuerySpec& spec, const Schema& schema,
                         const TableStats& stats) const;
 
-  /// Shard-aware costing stub (DESIGN.md §13): estimated response time when
-  /// the table is range-partitioned across `num_shards` shards and the
-  /// operator runs shard-local with a client-side gather/merge. First-order
-  /// model: the fragments run in parallel, so the offload term is one
-  /// fragment's `EstimateFarview`; the gather term re-reads every shard's
-  /// result at the client (each shard may emit every group, so partial
-  /// outputs do not shrink with S — which is why sharding a low-reduction
-  /// GROUP BY eventually stops paying). `num_shards <= 1` degenerates to
-  /// `EstimateFarview` exactly.
-  SimTime EstimateSharded(const QuerySpec& spec, const Schema& schema,
-                          const TableStats& stats, int num_shards) const;
-
   /// True when the spec is eligible for smart addressing: pure projection
   /// of a contiguous column window (no predicates, regex, decrypt, join or
   /// grouping — those need other columns or whole-stream offsets). On

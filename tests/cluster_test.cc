@@ -1,6 +1,7 @@
-// Replicated-pool tests (DESIGN.md §12): mirrored writes, breaker-routed
-// reads with failover, epoch fencing, crash recovery with resync, and the
-// fast-fail latency bound. Labelled `failover` so CI reruns them under the
+// Replicated-pool tests (DESIGN.md §12), driven through `ShardedClient`
+// over a one-shard `ShardedPool`: mirrored writes, breaker-routed reads with
+// failover, epoch fencing, crash recovery with resync, and the fast-fail
+// latency bound. Labelled `failover` so CI reruns them under the
 // FV_FAULT_SEED sanitizer sweep — like the `faults` suite, assertions are
 // invariants that must hold for ANY seed, never seed-specific counts.
 
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "fv/cluster.h"
+#include "fv/sharding.h"
 #include "operators/pipeline.h"
 #include "table/generator.h"
 
@@ -32,20 +33,20 @@ Table MakeRows(uint64_t bytes, uint64_t gen_seed = 7) {
   return std::move(t).value();
 }
 
-/// Cluster config sized for tests: small functional backing (N nodes per
-/// engine), retry policy on, seeded from the CI sweep.
-ClusterConfig TestConfig(int replicas) {
-  ClusterConfig cc;
-  cc.node.dram.channel_capacity = 32 * kMiB;
-  cc.node.retry.enabled = true;
-  cc.num_replicas = replicas;
-  cc.seed = TestSeed();
-  return cc;
+/// One-shard pool config sized for tests: small functional backing (N
+/// nodes per engine), retry policy on, seeded from the CI sweep.
+ShardedConfig TestConfig(int replicas) {
+  ShardedConfig sc;
+  sc.cluster.node.dram.channel_capacity = 32 * kMiB;
+  sc.cluster.node.retry.enabled = true;
+  sc.cluster.num_replicas = replicas;
+  sc.cluster.seed = TestSeed();
+  return sc;
 }
 
 /// Allocates without running the engine (pure bookkeeping), so tests can
 /// position requests relative to config-scheduled fault instants.
-FTable AllocOnly(ClusterClient& client, const Table& rows,
+FTable AllocOnly(ShardedClient& client, const Table& rows,
                  const std::string& name = "t") {
   FTable ft;
   ft.name = name;
@@ -69,8 +70,9 @@ ByteBuffer ReplicaBytes(FarviewCluster& cluster, int r, int client_id,
 
 TEST(ClusterTest, MirroredWriteReachesEveryReplica) {
   sim::Engine engine;
-  FarviewCluster cluster(&engine, TestConfig(3));
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, TestConfig(3));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(128 * kKiB);
   FTable ft = AllocOnly(client, rows);
@@ -89,8 +91,9 @@ TEST(ClusterTest, MirroredWriteReachesEveryReplica) {
 
 TEST(ClusterTest, RoutedReadsRoundRobinAcrossReplicas) {
   sim::Engine engine;
-  FarviewCluster cluster(&engine, TestConfig(3));
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, TestConfig(3));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(128 * kKiB);
   FTable ft = AllocOnly(client, rows);
@@ -109,13 +112,15 @@ TEST(ClusterTest, RoutedReadsRoundRobinAcrossReplicas) {
 }
 
 TEST(ClusterTest, CrashFailoverKeepsReadsSucceeding) {
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.faulted_replica = 0;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 1 * kMillisecond;  // stays down
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(256 * kKiB);
   FTable ft = AllocOnly(client, rows);
@@ -152,12 +157,14 @@ TEST(ClusterTest, FastFailSettlesImmediatelyWhenPoolIsDead) {
   // and its breaker open, a read must settle at its issuing instant with
   // Unavailable — not after completion_timeout * max_attempts of burned
   // backoff (1.75 ms with the default RetryPolicy).
-  ClusterConfig cc = TestConfig(1);
+  ShardedConfig sc = TestConfig(1);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 500 * kMicrosecond;
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(64 * kKiB);
   FTable ft = AllocOnly(client, rows);
@@ -331,30 +338,37 @@ TEST(ClusterTest, NonRetryableProbeOutcomeDoesNotLeakProbeSlots) {
   // success. Before the fix the slot was consumed and never returned, so a
   // breaker whose every probe drew a bad request wedged Half-Open with no
   // slots — permanently excluding a healthy replica from routing.
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(256 * kKiB, 3);
   FTable ft = AllocOnly(client, rows);
   ASSERT_TRUE(client.TableWrite(ft, rows).ok());
+  // A table whose range every replica's MMU drops behind the client's
+  // back: the shard map still routes it, and every replica rejects its
+  // reads at request level (MMU NotFound — non-retryable).
+  FTable bogus = AllocOnly(client, rows, "bogus");
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_TRUE(cluster.node(r).mmu().Free(1, bogus.vaddr).ok());
+  }
 
   // Trip replica 0's breaker, then wait out the cool-down.
   for (int i = 0; i < cc.breaker.failure_threshold; ++i) {
-    client.breaker(0).RecordFailure();
+    client.breaker(0, 0).RecordFailure();
   }
-  ASSERT_EQ(client.breaker(0).state(), CircuitBreaker::State::kOpen);
+  ASSERT_EQ(client.breaker(0, 0).state(), CircuitBreaker::State::kOpen);
   engine.ScheduleAt(engine.Now() + cc.breaker.open_duration +
                         cc.breaker.open_jitter,
                     []() {});
   engine.Run();
 
-  // Exhaust every probe slot with reads of a bogus table (MMU NotFound —
-  // non-retryable). Round-robin alternates replicas; issue enough requests
-  // that at least `probe_successes` of them probe replica 0.
-  FTable bogus = ft;
-  bogus.vaddr = 0xDEAD0000;
+  // Exhaust every probe slot with reads of the bogus table. Round-robin
+  // alternates replicas; issue enough requests that at least
+  // `probe_successes` of them probe replica 0.
   for (int i = 0; i < 2 * cc.breaker.probe_successes; ++i) {
     Result<FvResult> res = client.TableRead(bogus);
     EXPECT_FALSE(res.ok());
@@ -363,7 +377,7 @@ TEST(ClusterTest, NonRetryableProbeOutcomeDoesNotLeakProbeSlots) {
 
   // The probes settled as successes, so the breaker closed instead of
   // wedging Half-Open with zero slots; replica 0 serves reads again.
-  EXPECT_EQ(client.breaker(0).state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(client.breaker(0, 0).state(), CircuitBreaker::State::kClosed);
   const uint64_t served_before =
       cluster.node(0).stats().reliability().cluster_requests;
   for (int i = 0; i < 2; ++i) {
@@ -374,13 +388,15 @@ TEST(ClusterTest, NonRetryableProbeOutcomeDoesNotLeakProbeSlots) {
 }
 
 TEST(ClusterTest, RestartResyncsMissedWritesFromSurvivor) {
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 1 * kMillisecond;
   cc.node.faults.node_restart_at = 2 * kMillisecond;
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table v1 = MakeRows(256 * kKiB, 7);
   const Table v2 = MakeRows(256 * kKiB, 8);
@@ -414,13 +430,15 @@ TEST(ClusterTest, RestartResyncsMissedWritesFromSurvivor) {
 }
 
 TEST(ClusterTest, ControlEntriesReplayOnRejoin) {
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 1 * kMillisecond;
   cc.node.faults.node_restart_at = 2 * kMillisecond;
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(128 * kKiB);
   FTable keep = AllocOnly(client, rows);
@@ -469,7 +487,8 @@ TEST(ClusterTest, ControlEntriesReplayOnRejoin) {
 }
 
 TEST(ClusterTest, FencedReplicaServesNoReadsUntilInSync) {
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 1 * kMillisecond;
   cc.node.faults.node_restart_at = 2 * kMillisecond;
@@ -477,8 +496,9 @@ TEST(ClusterTest, FencedReplicaServesNoReadsUntilInSync) {
   // it: 256 KiB at 1 Gbps is ~2 ms of resync.
   cc.replication.resync_rate_bytes_per_sec = GbpsToBytesPerSec(1.0);
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table v1 = MakeRows(256 * kKiB, 7);
   const Table v2 = MakeRows(256 * kKiB, 8);
@@ -527,13 +547,15 @@ TEST(ClusterTest, FencedReplicaServesNoReadsUntilInSync) {
 TEST(ClusterTest, SingleReplicaPoolRecoversWithoutSource) {
   // R=1: every write during the outage aborts (no in-rotation replica), so
   // rejoin needs no resync source and must not park forever.
-  ClusterConfig cc = TestConfig(1);
+  ShardedConfig sc = TestConfig(1);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 1 * kMillisecond;
   cc.node.faults.node_restart_at = 2 * kMillisecond;
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(128 * kKiB);
   FTable ft = AllocOnly(client, rows);
@@ -564,34 +586,44 @@ TEST(ClusterTest, FailedControlOpDuringOutageDoesNotPoisonRecovery) {
   // alloc) while a replica is out of rotation must abort its log epoch.
   // A live entry would be replayed on rejoin, fail again, and crash
   // recovery through the replay-divergence check.
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 1 * kMillisecond;
   cc.node.faults.node_restart_at = 2 * kMillisecond;
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(128 * kKiB);
   FTable ft = AllocOnly(client, rows);
+  FTable bogus = AllocOnly(client, rows, "bogus");
   client.TableWriteAsync(ft, rows, [](Result<SimTime> w) {
     EXPECT_TRUE(w.ok());
   });
 
+  uint64_t logged = 0;
   engine.ScheduleAt(1500 * kMicrosecond, [&]() {
-    // Free of memory that was never allocated: fails on the survivor.
-    FTable bogus = ft;
-    bogus.vaddr = ft.vaddr + 1 * kGiB;
+    const uint64_t epoch_before = cluster.epoch();
+    // Free of memory the survivor no longer maps (dropped from its MMU
+    // behind the client's back): fails on the survivor.
+    ASSERT_TRUE(cluster.node(1).mmu().Free(1, bogus.vaddr).ok());
     const Status freed = client.FreeTableMem(&bogus);
     EXPECT_FALSE(freed.ok());
-    // Alloc doomed by client-side validation (nameless table): the entry
+    // Alloc doomed at the replica (larger than a node's memory): the entry
     // is appended before the first replica rejects it.
-    FTable anon;
-    anon.schema = rows.schema();
-    anon.num_rows = rows.num_rows();
-    EXPECT_FALSE(client.AllocTableMem(&anon).ok());
+    FTable huge;
+    huge.name = "huge";
+    huge.schema = rows.schema();
+    huge.num_rows = (1 * kGiB) / 64;
+    EXPECT_FALSE(client.AllocTableMem(&huge).ok());
+    logged = cluster.epoch() - epoch_before;
   });
   engine.Run();
+
+  // Both ops reached the replication log before failing.
+  EXPECT_EQ(logged, 2u);
 
   // Rejoin must skip both failed epochs instead of FV_CHECK-aborting.
   EXPECT_TRUE(cluster.InSync(0)) << "recovery never completed";
@@ -603,21 +635,25 @@ TEST(ClusterTest, FailedControlOpDuringOutageDoesNotPoisonRecovery) {
 }
 
 TEST(ClusterTest, RequestErrorWriteDoesNotFenceReplicas) {
-  // Regression: a mirrored write failing for a non-health reason (freed
+  // Regression: a mirrored write failing for a non-health reason (unmapped
   // vaddr -> MMU NotFound) must surface the error to the caller without
   // fencing the primary — and then, identically, every other candidate —
   // out of rotation.
   sim::Engine engine;
-  FarviewCluster cluster(&engine, TestConfig(3));
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, TestConfig(3));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(128 * kKiB);
   FTable ft = AllocOnly(client, rows);
   ASSERT_TRUE(client.TableWrite(ft, rows).ok());
-  FTable stale = ft;  // keeps the vaddr the free below unmaps
-  ASSERT_TRUE(client.FreeTableMem(&ft).ok());
+  // Unmap the range on every replica behind the client's back: the shard
+  // map still routes the write, and every replica rejects it.
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_TRUE(cluster.node(r).mmu().Free(1, ft.vaddr).ok());
+  }
 
-  Result<SimTime> wrote = client.TableWrite(stale, rows);
+  Result<SimTime> wrote = client.TableWrite(ft, rows);
   ASSERT_FALSE(wrote.ok());
   EXPECT_FALSE(wrote.status().IsUnavailable());
   EXPECT_FALSE(wrote.status().IsDeadlineExceeded());
@@ -629,7 +665,7 @@ TEST(ClusterTest, RequestErrorWriteDoesNotFenceReplicas) {
     EXPECT_EQ(rel.resyncs, 0u) << "replica " << r;
   }
   // The pool still takes writes and serves reads afterwards.
-  FTable again = AllocOnly(client, rows);
+  FTable again = AllocOnly(client, rows, "again");
   ASSERT_TRUE(client.TableWrite(again, rows).ok());
   EXPECT_TRUE(client.TableRead(again).ok());
 }
@@ -639,7 +675,8 @@ TEST(ClusterTest, RepeatedCrashMidResyncStillConverges) {
   // to the missed list when the stream is aborted by a second crash —
   // otherwise the replica rejoins as in-sync while holding pre-crash
   // bytes, violating epoch fencing.
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 1 * kMillisecond;
   cc.node.faults.node_restart_at = 2 * kMillisecond;
@@ -647,8 +684,9 @@ TEST(ClusterTest, RepeatedCrashMidResyncStillConverges) {
   // squarely inside the stream.
   cc.replication.resync_rate_bytes_per_sec = GbpsToBytesPerSec(1.0);
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table v1 = MakeRows(256 * kKiB, 7);
   const Table v2 = MakeRows(256 * kKiB, 8);
@@ -687,18 +725,19 @@ TEST(ClusterTest, RepeatedCrashMidResyncStillConverges) {
 
 TEST(ClusterTest, FailedConnectionLeavesClientDisconnected) {
   // Regression: OpenConnection failing on a later replica must not leave
-  // clients_ partially populated — connected() would report true and the
-  // router would index past the vector's end.
-  ClusterConfig cc = TestConfig(2);
+  // the routing state partially populated — connected() would report true
+  // and the router would index past the replica vector's end.
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.faulted_replica = 1;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 500 * kMicrosecond;  // stays down
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
+  ShardedPool pool(&engine, sc);
   engine.ScheduleAt(1 * kMillisecond, []() {});
   engine.Run();  // drive past the crash so replica 1 refuses connections
 
-  ClusterClient client(&cluster, 1);
+  ShardedClient client(&pool, 1);
   EXPECT_FALSE(client.OpenConnection().ok());
   EXPECT_FALSE(client.connected());
 }
@@ -710,13 +749,15 @@ TEST(ClusterTest, RejoinWithFailedPipelineReloadServesReadsOnly) {
   // Loads reconfigure for region_reconfig_time (5 ms), so the fault
   // schedule sits past the initial load and the mid-outage one starts
   // after the first completes.
-  ClusterConfig cc = TestConfig(2);
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 12 * kMillisecond;
   cc.node.faults.node_restart_at = 14 * kMillisecond;
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table rows = MakeRows(128 * kKiB);
   FTable ft = AllocOnly(client, rows);
@@ -729,14 +770,14 @@ TEST(ClusterTest, RejoinWithFailedPipelineReloadServesReadsOnly) {
   client.TableWriteAsync(ft, rows, [](Result<SimTime> w) {
     EXPECT_TRUE(w.ok());
   });
-  client.LoadPipelineAsync(factory, [](Status s) {
+  client.LoadPipelineAsync(ft, factory, [](Status s) {
     EXPECT_TRUE(s.ok()) << s.ToString();
   });
   engine.ScheduleAt(13 * kMillisecond, [&]() {
     // Version bump replica 0 misses. The factory builds the survivor's
     // copy synchronously inside the call, so it can be failed right after
     // — replica 0's rejoin reload at 14 ms then has nothing to load.
-    client.LoadPipelineAsync(factory, [](Status s) {
+    client.LoadPipelineAsync(ft, factory, [](Status s) {
       EXPECT_TRUE(s.ok()) << s.ToString();
     });
     fail_factory = true;
@@ -747,7 +788,7 @@ TEST(ClusterTest, RejoinWithFailedPipelineReloadServesReadsOnly) {
   const uint64_t routed_before =
       cluster.node(0).stats().reliability().cluster_requests;
   for (int i = 0; i < 4; ++i) {
-    Result<FvResult> res = client.FarviewRequest(client.ScanRequest(ft));
+    Result<FvResult> res = client.Offload(ft);
     EXPECT_TRUE(res.ok()) << res.status().ToString();
   }
   // Every operator call went to the survivor with the current pipeline.
@@ -771,9 +812,8 @@ TEST(ClusterTest, AbortedEpochUnparksLoneFencedReplica) {
   // (it landed nowhere), there is nothing to resync — the abort must purge
   // the epoch and restart the parked recovery, or the lone replica stays
   // fenced forever and the pool is dead.
-  ClusterConfig cc = TestConfig(1);
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
+  FarviewCluster cluster(&engine, TestConfig(1).cluster);
   FarviewCluster::LogEntry entry;
   entry.kind = FarviewCluster::LogEntry::Kind::kWrite;
   entry.client_id = 1;
@@ -796,10 +836,10 @@ TEST(ClusterTest, RepeatCrashWithAbortedEpochConvergesAndRejoins) {
   // ever waits on (or replays) an epoch whose bytes never existed. Replica
   // 1 in particular rejoins instantly: its only missed epoch is the
   // aborted one.
-  ClusterConfig cc = TestConfig(2);
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, TestConfig(2));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   const Table v1 = MakeRows(1 * kMiB, 5);
   const Table v2 = MakeRows(1 * kMiB, 6);

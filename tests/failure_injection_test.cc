@@ -13,8 +13,8 @@
 
 #include "benchlib/experiment.h"
 #include "fv/client.h"
-#include "fv/cluster.h"
 #include "fv/farview_node.h"
+#include "fv/sharding.h"
 #include "table/generator.h"
 
 namespace farview {
@@ -228,7 +228,8 @@ struct LivenessScenario {
 /// Returns via EXPECT_* failures; the caller tags with the scenario name.
 void RunLivenessScenario(const LivenessScenario& sc, int replicas,
                          uint64_t seed) {
-  ClusterConfig cc;
+  ShardedConfig pool_config;  // one shard: a replicated pool
+  ClusterConfig& cc = pool_config.cluster;
   cc.node.dram.channel_capacity = 32 * kMiB;
   cc.node.retry.enabled = true;
   cc.seed = seed;
@@ -247,8 +248,8 @@ void RunLivenessScenario(const LivenessScenario& sc, int replicas,
   cc.node.net.faults.link_flap_down = sc.link_flap_down;
 
   sim::Engine engine;
-  FarviewCluster cluster(&engine, cc);
-  ClusterClient client(&cluster, 1);
+  ShardedPool pool(&engine, pool_config);
+  ShardedClient client(&pool, 1);
   ASSERT_TRUE(client.OpenConnection().ok());
   TableGenerator gen(7);
   Result<Table> t =

@@ -11,7 +11,6 @@
 
 #include "benchlib/experiment.h"
 #include "fv/client.h"
-#include "fv/cluster.h"
 #include "fv/farview_node.h"
 #include "fv/sharding.h"
 #include "table/generator.h"
@@ -31,6 +30,12 @@ Table MakeRows(uint64_t bytes) {
   Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), bytes / 64, 100);
   EXPECT_TRUE(t.ok());
   return std::move(t).value();
+}
+
+/// Handle for `rows` as table "t", not yet allocated.
+FTable TableFor(const Table& rows) {
+  return FTable{.name = "t", .schema = rows.schema(),
+                .num_rows = rows.num_rows()};
 }
 
 TEST(FaultIdentityTest, DefaultConfigDisablesEverything) {
@@ -70,30 +75,26 @@ TEST(FaultIdentityTest, SingleReplicaClusterIsEventIdenticalToBareNode) {
   // With num_replicas == 1 and a default config the replication layer must
   // be invisible: no mirror hops, no breaker draws, no scheduled events —
   // the same event count, the same clock, the same golden timing as a bare
-  // node driven through FarviewClient.
+  // node driven through FarviewClient. (The pool client is ShardedClient
+  // over a one-shard pool; the next test pins the sharding counters.)
   const Table rows = MakeRows(1 * kMiB);
 
   sim::Engine bare_engine;
   FarviewNode bare_node(&bare_engine, FarviewConfig());
   FarviewClient bare_client(&bare_node, 1);
   ASSERT_TRUE(bare_client.OpenConnection().ok());
-  FTable bare_ft;
-  bare_ft.name = "t";
-  bare_ft.schema = rows.schema();
-  bare_ft.num_rows = rows.num_rows();
+  FTable bare_ft = TableFor(rows);
   ASSERT_TRUE(bare_client.AllocTableMem(&bare_ft).ok());
   ASSERT_TRUE(bare_client.TableWrite(bare_ft, rows).ok());
   Result<FvResult> bare_read = bare_client.TableRead(bare_ft);
   ASSERT_TRUE(bare_read.ok());
 
   sim::Engine pool_engine;
-  FarviewCluster cluster(&pool_engine, ClusterConfig());
-  ClusterClient pool_client(&cluster, 1);
+  ShardedPool pool(&pool_engine, ShardedConfig());
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient pool_client(&pool, 1);
   ASSERT_TRUE(pool_client.OpenConnection().ok());
-  FTable pool_ft;
-  pool_ft.name = "t";
-  pool_ft.schema = rows.schema();
-  pool_ft.num_rows = rows.num_rows();
+  FTable pool_ft = TableFor(rows);
   ASSERT_TRUE(pool_client.AllocTableMem(&pool_ft).ok());
   ASSERT_TRUE(pool_client.TableWrite(pool_ft, rows).ok());
   Result<FvResult> pool_read = pool_client.TableRead(pool_ft);
@@ -127,10 +128,7 @@ TEST(FaultIdentityTest, SingleShardSingleReplicaPoolIsEventIdenticalToBareNode) 
   FarviewNode bare_node(&bare_engine, FarviewConfig());
   FarviewClient bare_client(&bare_node, 1);
   ASSERT_TRUE(bare_client.OpenConnection().ok());
-  FTable bare_ft;
-  bare_ft.name = "t";
-  bare_ft.schema = rows.schema();
-  bare_ft.num_rows = rows.num_rows();
+  FTable bare_ft = TableFor(rows);
   ASSERT_TRUE(bare_client.AllocTableMem(&bare_ft).ok());
   ASSERT_TRUE(bare_client.TableWrite(bare_ft, rows).ok());
   Result<FvResult> bare_read = bare_client.TableRead(bare_ft);
@@ -140,10 +138,7 @@ TEST(FaultIdentityTest, SingleShardSingleReplicaPoolIsEventIdenticalToBareNode) 
   ShardedPool pool(&pool_engine, ShardedConfig());
   ShardedClient pool_client(&pool, 1);
   ASSERT_TRUE(pool_client.OpenConnection().ok());
-  FTable pool_ft;
-  pool_ft.name = "t";
-  pool_ft.schema = rows.schema();
-  pool_ft.num_rows = rows.num_rows();
+  FTable pool_ft = TableFor(rows);
   ASSERT_TRUE(pool_client.AllocTableMem(&pool_ft).ok());
   ASSERT_TRUE(pool_client.TableWrite(pool_ft, rows).ok());
   Result<FvResult> pool_read = pool_client.TableRead(pool_ft);
@@ -164,6 +159,53 @@ TEST(FaultIdentityTest, SingleShardSingleReplicaPoolIsEventIdenticalToBareNode) 
   EXPECT_EQ(stats.reliability().failovers, 0u);
   EXPECT_EQ(stats.reliability().fast_fails, 0u);
   EXPECT_EQ(stats.reliability().circuit_opens, 0u);
+}
+
+TEST(FaultIdentityTest, SingleShardSingleReplicaOffloadIsEventIdenticalToBareNode) {
+  // The offload path of the 1-shard × 1-replica pool — load a pipeline
+  // factory on the table's shard, then a routed scan through it — must
+  // match a bare node's LoadPipeline + FarviewRequest(ScanRequest) event
+  // for event.
+  const Table rows = MakeRows(1 * kMiB);
+  auto pass_through = [&rows]() {
+    return PipelineBuilder(rows.schema()).Build();
+  };
+
+  sim::Engine bare_engine;
+  FarviewNode bare_node(&bare_engine, FarviewConfig());
+  FarviewClient bare_client(&bare_node, 1);
+  ASSERT_TRUE(bare_client.OpenConnection().ok());
+  FTable bare_ft = TableFor(rows);
+  ASSERT_TRUE(bare_client.AllocTableMem(&bare_ft).ok());
+  ASSERT_TRUE(bare_client.TableWrite(bare_ft, rows).ok());
+  Result<Pipeline> p = pass_through();
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(bare_client.LoadPipeline(std::move(p).value()).ok());
+  Result<FvResult> bare_scan =
+      bare_client.FarviewRequest(FarviewClient::ScanRequest(bare_ft));
+  ASSERT_TRUE(bare_scan.ok());
+
+  sim::Engine pool_engine;
+  ShardedPool pool(&pool_engine, ShardedConfig());
+  ShardedClient pool_client(&pool, 1);
+  ASSERT_TRUE(pool_client.OpenConnection().ok());
+  FTable pool_ft = TableFor(rows);
+  ASSERT_TRUE(pool_client.AllocTableMem(&pool_ft).ok());
+  ASSERT_TRUE(pool_client.TableWrite(pool_ft, rows).ok());
+  ASSERT_TRUE(pool_client.LoadPipeline(pool_ft, pass_through).ok());
+  Result<FvResult> pool_scan = pool_client.Offload(pool_ft);
+  ASSERT_TRUE(pool_scan.ok());
+
+  EXPECT_EQ(pool_scan.value().Elapsed(), bare_scan.value().Elapsed());
+  EXPECT_EQ(pool_scan.value().Elapsed(), kGoldenOffloadScan1MiB);
+  EXPECT_EQ(pool_scan.value().data, bare_scan.value().data);
+  EXPECT_EQ(pool_scan.value().bytes_on_wire, bare_scan.value().bytes_on_wire);
+  EXPECT_EQ(pool_engine.Now(), bare_engine.Now());
+  EXPECT_EQ(pool_engine.executed_events(), bare_engine.executed_events());
+  const NodeStats& stats = pool.shard(0).node(0).stats();
+  EXPECT_EQ(stats.sharding().fragment_offloads, 1u);
+  EXPECT_EQ(stats.reliability().cluster_requests, 1u);
+  EXPECT_FALSE(stats.reliability().failovers || stats.reliability().fast_fails);
 }
 
 TEST(FaultIdentityTest, RetryWrapperIsEventIdenticalWhenDisabled) {

@@ -5,7 +5,6 @@
 
 #include "benchlib/experiment.h"
 #include "optimizer/optimizer.h"
-#include "optimizer/stats_collector.h"
 #include "table/generator.h"
 
 namespace farview {
@@ -143,6 +142,11 @@ struct AccountabilityCase {
   bool vectorized;
 };
 
+// Gives each case a stable printed value, which test discovery uses as the
+// case name. Without it gtest prints the struct's raw bytes — the `name`
+// pointer and uninitialised padding — so the names change on every run.
+void PrintTo(const AccountabilityCase& c, std::ostream* os) { *os << c.name; }
+
 class OptimizerAccountabilityTest
     : public ::testing::TestWithParam<AccountabilityCase> {};
 
@@ -188,102 +192,6 @@ INSTANTIATE_TEST_SUITE_P(
                       AccountabilityCase{"quarter", 0.25, false},
                       AccountabilityCase{"quarter_vec", 0.25, true},
                       AccountabilityCase{"tenth_vec", 0.10, true}));
-
-// ---------------------------------------------------------------------------
-// ANALYZE / statistics collection
-// ---------------------------------------------------------------------------
-
-TEST(StatsCollectorTest, MinMaxDistinctHistogram) {
-  TableGenerator gen(51);
-  Result<Table> t =
-      gen.WithDistinct(Schema::DefaultWideRow(), 5000, 0, 100, 1000);
-  ASSERT_TRUE(t.ok());
-  const AnalyzeResult a = AnalyzeTable(t.value());
-  EXPECT_EQ(a.num_rows, 5000u);
-  EXPECT_EQ(a.tuple_bytes, 64u);
-  const ColumnStats& c0 = a.columns[0];
-  EXPECT_EQ(c0.min, 0);
-  EXPECT_EQ(c0.max, 99);
-  EXPECT_EQ(c0.distinct, 100u);
-  uint64_t total = 0;
-  for (uint64_t b : c0.histogram) total += b;
-  EXPECT_EQ(total, 5000u);
-}
-
-TEST(StatsCollectorTest, SelectivityEstimatesTrackTruth) {
-  TableGenerator gen(52);
-  Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), 50000, 1000);
-  ASSERT_TRUE(t.ok());
-  const AnalyzeResult a = AnalyzeTable(t.value());
-  for (const int64_t threshold : {100, 250, 500, 900}) {
-    uint64_t truth = 0;
-    for (uint64_t r = 0; r < t.value().num_rows(); ++r) {
-      if (t.value().GetInt64(r, 0) < threshold) ++truth;
-    }
-    const double est = a.columns[0].EstimateSelectivity(
-        CompareOp::kLt, threshold, a.num_rows);
-    EXPECT_NEAR(est, static_cast<double>(truth) / 50000.0, 0.02)
-        << threshold;
-  }
-  // Out-of-range values.
-  EXPECT_DOUBLE_EQ(
-      a.columns[0].EstimateSelectivity(CompareOp::kLt, -5, a.num_rows), 0.0);
-  EXPECT_DOUBLE_EQ(a.columns[0].EstimateSelectivity(CompareOp::kLt, 5000,
-                                                    a.num_rows),
-                   1.0);
-  EXPECT_DOUBLE_EQ(
-      a.columns[0].EstimateSelectivity(CompareOp::kEq, 5000, a.num_rows),
-      0.0);
-}
-
-TEST(StatsCollectorTest, ForQueryCombinesConjuncts) {
-  TableGenerator gen(53);
-  Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), 50000, 100);
-  ASSERT_TRUE(t.ok());
-  const AnalyzeResult a = AnalyzeTable(t.value());
-  const std::vector<Predicate> preds = {
-      Predicate::Int(0, CompareOp::kLt, 50),
-      Predicate::Int(1, CompareOp::kLt, 50)};
-  const TableStats stats = a.ForQuery(preds);
-  // Independent 0.5 × 0.5.
-  EXPECT_NEAR(stats.selectivity, 0.25, 0.02);
-  const TableStats grouped = a.ForQuery({}, /*grouping_col=*/2);
-  EXPECT_EQ(grouped.distinct_keys, 100u);
-}
-
-TEST(StatsCollectorTest, FeedsOptimizerEndToEnd) {
-  // ANALYZE → TableStats → Plan, no hand-supplied selectivity anywhere.
-  TableGenerator gen(54);
-  Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), 1 << 18, 100);
-  ASSERT_TRUE(t.ok());
-  const AnalyzeResult a = AnalyzeTable(t.value());
-  const Optimizer opt = DefaultOptimizer();
-  // 25%-selective query: the optimizer should vectorize.
-  const std::vector<Predicate> preds = {
-      Predicate::Int(0, CompareOp::kLt, 25)};
-  const QuerySpec spec = QuerySpec::Select(preds);
-  const PhysicalPlan plan =
-      opt.Plan(spec, t.value().schema(), a.ForQuery(preds));
-  EXPECT_EQ(plan.placement, PhysicalPlan::Placement::kFarview);
-  EXPECT_TRUE(plan.vectorized);
-}
-
-TEST(StatsCollectorTest, EmptyAndCharColumns) {
-  Table empty(Schema::DefaultWideRow());
-  const AnalyzeResult a = AnalyzeTable(empty);
-  EXPECT_EQ(a.num_rows, 0u);
-  Result<Schema> mixed = Schema::Create({
-      {"k", DataType::kInt64, 8},
-      {"s", DataType::kChar, 16},
-  });
-  ASSERT_TRUE(mixed.ok());
-  Table t(mixed.value());
-  t.AppendRow();
-  t.SetInt64(0, 0, 5);
-  const AnalyzeResult m = AnalyzeTable(t);
-  EXPECT_EQ(m.columns[0].distinct, 1u);
-  EXPECT_TRUE(m.columns[1].histogram.empty());  // CHAR: no stats
-}
 
 }  // namespace
 }  // namespace farview

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "fv/region_scheduler.h"
@@ -207,6 +208,66 @@ TEST_F(SchedulerTest, QueueDrainsInOrderUnderLoad) {
   for (int i = 0; i < 12; ++i) {
     EXPECT_EQ(completion_order[static_cast<size_t>(i)], i);
   }
+}
+
+
+TEST_F(SchedulerTest, CrashFailsArrivalsFlushesWaitingAndVoidsInFlight) {
+  // Regression: shared connections get the dedicated path's crash contract
+  // (FvFaultConfig). Before the fix a job submitted to a crashed node ran
+  // to completion with OK and no crash failure was counted.
+  Result<QPair*> qp = node_->ConnectShared(4);
+  ASSERT_TRUE(qp.ok());
+  const int qp_id = qp.value()->qp_id;
+  // Prime both regions with the pipeline so the next jobs start at once.
+  for (int i = 0; i < 2; ++i) {
+    scheduler_->Submit(4, qp_id, "k", SelectFactory(50), ScanRequest(),
+                       [](Result<FvResult> r) { ASSERT_TRUE(r.ok()); });
+  }
+  engine_.Run();
+
+  // Two jobs execute, two wait; the crash lands while the first two are
+  // still streaming.
+  std::vector<Status> outcomes;
+  for (int i = 0; i < 4; ++i) {
+    scheduler_->Submit(4, qp_id, "k", SelectFactory(50), ScanRequest(),
+                       [&outcomes](Result<FvResult> r) {
+                         outcomes.push_back(r.status());
+                       });
+  }
+  size_t waiting_at_crash = 0;
+  engine_.ScheduleAfter(10 * kMicrosecond, [&]() {
+    waiting_at_crash = scheduler_->queued_jobs();
+    node_->CrashNow();
+    EXPECT_EQ(scheduler_->queued_jobs(), 0u) << "waiting jobs not flushed";
+    // An arrival while the node is down fails too.
+    scheduler_->Submit(4, qp_id, "k", SelectFactory(50), ScanRequest(),
+                       [&outcomes](Result<FvResult> r) {
+                         outcomes.push_back(r.status());
+                       });
+  });
+  engine_.Run();
+
+  EXPECT_EQ(waiting_at_crash, 2u);
+  ASSERT_EQ(outcomes.size(), 5u);
+  for (const Status& s : outcomes) {
+    EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  }
+  EXPECT_EQ(node_->stats().reliability().crash_failures, 5u);
+
+  // After a restart the scheduler serves again.
+  node_->RestartNow();
+  std::optional<Result<FvResult>> after;
+  scheduler_->Submit(4, qp_id, "k", SelectFactory(50), ScanRequest(),
+                     [&after](Result<FvResult> r) { after.emplace(r); });
+  engine_.Run();
+  ASSERT_TRUE(after.has_value());
+  ASSERT_TRUE(after->ok()) << after->status().ToString();
+  EXPECT_GT(after->value().rows, 0u);
+
+  // The node outlives the scheduler: a later crash must not reach it.
+  scheduler_.reset();
+  node_->CrashNow();
+  EXPECT_TRUE(node_->down());
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "benchlib/experiment.h"
 #include "fv/sharding.h"
-#include "optimizer/optimizer.h"
 #include "table/generator.h"
 
 namespace farview {
@@ -312,33 +311,6 @@ TEST(ShardingTest, ShardedJoinRepartitionsBuildSideAcrossShards) {
   // The build bytes were repartitioned out of their home shard.
   EXPECT_EQ(pool.shard(1).node(0).stats().sharding().repartition_bytes,
             build.size_bytes());
-}
-
-TEST(ShardingTest, ShardedCostStubScalesDownAndDegeneratesAtOne) {
-  const FarviewConfig fv;
-  const CpuModelConfig cpu;
-  const Optimizer opt(fv, cpu);
-  // A selective scan: the shard-local offload shrinks with S while the
-  // client-side gather stays small. (A selectivity-1.0 fetch would *not*
-  // scale — the gather term re-reads the whole table regardless of S —
-  // which is exactly the trade-off the stub exists to expose.)
-  QuerySpec spec;
-  spec.predicates.push_back(Predicate::Int(0, CompareOp::kLt, 5));
-  const Schema schema = Schema::DefaultWideRow();
-  TableStats stats;
-  stats.num_rows = (256 * kMiB) / 64;
-  stats.tuple_bytes = 64;
-  stats.selectivity = 0.05;
-
-  const SimTime one = opt.EstimateSharded(spec, schema, stats, 1);
-  EXPECT_EQ(one, opt.EstimateFarview(spec, schema, stats, false, false, 0));
-  const SimTime two = opt.EstimateSharded(spec, schema, stats, 2);
-  const SimTime eight = opt.EstimateSharded(spec, schema, stats, 8);
-  EXPECT_LT(two, one);
-  EXPECT_LT(eight, two);
-  // The gather term keeps the stub honest: sharding never estimates below
-  // the client-side cost of re-reading the gathered result.
-  EXPECT_GT(eight, 0);
 }
 
 TEST(ShardingTest, PartialAggSpecsRewriteAvgIntoSumAndCount) {

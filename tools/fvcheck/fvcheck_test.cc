@@ -361,6 +361,8 @@ TEST(TreeSelfCheckTest, ReplicationLayerIsDeterminismClean) {
       "src/fv/replication.cc",
       "src/fv/cluster.h",
       "src/fv/cluster.cc",
+      "src/fv/sharding.h",  // the pool client: breakers, failover, mirroring
+      "src/fv/sharding.cc",
   };
   std::vector<FileInput> inputs;
   for (const std::string& f : pinned) {
