@@ -15,8 +15,11 @@ namespace farview {
 /// pipelined FPGA engine and a CPU is carried by the timing models, not by
 /// this code.
 ///
-/// The implementation is a straightforward table-based byte-oriented cipher:
-/// clarity over speed, since simulated time is what the experiments measure.
+/// `EncryptBlock` is a portable byte-oriented cipher, one block at a time.
+/// It is the reference the tests check `AesCtr` against, and the keystream
+/// for partial blocks and for CPUs without AES-NI. Bulk CTR keystream runs
+/// on AES-NI in `AesCtr`, with the round keys of this key schedule. Only the
+/// forward cipher exists: CTR mode never runs the inverse.
 class Aes128 {
  public:
   static constexpr int kBlockSize = 16;
@@ -30,9 +33,9 @@ class Aes128 {
   void EncryptBlock(const uint8_t in[kBlockSize],
                     uint8_t out[kBlockSize]) const;
 
-  /// Decrypts one 16-byte block (inverse cipher).
-  void DecryptBlock(const uint8_t in[kBlockSize],
-                    uint8_t out[kBlockSize]) const;
+  /// The FIPS-197 key schedule: round key r is bytes [16r, 16r + 16), in
+  /// the byte order the cipher state uses (and AES-NI loads).
+  const uint8_t* round_keys() const { return round_keys_.data(); }
 
  private:
   /// Round keys: (kRounds + 1) × 16 bytes.

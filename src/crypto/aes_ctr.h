@@ -17,6 +17,12 @@ namespace farview {
 /// line rate and encryption == decryption (XOR with the keystream). The same
 /// property lets this class encrypt at an arbitrary byte offset, which the
 /// operator needs when a read starts mid-table.
+///
+/// On x86-64 CPUs with AES-NI the whole 16-byte blocks of a span get their
+/// keystream from AES-NI, eight blocks in flight; partial head and tail
+/// blocks, and every block on other CPUs, use `Aes128::EncryptBlock`. Both
+/// produce the same keystream (tests/crypto_test.cc checks the batch path
+/// against the per-block cipher).
 class AesCtr {
  public:
   static constexpr int kNonceSize = 16;
@@ -37,6 +43,11 @@ class AesCtr {
 
   Aes128 cipher_;
   std::array<uint8_t, kNonceSize> nonce_;
+  /// The nonce's low 8 bytes read big-endian: the counter of block 0. Block
+  /// k's counter is `counter_base_ + k`, wrapping modulo 2^64.
+  uint64_t counter_base_ = 0;
+  /// Whole blocks take the AES-NI path (never set off x86-64).
+  bool aesni_ = false;
 };
 
 }  // namespace farview

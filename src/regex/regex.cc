@@ -323,17 +323,19 @@ std::vector<int> EpsilonClosure(const Nfa& nfa, std::vector<int> states) {
 
 }  // namespace
 
-bool Regex::Run(const std::vector<DfaState>& dfa, std::string_view text,
-                bool early_accept) {
-  int state = 0;
-  if (dfa[0].accept && early_accept) return true;
+bool Regex::Run(const Dfa& dfa, std::string_view text, bool early_accept) {
+  const int32_t* next = dfa.next.data();
+  auto accepts = [&dfa](int32_t state) {
+    return dfa.accept[static_cast<uint32_t>(state) / Dfa::kAlphabet] != 0;
+  };
+  int32_t state = 0;
+  if (early_accept && accepts(state)) return true;
   for (const char ch : text) {
-    state = dfa[static_cast<size_t>(state)]
-                .next[static_cast<unsigned char>(ch)];
+    state = next[state + static_cast<unsigned char>(ch)];
     if (state == kDead) return false;
-    if (early_accept && dfa[static_cast<size_t>(state)].accept) return true;
+    if (early_accept && accepts(state)) return true;
   }
-  return dfa[static_cast<size_t>(state)].accept;
+  return accepts(state);
 }
 
 Result<Regex> Regex::Compile(const std::string& pattern) {
@@ -348,35 +350,36 @@ Result<Regex> Regex::Compile(const std::string& pattern) {
   // Builds a DFA. When `search` is true the NFA start set permanently
   // includes the start state (the implicit ".*" prefix): every byte may
   // begin a new match attempt.
-  auto build = [&nfa](bool search) -> Result<std::vector<DfaState>> {
-    std::vector<DfaState> dfa;
-    std::map<std::vector<int>, int> index;
+  auto build = [&nfa](bool search) -> Result<Dfa> {
+    Dfa dfa;
+    std::map<std::vector<int>, int32_t> index;
     std::vector<std::vector<int>> sets;
 
-    auto intern = [&](std::vector<int> closure) -> int {
+    // Returns the premultiplied offset of the state for `closure`, adding
+    // a row of dead transitions for a new one.
+    auto intern = [&](std::vector<int> closure) -> int32_t {
       auto it = index.find(closure);
       if (it != index.end()) return it->second;
-      const int id = static_cast<int>(dfa.size());
-      dfa.push_back(DfaState{});
+      const int32_t offset = static_cast<int32_t>(dfa.next.size());
+      dfa.next.resize(dfa.next.size() + Dfa::kAlphabet, kDead);
+      dfa.accept.push_back(0);
       for (int s : closure) {
-        if (s == nfa.accept) dfa[static_cast<size_t>(id)].accept = true;
+        if (s == nfa.accept) dfa.accept.back() = 1;
       }
-      index.emplace(closure, id);
+      index.emplace(closure, offset);
       sets.push_back(std::move(closure));
-      return id;
+      return offset;
     };
 
-    const int start =
-        intern(EpsilonClosure(nfa, {nfa.start}));
-    (void)start;
+    intern(EpsilonClosure(nfa, {nfa.start}));
 
-    for (size_t cur = 0; cur < dfa.size(); ++cur) {
-      if (dfa.size() > kMaxDfaStates) {
+    for (size_t cur = 0; cur < sets.size(); ++cur) {
+      if (sets.size() > kMaxDfaStates) {
         return Status::OutOfRange("DFA exceeds state budget");
       }
       // Group target NFA states per input byte.
       const std::vector<int> set = sets[cur];
-      for (int byte = 0; byte < 256; ++byte) {
+      for (int byte = 0; byte < Dfa::kAlphabet; ++byte) {
         std::vector<int> next;
         for (int s : set) {
           const NfaState& st = nfa.states[static_cast<size_t>(s)];
@@ -386,8 +389,8 @@ Result<Regex> Regex::Compile(const std::string& pattern) {
         }
         if (search) next.push_back(nfa.start);
         if (next.empty()) continue;
-        std::vector<int> closure = EpsilonClosure(nfa, std::move(next));
-        dfa[cur].next[static_cast<size_t>(byte)] = intern(std::move(closure));
+        const int32_t target = intern(EpsilonClosure(nfa, std::move(next)));
+        dfa.next[cur * Dfa::kAlphabet + static_cast<size_t>(byte)] = target;
       }
     }
     return dfa;

@@ -19,8 +19,9 @@ namespace farview {
 /// (Section 5.3, based on [42]): once compiled to a DFA the matcher consumes
 /// exactly one byte per step regardless of pattern complexity — the property
 /// behind "performance ... does not depend on the complexity of the regular
-/// expression". The CPU baselines use the same engine functionally but are
-/// charged per-byte software costs by the cost model.
+/// expression". Each DFA is one flat transition table, so a step is one
+/// load. The CPU baselines use the same engine functionally but are charged
+/// per-byte software costs by the cost model.
 ///
 /// Supported syntax: literals, '.', character classes `[a-z]` / `[^...]`,
 /// escapes (`\d \w \s \D \W \S` and escaped metacharacters), grouping
@@ -50,28 +51,29 @@ class Regex {
 
   /// Number of DFA states of the search automaton (compile-time metric; the
   /// resource model uses it to size the operator).
-  int search_dfa_states() const {
-    return static_cast<int>(search_dfa_.size());
-  }
-  int full_dfa_states() const { return static_cast<int>(full_dfa_.size()); }
+  int search_dfa_states() const { return search_dfa_.num_states(); }
+  int full_dfa_states() const { return full_dfa_.num_states(); }
 
  private:
   Regex() = default;
 
-  /// One DFA state: 256 transitions plus an accept flag. kDead marks a
-  /// missing transition (reject).
-  struct DfaState {
-    std::vector<int32_t> next = std::vector<int32_t>(256, kDead);
-    bool accept = false;
+  /// A DFA as one flat transition table. A state is named by its
+  /// premultiplied offset `id * kAlphabet`, so one step is the single load
+  /// `next[state + byte]`; kDead marks a missing transition (reject). State
+  /// 0 is the start state.
+  struct Dfa {
+    static constexpr int32_t kAlphabet = 256;
+    std::vector<int32_t> next;    ///< num_states() × kAlphabet targets
+    std::vector<uint8_t> accept;  ///< per state id
+    int num_states() const { return static_cast<int>(accept.size()); }
   };
   static constexpr int32_t kDead = -1;
 
-  static bool Run(const std::vector<DfaState>& dfa, std::string_view text,
-                  bool early_accept);
+  static bool Run(const Dfa& dfa, std::string_view text, bool early_accept);
 
   std::string pattern_;
-  std::vector<DfaState> search_dfa_;  ///< with implicit ".*" prefix
-  std::vector<DfaState> full_dfa_;    ///< anchored both ends
+  Dfa search_dfa_;  ///< with implicit ".*" prefix
+  Dfa full_dfa_;    ///< anchored both ends
 };
 
 }  // namespace farview

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/aes128.h"
@@ -47,21 +48,6 @@ TEST(Aes128Test, Fips197AppendixC1) {
   Aes128 aes(key);
   aes.EncryptBlock(pt, ct);
   EXPECT_EQ(BytesToHex(ct, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
-}
-
-TEST(Aes128Test, DecryptInvertsEncrypt) {
-  uint8_t key[16];
-  HexToBytes("000102030405060708090a0b0c0d0e0f", key);
-  Aes128 aes(key);
-  Rng rng(17);
-  for (int trial = 0; trial < 50; ++trial) {
-    uint8_t pt[16], ct[16], back[16];
-    for (auto& b : pt) b = static_cast<uint8_t>(rng.Next());
-    aes.EncryptBlock(pt, ct);
-    aes.DecryptBlock(ct, back);
-    EXPECT_EQ(std::memcmp(pt, back, 16), 0);
-    EXPECT_NE(std::memcmp(pt, ct, 16), 0);
-  }
 }
 
 TEST(Aes128Test, InPlaceEncryption) {
@@ -111,26 +97,32 @@ TEST(AesCtrTest, ApplyTwiceIsIdentity) {
 
 TEST(AesCtrTest, OffsetContinuationMatchesWholeStream) {
   // Decrypting a stream in arbitrary chunks must equal decrypting it whole —
-  // the property the streaming CryptoOp relies on.
+  // the property the streaming CryptoOp relies on. The stream spans many
+  // 8-block batches, and one chunking is the 4 KiB stripes DynamicRegion
+  // feeds CryptoOp, so batches start mid-stream.
   uint8_t key[16] = {5};
   uint8_t nonce[16] = {6};
   AesCtr ctr(key, nonce);
-  ByteBuffer whole(257);
+  ByteBuffer whole(3 * 4096 + 257);
   for (size_t i = 0; i < whole.size(); ++i) {
     whole[i] = static_cast<uint8_t>(i * 31);
   }
-  ByteBuffer chunked = whole;
+  const ByteBuffer plain = whole;
   ctr.Apply(whole.data(), whole.size(), 0);
 
-  // Apply in odd-sized chunks with matching offsets.
-  size_t pos = 0;
-  const size_t chunks[] = {1, 15, 16, 17, 100, 108};
-  for (size_t c : chunks) {
-    ctr.Apply(chunked.data() + pos, c, pos);
-    pos += c;
+  // Odd-sized chunks with matching offsets, then 4 KiB stripes.
+  const std::vector<std::vector<size_t>> chunkings = {
+      {1, 15, 16, 17, 100, 108, 3 * 4096}, {4096, 4096, 4096, 257}};
+  for (const std::vector<size_t>& chunks : chunkings) {
+    ByteBuffer chunked = plain;
+    size_t pos = 0;
+    for (size_t c : chunks) {
+      ctr.Apply(chunked.data() + pos, c, pos);
+      pos += c;
+    }
+    ASSERT_EQ(pos, chunked.size());
+    EXPECT_EQ(chunked, whole);
   }
-  ASSERT_EQ(pos, chunked.size());
-  EXPECT_EQ(chunked, whole);
 }
 
 TEST(AesCtrTest, DifferentNoncesDifferentStreams) {
@@ -155,6 +147,65 @@ TEST(AesCtrTest, CounterCarryAcrossBlockBoundary) {
   // Keystream blocks must be pairwise distinct.
   EXPECT_NE(std::memcmp(data.data(), data.data() + 16, 16), 0);
   EXPECT_NE(std::memcmp(data.data() + 16, data.data() + 32, 16), 0);
+}
+
+// The keystream of [offset, offset + len), block by block from the per-block
+// cipher: block k encrypts the nonce with its low 8 bytes replaced by their
+// big-endian value plus k, modulo 2^64 (SP 800-38A's standard increment).
+ByteBuffer ReferenceKeystream(const uint8_t key[16], const uint8_t nonce[16],
+                              uint64_t offset, uint64_t len) {
+  const Aes128 aes(key);
+  uint64_t base = 0;
+  for (int i = 8; i < 16; ++i) base = (base << 8) | nonce[i];
+  ByteBuffer out(len);
+  uint8_t ks[16] = {};
+  for (uint64_t pos = 0; pos < len; ++pos) {
+    const uint64_t abs = offset + pos;
+    if (pos == 0 || abs % 16 == 0) {
+      uint8_t block[16];
+      std::memcpy(block, nonce, 16);
+      const uint64_t value = base + abs / 16;
+      for (int i = 0; i < 8; ++i) {
+        block[15 - i] = static_cast<uint8_t>(value >> (8 * i));
+      }
+      aes.EncryptBlock(block, ks);
+    }
+    out[pos] = ks[abs % 16];
+  }
+  return out;
+}
+
+TEST(AesCtrTest, MatchesPerBlockCipherAtAnyOffsetAndLength) {
+  // Differential check of the multi-block (AES-NI) keystream against the
+  // per-block cipher: random keys and nonces, offsets up to 4 KiB that are
+  // mostly not block-aligned, lengths from 0 to 20 blocks. Every fourth
+  // trial puts the counter of the span's first block 2..8 below 2^64, so a
+  // batch of whole blocks crosses the counter wrap.
+  Rng rng(29);
+  for (int trial = 0; trial < 400; ++trial) {
+    uint8_t key[16], nonce[16];
+    for (auto& b : key) b = static_cast<uint8_t>(rng.Next());
+    for (auto& b : nonce) b = static_cast<uint8_t>(rng.Next());
+    const uint64_t offset = rng.NextBelow(4097);
+    const bool wrap = trial % 4 == 0;
+    const uint64_t len =
+        wrap ? 160 + rng.NextBelow(160) : rng.NextBelow(20 * 16 + 1);
+    if (wrap) {
+      const uint64_t low = 0 - offset / 16 - (2 + rng.NextBelow(7));
+      for (int i = 0; i < 8; ++i) {
+        nonce[15 - i] = static_cast<uint8_t>(low >> (8 * i));
+      }
+    }
+    ByteBuffer data(len);
+    for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+    ByteBuffer expect = data;
+    const ByteBuffer ks = ReferenceKeystream(key, nonce, offset, len);
+    for (uint64_t i = 0; i < len; ++i) expect[i] ^= ks[i];
+
+    AesCtr(key, nonce).Apply(data.data(), len, offset);
+    EXPECT_EQ(data, expect) << "trial " << trial << " offset " << offset
+                            << " len " << len;
+  }
 }
 
 TEST(AesCtrTest, EmptyBufferIsNoop) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "regex/regex.h"
@@ -70,6 +71,11 @@ TEST(RegexTest, DotMatchesAnyByte) {
   EXPECT_TRUE(re.FullMatch("abc"));
   EXPECT_TRUE(re.FullMatch("a c"));
   EXPECT_TRUE(re.FullMatch(std::string("a\0c", 3)));
+  // High bytes: a signed-char table index would read outside the DFA.
+  EXPECT_TRUE(re.FullMatch("a\x80" "c"));
+  EXPECT_TRUE(re.FullMatch("a\xff" "c"));
+  EXPECT_TRUE(re.Search("\xff\x80" "a\xff" "c\x80"));
+  EXPECT_FALSE(re.FullMatch("\x80\xff"));
   EXPECT_FALSE(re.FullMatch("ac"));
 }
 
@@ -175,9 +181,34 @@ TEST(RegexTest, SearchEarlyExitSemantics) {
 }
 
 TEST(RegexTest, DfaStateCountsExposed) {
-  const Regex re = MustCompile("abc");
-  EXPECT_GT(re.search_dfa_states(), 0);
-  EXPECT_GT(re.full_dfa_states(), 0);
+  // Exact search/full state counts: the resource model sizes the operator
+  // by them, so a change to the construction must not move them.
+  const std::vector<std::tuple<std::string, int, int>> cases = {
+      {"xq", 3, 3},
+      {"x(q|z)[a-f]*q?", 6, 6},
+      {"colou?r", 7, 7},
+      {"abc", 4, 4},
+  };
+  for (const auto& [pattern, search, full] : cases) {
+    const Regex re = MustCompile(pattern);
+    EXPECT_EQ(re.search_dfa_states(), search) << pattern;
+    EXPECT_EQ(re.full_dfa_states(), full) << pattern;
+  }
+}
+
+TEST(RegexTest, DfaStateBudgetIsExactly4096States) {
+  // "a" then n × "[ab]": the search DFA remembers which of the last n + 1
+  // bytes were 'a', so it has 2^(n+1) states. n = 11 fills the budget
+  // exactly; n = 12 exceeds it.
+  std::string pattern = "a";
+  for (int i = 0; i < 11; ++i) pattern += "[ab]";
+  const Regex re = MustCompile(pattern);
+  EXPECT_EQ(re.search_dfa_states(), 4096);
+  EXPECT_TRUE(re.Search("xxabababababbbabaa"));
+  EXPECT_FALSE(re.Search("bbbbbbbbbbbbbbbbba"));
+
+  const Result<Regex> too_big = Regex::Compile(pattern + "[ab]");
+  EXPECT_TRUE(too_big.status().IsOutOfRange()) << too_big.status().ToString();
 }
 
 // The line-rate property: matcher work is one DFA transition per byte, so
