@@ -37,14 +37,16 @@ Outcome RunPolicy(const std::string& policy, uint64_t capacity,
     TableGenerator gen(seed + static_cast<uint64_t>(i));
     Result<Table> t = gen.Uniform(schema, kTableBytes / 64, 100);
     if (!t.ok()) return {};
-    storage.PutExtent("t" + std::to_string(i), t.value().bytes());
+    storage.PutExtent(std::string("t").append(std::to_string(i)),
+                      t.value().bytes());
   }
   Result<std::unique_ptr<EvictionPolicy>> p = MakeEvictionPolicy(policy);
   if (!p.ok()) return {};
   BufferPoolManager pool(&fx.client(), &storage, capacity,
                          std::move(p).value());
   for (int i = 0; i < kTables; ++i) {
-    if (!pool.RegisterTable("t" + std::to_string(i), schema).ok()) return {};
+    const std::string name = std::string("t").append(std::to_string(i));
+    if (!pool.RegisterTable(name, schema).ok()) return {};
   }
 
   // All queries share one selection pipeline: load it once (partial
@@ -64,7 +66,8 @@ Outcome RunPolicy(const std::string& policy, uint64_t capacity,
     const int table = rng.NextBernoulli(0.8)
                           ? static_cast<int>(rng.NextBelow(3))
                           : 3 + static_cast<int>(rng.NextBelow(kTables - 3));
-    const std::string name = "t" + std::to_string(table);
+    const std::string name =
+        std::string("t").append(std::to_string(table));
     Result<FTable> ft = pool.Pin(name);
     if (!ft.ok()) return {};
     Result<FvResult> r =

@@ -75,7 +75,7 @@ ShardRun RunShardout(const Table& rows, int shards, bool skewed) {
   std::vector<FTable> fts(kNumTables);
   for (int k = 0; k < kNumTables; ++k) {
     FTable& ft = fts[static_cast<size_t>(k)];
-    ft.name = "t" + std::to_string(k);
+    ft.name = std::string("t").append(std::to_string(k));
     ft.schema = rows.schema();
     ft.num_rows = rows.num_rows();
     FV_CHECK(client.AllocTableMem(&ft, /*home_shard=*/k % shards).ok());

@@ -39,7 +39,7 @@ SimTime FvBatch(uint64_t rows_per_client, uint64_t seed,
                                        rows_per_client, 0, kDistinct, 100);
     if (!t.ok()) return 0;
     FTable ft;
-    ft.name = "t" + std::to_string(i);
+    ft.name = std::string("t").append(std::to_string(i));
     ft.schema = t.value().schema();
     ft.num_rows = rows_per_client;
     if (!clients[static_cast<size_t>(i)]->AllocTableMem(&ft).ok()) return 0;
@@ -70,7 +70,7 @@ SimTime FvBatch(uint64_t rows_per_client, uint64_t seed,
     clients[static_cast<size_t>(i)]->FarviewRequestAsync(
         clients[static_cast<size_t>(i)]->ScanRequest(
             tables[static_cast<size_t>(i)]),
-        [&all_done, &completed](Result<FvResult> r) {
+        [&all_done, &completed](const Result<FvResult>& r) {
           if (r.ok()) {
             all_done = std::max(all_done, r.value().completed_at);
             ++completed;

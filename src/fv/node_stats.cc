@@ -21,6 +21,54 @@ void AppendStageRow(std::ostringstream& out, const char* label,
   out << buf;
 }
 
+/// Folds `from` into `into` by `fold`, word by word.
+template <class T>
+void FoldCounter(CounterFold fold, T& into, const T& from) {
+  const auto dst = CounterWords(into);
+  const auto src = CounterWords(from);
+  for (size_t i = 0; i < dst.size(); ++i) {
+    switch (fold) {
+      case CounterFold::kSum:
+        dst[i] += src[i];
+        break;
+      case CounterFold::kMax:
+        dst[i] = std::max(dst[i], src[i]);
+        break;
+      case CounterFold::kFirstSet:
+        if (src[i] != 0 && (dst[i] == 0 || src[i] < dst[i])) dst[i] = src[i];
+        break;
+    }
+  }
+}
+
+/// Folds every row of `S`'s counter table from `from` into `into`.
+template <class S>
+void MergeCounters(S& into, const S& from) {
+  ForEachCounter(S::kCounters, [&into, &from](const auto& row) {
+    FoldCounter(row.fold, into.*row.member, from.*row.member);
+  });
+}
+
+/// One zero-gated report section: "  <label>: name=value ..." over the
+/// rows of `table`, omitted while they are all zero so runs that never
+/// touch the section keep their reports byte-identical. A histogram prints
+/// its buckets comma-separated.
+template <class S, class Table>
+void AppendCounterSection(std::ostringstream& out, const char* label,
+                          const S& s, const Table& table) {
+  if (!AnyCounterNonZero(s, table)) return;
+  out << "  " << label << ':';
+  ForEachCounter(table, [&out, &s](const auto& row) {
+    out << ' ' << row.name << '=';
+    const char* sep = "";
+    for (const auto w : CounterWords(s.*row.member)) {
+      out << sep << w;
+      sep = ",";
+    }
+  });
+  out << '\n';
+}
+
 }  // namespace
 
 void NodeStats::RecordCompletion(const RequestContext& ctx) {
@@ -39,10 +87,6 @@ void NodeStats::RecordCompletion(const RequestContext& ctx) {
   rec.bytes_on_wire = ctx.bytes_on_wire;
   rec.packets = ctx.packets;
   rec.rows = ctx.rows;
-  FoldRecord(rec);
-}
-
-void NodeStats::FoldRecord(const RequestRecord& rec) {
   completed_.push_back(rec);
 
   if (rec.ingress_done > 0) {
@@ -71,78 +115,40 @@ void NodeStats::FoldRecord(const RequestRecord& rec) {
 }
 
 void NodeStats::MergeFrom(const NodeStats& other) {
-  // Completion records re-fold through the exact single-registry path, so
-  // a merged registry reports identically to one that observed every
-  // completion directly (pinned by fv_node_test MergeFrom tests).
-  for (const RequestRecord& rec : other.completed_) FoldRecord(rec);
-  failed_ += other.failed_;
-  rejected_ += other.rejected_;
+  completed_.insert(completed_.end(), other.completed_.begin(),
+                    other.completed_.end());
+  ingress_.Append(other.ingress_);
+  queue_wait_.Append(other.queue_wait_);
+  execute_.Append(other.execute_);
+  egress_.Append(other.egress_);
+  total_.Append(other.total_);
   last_request_id_ = std::max(last_request_id_, other.last_request_id_);
-  for (const auto& [qp_id, oqp] : other.per_qp_) {
-    // completed / bytes / first / last were rebuilt by FoldRecord above;
-    // only the aggregates with no per-record source remain.
-    QpStats& qp = per_qp_[qp_id];
-    qp.failed += oqp.failed;
-    qp.rejected += oqp.rejected;
-    qp.queue_high_water = std::max(qp.queue_high_water, oqp.queue_high_water);
+  for (const auto& [qp_id, qp] : other.per_qp_) {
+    MergeCounters(per_qp_[qp_id], qp);
   }
   for (const auto& [region_id, busy] : other.region_busy_) {
     region_busy_[region_id] += busy;
   }
-
-  const ReliabilityStats& r = other.reliability_;
-  reliability_.region_stalls += r.region_stalls;
-  reliability_.region_faults += r.region_faults;
-  reliability_.node_crashes += r.node_crashes;
-  reliability_.node_restarts += r.node_restarts;
-  reliability_.crash_failures += r.crash_failures;
-  reliability_.timeouts += r.timeouts;
-  reliability_.retries += r.retries;
-  reliability_.fallbacks += r.fallbacks;
-  reliability_.late_completions += r.late_completions;
-  reliability_.failovers += r.failovers;
-  reliability_.fast_fails += r.fast_fails;
-  reliability_.circuit_opens += r.circuit_opens;
-  reliability_.circuit_half_opens += r.circuit_half_opens;
-  reliability_.circuit_closes += r.circuit_closes;
-  reliability_.cluster_requests += r.cluster_requests;
-  reliability_.resyncs += r.resyncs;
-  reliability_.resync_bytes += r.resync_bytes;
-  reliability_.resync_time += r.resync_time;
-
-  const ShardingStats& s = other.sharding_;
-  sharding_.fragment_reads += s.fragment_reads;
-  sharding_.fragment_writes += s.fragment_writes;
-  sharding_.fragment_offloads += s.fragment_offloads;
-  sharding_.gather_bytes += s.gather_bytes;
-  sharding_.partial_groups += s.partial_groups;
-  sharding_.repartition_bytes += s.repartition_bytes;
-
-  const AdmissionStats& a = other.admission_;
-  admission_.admitted_latency += a.admitted_latency;
-  admission_.admitted_batch += a.admitted_batch;
-  admission_.shed_bucket_latency += a.shed_bucket_latency;
-  admission_.shed_bucket_batch += a.shed_bucket_batch;
-  admission_.shed_overload_latency += a.shed_overload_latency;
-  admission_.shed_overload_batch += a.shed_overload_batch;
-  admission_.scheduler_overflows += a.scheduler_overflows;
-  for (int i = 0; i < AdmissionStats::kShedDelayBuckets; ++i) {
-    admission_.shed_delay_hist[i] += a.shed_delay_hist[i];
-  }
-  admission_.tenant_backlog_high_water =
-      std::max(admission_.tenant_backlog_high_water,
-               a.tenant_backlog_high_water);
+  MergeCounters(reliability_, other.reliability_);
+  MergeCounters(sharding_, other.sharding_);
+  MergeCounters(admission_, other.admission_);
 }
 
-void NodeStats::RecordFailure(int qp_id) {
-  ++failed_;
-  ++per_qp_[qp_id].failed;
+uint64_t NodeStats::failed_count() const {
+  uint64_t n = 0;
+  for (const auto& [qp_id, qp] : per_qp_) n += qp.failed;
+  return n;
 }
 
-void NodeStats::RecordRejection(int qp_id) {
-  ++rejected_;
-  ++per_qp_[qp_id].rejected;
+uint64_t NodeStats::rejected_count() const {
+  uint64_t n = 0;
+  for (const auto& [qp_id, qp] : per_qp_) n += qp.rejected;
+  return n;
 }
+
+void NodeStats::RecordFailure(int qp_id) { ++per_qp_[qp_id].failed; }
+
+void NodeStats::RecordRejection(int qp_id) { ++per_qp_[qp_id].rejected; }
 
 void NodeStats::RecordQueueDepth(int qp_id, size_t outstanding) {
   QpStats& qp = per_qp_[qp_id];
@@ -198,8 +204,8 @@ SimTime NodeStats::region_busy_time(int region_id) const {
 std::string NodeStats::FormatReport(SimTime now,
                                     double link_utilization) const {
   std::ostringstream out;
-  out << "NodeStats: " << completed_.size() << " completed, " << failed_
-      << " failed, " << rejected_ << " rejected\n";
+  out << "NodeStats: " << completed_.size() << " completed, "
+      << failed_count() << " failed, " << rejected_count() << " rejected\n";
   out << "  stage latency [us]        p50        p90        p99        max\n";
   AppendStageRow(out, "ingress", ingress_);
   AppendStageRow(out, "queue wait", queue_wait_);
@@ -232,88 +238,13 @@ std::string NodeStats::FormatReport(SimTime now,
   std::snprintf(buf, sizeof(buf), "  link utilization: %5.1f%%\n",
                 100.0 * link_utilization);
   out << buf;
-  // Reliability section only when something happened: fault-free runs keep
-  // their report byte-identical to the pre-fault-injection simulator.
-  if (reliability_.AnyNonZero()) {
-    char rbuf[256];
-    std::snprintf(
-        rbuf, sizeof(rbuf),
-        "  reliability: %llu region stalls, %llu region faults, "
-        "%llu crashes/%llu restarts (%llu crash failures)\n"
-        "               %llu timeouts, %llu retries, %llu fallbacks, "
-        "%llu late completions\n",
-        static_cast<unsigned long long>(reliability_.region_stalls),
-        static_cast<unsigned long long>(reliability_.region_faults),
-        static_cast<unsigned long long>(reliability_.node_crashes),
-        static_cast<unsigned long long>(reliability_.node_restarts),
-        static_cast<unsigned long long>(reliability_.crash_failures),
-        static_cast<unsigned long long>(reliability_.timeouts),
-        static_cast<unsigned long long>(reliability_.retries),
-        static_cast<unsigned long long>(reliability_.fallbacks),
-        static_cast<unsigned long long>(reliability_.late_completions));
-    out << rbuf;
-    // Replication counters on their own line, and only when a cluster was
-    // involved: single-node fault runs keep the PR 2 report byte-identical.
-    if (reliability_.AnyClusterNonZero()) {
-      std::snprintf(
-          rbuf, sizeof(rbuf),
-          "  replication: %llu served, %llu failovers, %llu fast fails, "
-          "circuit %llu open/%llu half-open/%llu close\n"
-          "               %llu resyncs, %llu resync bytes, %.3f ms resync\n",
-          static_cast<unsigned long long>(reliability_.cluster_requests),
-          static_cast<unsigned long long>(reliability_.failovers),
-          static_cast<unsigned long long>(reliability_.fast_fails),
-          static_cast<unsigned long long>(reliability_.circuit_opens),
-          static_cast<unsigned long long>(reliability_.circuit_half_opens),
-          static_cast<unsigned long long>(reliability_.circuit_closes),
-          static_cast<unsigned long long>(reliability_.resyncs),
-          static_cast<unsigned long long>(reliability_.resync_bytes),
-          ToMillis(reliability_.resync_time));
-      out << rbuf;
-    }
-  }
-  // Sharding section only when a ShardedClient routed traffic here: bare
-  // nodes and unsharded clusters keep their reports byte-identical.
-  if (sharding_.AnyNonZero()) {
-    char sbuf[256];
-    std::snprintf(
-        sbuf, sizeof(sbuf),
-        "  sharding: %llu fragment reads, %llu fragment writes, "
-        "%llu fragment offloads\n"
-        "            %llu gather bytes, %llu partial groups, "
-        "%llu repartition bytes\n",
-        static_cast<unsigned long long>(sharding_.fragment_reads),
-        static_cast<unsigned long long>(sharding_.fragment_writes),
-        static_cast<unsigned long long>(sharding_.fragment_offloads),
-        static_cast<unsigned long long>(sharding_.gather_bytes),
-        static_cast<unsigned long long>(sharding_.partial_groups),
-        static_cast<unsigned long long>(sharding_.repartition_bytes));
-    out << sbuf;
-  }
-  // Admission section only when the controller or the scheduler cap acted:
-  // seed workloads (admission off, cap never reached) keep their reports
-  // byte-identical (DESIGN.md §15).
-  if (admission_.AnyNonZero()) {
-    char abuf[320];
-    std::snprintf(
-        abuf, sizeof(abuf),
-        "  admission: %llu/%llu admitted (latency/batch), "
-        "%llu/%llu bucket shed, %llu/%llu overload shed, "
-        "%llu scheduler overflows\n"
-        "             tenant backlog high-water %zu, shed retry-after "
-        "hist [us, log2]",
-        static_cast<unsigned long long>(admission_.admitted_latency),
-        static_cast<unsigned long long>(admission_.admitted_batch),
-        static_cast<unsigned long long>(admission_.shed_bucket_latency),
-        static_cast<unsigned long long>(admission_.shed_bucket_batch),
-        static_cast<unsigned long long>(admission_.shed_overload_latency),
-        static_cast<unsigned long long>(admission_.shed_overload_batch),
-        static_cast<unsigned long long>(admission_.scheduler_overflows),
-        admission_.tenant_backlog_high_water);
-    out << abuf;
-    for (uint64_t h : admission_.shed_delay_hist) out << ' ' << h;
-    out << '\n';
-  }
+  AppendCounterSection(out, "reliability", reliability_,
+                       ReliabilityStats::kFaultCounters);
+  AppendCounterSection(out, "replication", reliability_,
+                       ReliabilityStats::kClusterCounters);
+  AppendCounterSection(out, "sharding", sharding_, ShardingStats::kCounters);
+  AppendCounterSection(out, "admission", admission_,
+                       AdmissionStats::kCounters);
   return out.str();
 }
 

@@ -1,9 +1,13 @@
 #ifndef FARVIEW_FV_NODE_STATS_H_
 #define FARVIEW_FV_NODE_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.h"
@@ -11,6 +15,65 @@
 #include "sim/stats.h"
 
 namespace farview {
+
+/// How a `NodeStats` counter folds when `NodeStats::MergeFrom` combines two
+/// registries (DESIGN.md §14).
+enum class CounterFold {
+  kSum,       ///< event counts and accumulated totals add
+  kMax,       ///< high-water marks and latest instants keep the larger
+  kFirstSet,  ///< earliest instant; 0 means unset and never wins
+};
+
+/// One row of a counter table: the counter's report name, its member of
+/// `S` (a 64-bit counter, or an array of them for a histogram) and how it
+/// folds. Each `NodeStats` counter struct lists its members in one
+/// `kCounters` tuple of rows; merge, zero tests and report sections loop
+/// over the rows, so no other code lists a counter.
+template <class S, class T>
+struct Counter {
+  const char* name;
+  T S::*member;
+  CounterFold fold = CounterFold::kSum;
+
+  static constexpr size_t kBytes = sizeof(T);  ///< bytes of `S` it covers
+};
+
+/// Calls `fn(row)` for every row of a counter table, in table order.
+template <class Table, class Fn>
+constexpr void ForEachCounter(const Table& table, Fn&& fn) {
+  std::apply([&fn](const auto&... row) { (fn(row), ...); }, table);
+}
+
+/// The 64-bit words of a row's member: the counter itself, or each bucket
+/// of a histogram.
+template <class T>
+constexpr auto CounterWords(T& member) {
+  if constexpr (std::is_array_v<T>) {
+    return std::span(member);
+  } else {
+    return std::span(&member, 1);
+  }
+}
+
+/// True when any word of any row of `table` is non-zero in `s`.
+template <class S, class Table>
+constexpr bool AnyCounterNonZero(const S& s, const Table& table) {
+  bool any = false;
+  ForEachCounter(table, [&s, &any](const auto& row) {
+    for (const auto w : CounterWords(s.*row.member)) any = any || w != 0;
+  });
+  return any;
+}
+
+/// True when the rows of `S::kCounters` cover exactly `sizeof(S)` bytes,
+/// which a member without a row makes false (checked after `NodeStats`).
+template <class S>
+constexpr bool EveryMemberHasARow() {
+  size_t bytes = 0;
+  ForEachCounter(S::kCounters,
+                 [&bytes](const auto& row) { bytes += row.kBytes; });
+  return bytes == sizeof(S);
+}
 
 /// Node-wide telemetry registry: the single sink for request lifecycle
 /// records that used to live as scattered one-off counters across the
@@ -85,17 +148,35 @@ class NodeStats {
     uint64_t resync_bytes = 0;       ///< bytes copied by resync streams
     SimTime resync_time = 0;         ///< restart -> rejoined-rotation total
 
-    bool AnyClusterNonZero() const {
-      return failovers || fast_fails || circuit_opens || circuit_half_opens ||
-             circuit_closes || cluster_requests || resyncs || resync_bytes ||
-             resync_time;
-    }
+    /// The "reliability" report section: the fault and retry rows.
+    static constexpr std::tuple kFaultCounters{
+        Counter{"region_stalls", &ReliabilityStats::region_stalls},
+        Counter{"region_faults", &ReliabilityStats::region_faults},
+        Counter{"node_crashes", &ReliabilityStats::node_crashes},
+        Counter{"node_restarts", &ReliabilityStats::node_restarts},
+        Counter{"crash_failures", &ReliabilityStats::crash_failures},
+        Counter{"timeouts", &ReliabilityStats::timeouts},
+        Counter{"retries", &ReliabilityStats::retries},
+        Counter{"fallbacks", &ReliabilityStats::fallbacks},
+        Counter{"late_completions", &ReliabilityStats::late_completions},
+    };
+    /// The "replication" report section: the cluster rows.
+    static constexpr std::tuple kClusterCounters{
+        Counter{"cluster_requests", &ReliabilityStats::cluster_requests},
+        Counter{"failovers", &ReliabilityStats::failovers},
+        Counter{"fast_fails", &ReliabilityStats::fast_fails},
+        Counter{"circuit_opens", &ReliabilityStats::circuit_opens},
+        Counter{"circuit_half_opens", &ReliabilityStats::circuit_half_opens},
+        Counter{"circuit_closes", &ReliabilityStats::circuit_closes},
+        Counter{"resyncs", &ReliabilityStats::resyncs},
+        Counter{"resync_bytes", &ReliabilityStats::resync_bytes},
+        Counter{"resync_time_ps", &ReliabilityStats::resync_time},
+    };
+    /// The counter table: every row of both sections.
+    static constexpr auto kCounters =
+        std::tuple_cat(kFaultCounters, kClusterCounters);
 
-    bool AnyNonZero() const {
-      return region_stalls || region_faults || node_crashes ||
-             node_restarts || crash_failures || timeouts || retries ||
-             fallbacks || late_completions || AnyClusterNonZero();
-    }
+    bool AnyNonZero() const { return AnyCounterNonZero(*this, kCounters); }
   };
 
   /// Sharded-pool routing counters (DESIGN.md §13). Recorded on the primary
@@ -111,10 +192,17 @@ class NodeStats {
     uint64_t partial_groups = 0;  ///< partial group rows shipped for merge
     uint64_t repartition_bytes = 0;  ///< build bytes moved to repartition a join
 
-    bool AnyNonZero() const {
-      return fragment_reads || fragment_writes || fragment_offloads ||
-             gather_bytes || partial_groups || repartition_bytes;
-    }
+    /// The counter table, which is also the "sharding" report section.
+    static constexpr std::tuple kCounters{
+        Counter{"fragment_reads", &ShardingStats::fragment_reads},
+        Counter{"fragment_writes", &ShardingStats::fragment_writes},
+        Counter{"fragment_offloads", &ShardingStats::fragment_offloads},
+        Counter{"gather_bytes", &ShardingStats::gather_bytes},
+        Counter{"partial_groups", &ShardingStats::partial_groups},
+        Counter{"repartition_bytes", &ShardingStats::repartition_bytes},
+    };
+
+    bool AnyNonZero() const { return AnyCounterNonZero(*this, kCounters); }
   };
 
   /// Admission-control and fair-scheduling telemetry (DESIGN.md §15).
@@ -142,14 +230,22 @@ class NodeStats {
     /// when admission is on).
     size_t tenant_backlog_high_water = 0;
 
-    bool AnyNonZero() const {
-      uint64_t hist = 0;
-      for (uint64_t h : shed_delay_hist) hist += h;
-      return admitted_latency || admitted_batch || shed_bucket_latency ||
-             shed_bucket_batch || shed_overload_latency ||
-             shed_overload_batch || scheduler_overflows || hist ||
-             tenant_backlog_high_water;
-    }
+    /// The counter table, which is also the "admission" report section.
+    static constexpr std::tuple kCounters{
+        Counter{"admitted_latency", &AdmissionStats::admitted_latency},
+        Counter{"admitted_batch", &AdmissionStats::admitted_batch},
+        Counter{"shed_bucket_latency", &AdmissionStats::shed_bucket_latency},
+        Counter{"shed_bucket_batch", &AdmissionStats::shed_bucket_batch},
+        Counter{"shed_overload_latency",
+                &AdmissionStats::shed_overload_latency},
+        Counter{"shed_overload_batch", &AdmissionStats::shed_overload_batch},
+        Counter{"scheduler_overflows", &AdmissionStats::scheduler_overflows},
+        Counter{"shed_delay_hist_log2_us", &AdmissionStats::shed_delay_hist},
+        Counter{"tenant_backlog_high_water",
+                &AdmissionStats::tenant_backlog_high_water, CounterFold::kMax},
+    };
+
+    bool AnyNonZero() const { return AnyCounterNonZero(*this, kCounters); }
   };
 
   /// Per-queue-pair throughput aggregates.
@@ -161,6 +257,19 @@ class NodeStats {
     size_t queue_high_water = 0;
     SimTime first_submitted = 0;  ///< earliest submission seen (0 = none)
     SimTime last_delivered = 0;
+
+    /// The counter table (the qp report line keeps its own format).
+    static constexpr std::tuple kCounters{
+        Counter{"completed", &QpStats::completed},
+        Counter{"failed", &QpStats::failed},
+        Counter{"rejected", &QpStats::rejected},
+        Counter{"bytes_delivered", &QpStats::bytes_delivered},
+        Counter{"queue_high_water", &QpStats::queue_high_water,
+                CounterFold::kMax},
+        Counter{"first_submitted", &QpStats::first_submitted,
+                CounterFold::kFirstSet},
+        Counter{"last_delivered", &QpStats::last_delivered, CounterFold::kMax},
+    };
   };
 
   NodeStats() = default;
@@ -179,10 +288,11 @@ class NodeStats {
   /// each domain records into its own NodeStats — no shared mutable state
   /// crosses a domain boundary — and the driver merges the registries in
   /// ascending domain order after the run, so the merged report depends
-  /// only on the simulation, never on the thread schedule. Completion
-  /// records are re-folded (distributions and per-qp aggregates rebuild
-  /// exactly as if recorded here); counters add; high-water marks take the
-  /// max. `other` is left untouched.
+  /// only on the simulation, never on the thread schedule. `other`'s
+  /// completion records and stage samples are appended in order (exactly
+  /// what recording its completions here would add); every counter,
+  /// per-qp ones included, folds by its table row. `other` is left
+  /// untouched and must not be this registry.
   void MergeFrom(const NodeStats& other);
 
   /// Counts a request that reached the node but failed with a Status.
@@ -260,8 +370,9 @@ class NodeStats {
   // --- Queries -------------------------------------------------------------
 
   uint64_t completed_count() const { return completed_.size(); }
-  uint64_t failed_count() const { return failed_; }
-  uint64_t rejected_count() const { return rejected_; }
+  /// Sums of the per-qp `failed` / `rejected` counters.
+  uint64_t failed_count() const;
+  uint64_t rejected_count() const;
 
   const std::vector<RequestRecord>& completed() const { return completed_; }
   const std::map<int, QpStats>& per_qp() const { return per_qp_; }
@@ -281,17 +392,12 @@ class NodeStats {
 
   /// Text dump used by the benches: stage latency percentiles, per-qp
   /// throughput, queue-depth high-water marks, region busy fractions and
-  /// the egress-link utilization supplied by the caller.
+  /// the egress-link utilization supplied by the caller, then one
+  /// `name=value` line per counter section with a non-zero row.
   std::string FormatReport(SimTime now, double link_utilization) const;
 
  private:
-  /// Shared tail of RecordCompletion and MergeFrom: appends `rec` and folds
-  /// it into the stage distributions and per-qp aggregates.
-  void FoldRecord(const RequestRecord& rec);
-
   uint64_t last_request_id_ = 0;
-  uint64_t failed_ = 0;
-  uint64_t rejected_ = 0;
 
   std::vector<RequestRecord> completed_;
   std::map<int, QpStats> per_qp_;
@@ -306,6 +412,12 @@ class NodeStats {
   sim::SampleStats egress_;
   sim::SampleStats total_;
 };
+
+// A counter added without a table row does not compile.
+static_assert(EveryMemberHasARow<NodeStats::ReliabilityStats>());
+static_assert(EveryMemberHasARow<NodeStats::ShardingStats>());
+static_assert(EveryMemberHasARow<NodeStats::AdmissionStats>());
+static_assert(EveryMemberHasARow<NodeStats::QpStats>());
 
 }  // namespace farview
 

@@ -46,7 +46,7 @@ Result<std::vector<Column>> AggOutputColumns(
       name += "_" + input.column(a.col).name;
     }
     // Disambiguate duplicates (e.g. two counts) with a positional suffix.
-    name += "_" + std::to_string(i);
+    name.append("_").append(std::to_string(i));
     const DataType out_type =
         a.kind == AggKind::kAvg ? DataType::kDouble : DataType::kInt64;
     // fvcheck:allow=hot-path-alloc setup (Create)

@@ -56,7 +56,8 @@ Schema Schema::DefaultWideRow(int n) {
   std::vector<Column> cols;
   cols.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    cols.push_back(Column{"a" + std::to_string(i), DataType::kInt64, 8});
+    cols.push_back(Column{std::string("a").append(std::to_string(i)),
+                          DataType::kInt64, 8});
   }
   Result<Schema> r = Create(std::move(cols));
   return std::move(r).value();
@@ -66,7 +67,8 @@ Schema Schema::Strings(int n, uint32_t width) {
   std::vector<Column> cols;
   cols.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    cols.push_back(Column{"s" + std::to_string(i), DataType::kChar, width});
+    cols.push_back(Column{std::string("s").append(std::to_string(i)),
+                          DataType::kChar, width});
   }
   Result<Schema> r = Create(std::move(cols));
   return std::move(r).value();

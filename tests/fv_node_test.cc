@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
+#include <type_traits>
 
 #include "fv/client.h"
 #include "fv/farview_node.h"
@@ -777,6 +780,147 @@ TEST(NodeStatsMergeTest, ReliabilityShardingAndIdsAccumulate) {
   EXPECT_EQ(sh.gather_bytes, 64u);
   EXPECT_EQ(sh.partial_groups, 17u);
   EXPECT_EQ(merged.NextRequestId(), 6u);
+}
+
+// --- NodeStats counter tables ----------------------------------------------
+
+/// The registry hands its counter structs out read-only; these tests write
+/// rows straight through the tables, which is well-defined because the
+/// registries they write are not const objects.
+template <class T>
+T& Mutable(const T& v) {
+  return const_cast<T&>(v);
+}
+
+/// Sets every word of every row of `s` through its table: `base`, `base`+1,
+/// ... in table order, so every word differs from every other.
+template <class S>
+void SetEveryRow(S& s, int64_t base) {
+  ForEachCounter(S::kCounters, [&s, &base](const auto& row) {
+    for (auto& w : CounterWords(s.*row.member)) {
+      w = static_cast<std::remove_reference_t<decltype(w)>>(base++);
+    }
+  });
+}
+
+/// The fold each counter must merge by, pinned here independently of the
+/// tables: a row whose fold changes fails the merge test.
+CounterFold PinnedFold(const std::string& name) {
+  if (name == "tenant_backlog_high_water" || name == "queue_high_water" ||
+      name == "last_delivered") {
+    return CounterFold::kMax;
+  }
+  if (name == "first_submitted") return CounterFold::kFirstSet;
+  return CounterFold::kSum;
+}
+
+/// Checks every word of `merged` against the pinned fold of `first` then
+/// `second` merged into an empty registry (in either order).
+template <class S>
+void ExpectFolded(const S& merged, const S& first, const S& second) {
+  ForEachCounter(S::kCounters, [&](const auto& row) {
+    const auto m = CounterWords(merged.*row.member);
+    const auto a = CounterWords(first.*row.member);
+    const auto b = CounterWords(second.*row.member);
+    for (size_t i = 0; i < m.size(); ++i) {
+      auto want = a[i] + b[i];
+      switch (PinnedFold(row.name)) {
+        case CounterFold::kSum:
+          break;
+        case CounterFold::kMax:
+          want = std::max(a[i], b[i]);
+          break;
+        case CounterFold::kFirstSet:
+          want = a[i] == 0 ? b[i] : b[i] == 0 ? a[i] : std::min(a[i], b[i]);
+          break;
+      }
+      EXPECT_EQ(m[i], want) << row.name << "[" << i << "]";
+    }
+  });
+}
+
+TEST(NodeStatsCounterTableTest, EveryRowMergesByItsFold) {
+  NodeStats a;
+  NodeStats b;
+  SetEveryRow(Mutable(a.reliability()), 1000);
+  SetEveryRow(Mutable(b.reliability()), 2000);
+  SetEveryRow(Mutable(a.sharding()), 3000);
+  SetEveryRow(Mutable(b.sharding()), 4000);
+  SetEveryRow(Mutable(a.admission()), 5000);
+  SetEveryRow(Mutable(b.admission()), 6000);
+  // qp 1 in both registries; qp 2 only in `b`, so it merges against an
+  // unset entry.
+  auto& a_qps = Mutable(a.per_qp());
+  auto& b_qps = Mutable(b.per_qp());
+  SetEveryRow(a_qps[1], 7000);
+  SetEveryRow(b_qps[1], 8000);
+  SetEveryRow(b_qps[2], 9000);
+
+  // First-set keeps the earliest instant whichever registry merges first.
+  NodeStats ab;
+  ab.MergeFrom(a);
+  ab.MergeFrom(b);
+  NodeStats ba;
+  ba.MergeFrom(b);
+  ba.MergeFrom(a);
+  for (const NodeStats* merged : {&ab, &ba}) {
+    ExpectFolded(merged->reliability(), a.reliability(), b.reliability());
+    ExpectFolded(merged->sharding(), a.sharding(), b.sharding());
+    ExpectFolded(merged->admission(), a.admission(), b.admission());
+    ASSERT_EQ(merged->per_qp().size(), 2u);
+    ExpectFolded(merged->per_qp().at(1), a_qps[1], b_qps[1]);
+    ExpectFolded(merged->per_qp().at(2), NodeStats::QpStats{}, b_qps[2]);
+    EXPECT_EQ(merged->failed_count(),
+              a_qps[1].failed + b_qps[1].failed + b_qps[2].failed);
+    EXPECT_EQ(merged->rejected_count(),
+              a_qps[1].rejected + b_qps[1].rejected + b_qps[2].rejected);
+  }
+}
+
+/// Checks one zero-gated report section: absent from a fresh registry, and
+/// when any single word of its rows is set, the report is the fresh one
+/// plus exactly that section's line. Returns the number of words checked.
+template <class S, class Table>
+size_t ExpectSectionGatedOnRows(const std::string& label, const Table& table,
+                                const S& (NodeStats::*get)() const) {
+  const std::string fresh = NodeStats().FormatReport(kMicrosecond, 0.0);
+  EXPECT_EQ(fresh.find(label), std::string::npos) << label;
+  size_t checked = 0;
+  ForEachCounter(table, [&](const auto& row) {
+    const S zero{};
+    const size_t words = CounterWords(zero.*row.member).size();
+    for (size_t i = 0; i < words; ++i, ++checked) {
+      NodeStats stats;
+      CounterWords(Mutable((stats.*get)()).*row.member)[i] = 1;
+      const std::string report = stats.FormatReport(kMicrosecond, 0.0);
+      ASSERT_GT(report.size(), fresh.size()) << row.name << "[" << i << "]";
+      EXPECT_EQ(report.substr(0, fresh.size()), fresh);
+      const std::string line = report.substr(fresh.size());
+      EXPECT_EQ(line.rfind("  " + label + ": ", 0), 0u) << line;
+      EXPECT_EQ(line.find('\n'), line.size() - 1) << line;
+    }
+  });
+  return checked;
+}
+
+TEST(NodeStatsCounterTableTest, EachSectionIsGatedOnItsRows) {
+  using Rel = NodeStats::ReliabilityStats;
+  EXPECT_EQ(ExpectSectionGatedOnRows("reliability", Rel::kFaultCounters,
+                                     &NodeStats::reliability),
+            9u);
+  EXPECT_EQ(ExpectSectionGatedOnRows("replication", Rel::kClusterCounters,
+                                     &NodeStats::reliability),
+            9u);
+  EXPECT_EQ(ExpectSectionGatedOnRows("sharding",
+                                     NodeStats::ShardingStats::kCounters,
+                                     &NodeStats::sharding),
+            6u);
+  // Seven counters, the shed-delay histogram's buckets and the backlog
+  // high-water mark.
+  EXPECT_EQ(ExpectSectionGatedOnRows("admission",
+                                     NodeStats::AdmissionStats::kCounters,
+                                     &NodeStats::admission),
+            7u + NodeStats::AdmissionStats::kShedDelayBuckets + 1u);
 }
 
 }  // namespace

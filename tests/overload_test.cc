@@ -135,8 +135,8 @@ TEST_F(AdmissionTest, ShedDelayHistogramAndMergeFold) {
   }
   EXPECT_EQ(hist_total, 5u);
 
-  // MergeFrom folds every admission counter (the fvcheck
-  // stats-merge-coverage contract, pinned again by the fixture test).
+  // MergeFrom folds every admission counter by its table row (every row's
+  // fold is pinned by NodeStatsCounterTableTest in fv_node_test).
   NodeStats other;
   other.MergeFrom(stats_);
   other.MergeFrom(stats_);

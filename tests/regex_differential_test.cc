@@ -41,7 +41,9 @@ std::string RandomPattern(Rng* rng, int depth) {
     std::string piece;
     bool quantifiable = true;
     if (depth > 0 && rng->NextBernoulli(0.3)) {
-      piece = "(" + RandomPattern(rng, depth - 1) + ")";
+      piece = std::string("(")
+                  .append(RandomPattern(rng, depth - 1))
+                  .append(")");
       // Never quantify a group: nested quantifiers like (a*)* make
       // backtracking engines (std::regex) take exponential time — our DFA
       // handles them fine, but the oracle would hang.

@@ -597,5 +597,23 @@ TEST(StatsTest, MedianUnaffectedByInsertionOrder) {
   EXPECT_DOUBLE_EQ(a.Median(), b.Median());
 }
 
+TEST(StatsTest, AppendEqualsAddingEachSample) {
+  SampleStats a, b, direct;
+  for (double v : {4.0, 8.0}) {
+    a.Add(v);
+    direct.Add(v);
+  }
+  for (double v : {1.0, 6.0, 2.0}) {
+    b.Add(v);
+    direct.Add(v);
+  }
+  a.Append(b);
+  EXPECT_EQ(a.count(), direct.count());
+  EXPECT_EQ(b.count(), 3u);
+  EXPECT_DOUBLE_EQ(a.Mean(), direct.Mean());
+  EXPECT_DOUBLE_EQ(a.Percentile(40), direct.Percentile(40));
+  EXPECT_DOUBLE_EQ(a.Max(), direct.Max());
+}
+
 }  // namespace
 }  // namespace farview::sim

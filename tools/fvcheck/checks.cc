@@ -22,7 +22,6 @@ const char kRulePoolEscape[] = "pool-escape";
 const char kRuleDocCoverage[] = "doc-coverage";
 const char kRuleHotPathAlloc[] = "hot-path-alloc";
 const char kRuleDomainConfinement[] = "domain-confinement";
-const char kRuleStatsMergeCoverage[] = "stats-merge-coverage";
 const char kRuleConfigCoupling[] = "config-coupling";
 const char kRuleStaleSuppression[] = "stale-suppression";
 
@@ -31,8 +30,8 @@ const std::vector<std::string>& AllRuleNames() {
       kRuleBannedApi,         kRuleUncheckedStatus,
       kRuleSimtimeMixing,     kRulePoolEscape,
       kRuleDocCoverage,       kRuleHotPathAlloc,
-      kRuleDomainConfinement, kRuleStatsMergeCoverage,
-      kRuleConfigCoupling,    kRuleStaleSuppression,
+      kRuleDomainConfinement, kRuleConfigCoupling,
+      kRuleStaleSuppression,
   };
   return kNames;
 }
@@ -769,79 +768,6 @@ void AppendDomainConfinementGlobals(
 }
 
 // ---------------------------------------------------------------------------
-// stats-merge-coverage (cross-file)
-// ---------------------------------------------------------------------------
-
-std::string Unqualify(const std::string& qual) {
-  const std::size_t pos = qual.rfind("::");
-  return pos == std::string::npos ? qual : qual.substr(pos + 2);
-}
-
-/// For every indexed type declaring a MergeFrom member: each of its data
-/// members, and each field of its nested *Stats structs, must be referenced
-/// somewhere in the MergeFrom closure (MergeFrom's body plus the bodies of
-/// member functions it transitively calls, e.g. NodeStats::FoldRecord).
-/// A field outside the closure is telemetry the byte-equal parallel merge
-/// (DESIGN.md §14) silently drops.
-void AppendStatsMergeCoverage(
-    const SymbolIndex& index, const Options& opts,
-    const std::map<std::string, std::size_t>& file_idx,
-    std::vector<std::vector<Diagnostic>>* per_file) {
-  if (!opts.enabled_rules.empty() &&
-      opts.enabled_rules.count(kRuleStatsMergeCoverage) == 0) {
-    return;
-  }
-  for (const auto& [qual, ty] : index.types) {
-    if (!ty.HasMemberFn("MergeFrom")) continue;
-    const std::string unqual = Unqualify(qual);
-
-    // Closure of identifiers MergeFrom may reference, following calls into
-    // the type's own member functions (depth-first, cycle-safe).
-    std::set<std::string> closure;
-    std::set<std::string> visited;
-    std::vector<std::string> work = {"MergeFrom"};
-    bool any_body = false;
-    while (!work.empty()) {
-      const std::string fn = work.back();
-      work.pop_back();
-      if (!visited.insert(fn).second) continue;
-      const IndexMethodBody* body = index.FindMethod(unqual, fn);
-      if (body == nullptr) continue;
-      any_body = true;
-      closure.insert(body->idents.begin(), body->idents.end());
-      for (const std::string& callee : body->called) {
-        if (ty.HasMemberFn(callee)) work.push_back(callee);
-      }
-    }
-    // Declaration-only batch (e.g. the header without its .cc): coverage
-    // cannot be judged, so stay silent rather than guess.
-    if (!any_body) continue;
-
-    auto report = [&](const IndexType& owner, const IndexMember& m) {
-      if (m.is_function || m.is_static || m.is_const) return;
-      if (closure.count(m.name) > 0) return;
-      auto it = file_idx.find(owner.file);
-      if (it == file_idx.end()) return;
-      (*per_file)[it->second].push_back(Diagnostic{
-          owner.file, m.line, kRuleStatsMergeCoverage,
-          "data member '" + m.name + "' of '" + owner.qual_name +
-              "' is never folded by " + qual + "::MergeFrom (or a member "
-              "function it calls); the per-partition merge would silently "
-              "drop it and the parallel report would diverge from the "
-              "sequential one (DESIGN.md §14)"});
-    };
-
-    for (const IndexMember& m : ty.members) report(ty, m);
-    for (const std::string& nested : ty.nested) {
-      if (!EndsWith(Unqualify(nested), "Stats")) continue;
-      const IndexType* nt = index.FindType(nested);
-      if (nt == nullptr) continue;
-      for (const IndexMember& m : nt->members) report(*nt, m);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // config-coupling (cross-file; mechanizes the CLAUDE.md constants contract)
 // ---------------------------------------------------------------------------
 
@@ -905,7 +831,7 @@ void AppendConfigCoupling(
     for (const auto& [qual, ty] : index.types) {
       if (ty.file != h) continue;
       for (const IndexMember& m : ty.members) {
-        if (m.is_function || !m.calibrated_init) continue;
+        if (!m.calibrated_init) continue;
         report(h, m.line, m.name);
       }
     }
@@ -1052,7 +978,6 @@ std::vector<Diagnostic> Analyze(const std::vector<FileInput>& files,
   // Pass 2b: cross-file rules walk the index once and file their findings
   // into the owning file's list, so suppressions apply uniformly.
   AppendDomainConfinementGlobals(index, opts, file_idx, &per_file);
-  AppendStatsMergeCoverage(index, opts, file_idx, &per_file);
   AppendConfigCoupling(files, lexed, index, opts, file_idx, &per_file);
 
   // Suppression filter + stale-suppression audit, in batch order; the

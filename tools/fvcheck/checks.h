@@ -22,9 +22,6 @@ namespace fvcheck {
 ///                            statics under src/, SpscMailbox plumbing, and
 ///                            writes to parallel-core-owned members outside
 ///                            src/sim/parallel/ (DESIGN.md §14)
-///  - "stats-merge-coverage": every data member of a MergeFrom-bearing type
-///                            (and of its nested *Stats structs) must be
-///                            folded in the MergeFrom closure
 ///  - "config-coupling":      calibrated constants in the four config
 ///                            headers must be referenced by EXPERIMENTS.md
 ///                            or a test (the CLAUDE.md constants contract)
@@ -38,7 +35,6 @@ extern const char kRulePoolEscape[];
 extern const char kRuleDocCoverage[];
 extern const char kRuleHotPathAlloc[];
 extern const char kRuleDomainConfinement[];
-extern const char kRuleStatsMergeCoverage[];
 extern const char kRuleConfigCoupling[];
 extern const char kRuleStaleSuppression[];
 

@@ -6,8 +6,7 @@
 // annotations, doc coverage on public headers, the hot-path memory
 // discipline (DESIGN.md §8a), and the cross-file analyses built on the
 // pass-1 symbol index (index.h): domain confinement for the parallel core,
-// stats-merge coverage, config-constant coupling, and stale-suppression
-// hygiene.
+// config-constant coupling, and stale-suppression hygiene.
 //
 // Usage:
 //   fvcheck [--root <repo_root>] [--rule <name>]... [--jobs N] [--timings]

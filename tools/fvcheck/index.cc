@@ -1,6 +1,5 @@
 #include "index.h"
 
-#include <algorithm>
 #include <cstddef>
 
 namespace fvcheck {
@@ -132,10 +131,7 @@ class FileWalker {
         }
         ++head_end;
       }
-      if (head_end >= toks_.size()) {
-        Harvest(i, head_end);
-        break;
-      }
+      if (head_end >= toks_.size()) break;
       const std::string& term = toks_[head_end].text;
       if (i == head_end) {  // bare terminator
         if (term == "}" && !stack_.empty()) stack_.pop_back();
@@ -152,24 +148,14 @@ class FileWalker {
  private:
   struct Scope {
     enum Kind { kNamespace, kType, kEnum, kFunction, kBlock } kind;
-    std::string type_qual;           ///< kType: qualified name
-    IndexMethodBody* body = nullptr; ///< innermost enclosing method body
+    std::string type_qual;  ///< kType: qualified name
   };
 
   Scope::Kind CurrentKind() const {
     return stack_.empty() ? Scope::kNamespace : stack_.back().kind;
   }
-  IndexMethodBody* ActiveBody() const {
-    return stack_.empty() ? nullptr : stack_.back().body;
-  }
-  void Push(Scope::Kind k, std::string qual = "",
-            IndexMethodBody* body = nullptr) {
-    // Blocks inherit the enclosing function's body collector so idents in
-    // nested control flow still count toward the method's closure.
-    if (body == nullptr && k != Scope::kType && k != Scope::kNamespace) {
-      body = ActiveBody();
-    }
-    stack_.push_back(Scope{k, std::move(qual), body});
+  void Push(Scope::Kind k, std::string qual = "") {
+    stack_.push_back(Scope{k, std::move(qual)});
   }
 
   /// Qualified name of the innermost enclosing type ("" at namespace scope).
@@ -179,24 +165,6 @@ class FileWalker {
       if (it->kind == Scope::kType) return it->type_qual;
     }
     return kEmpty;
-  }
-
-  static std::string Unqualify(const std::string& qual) {
-    const std::size_t pos = qual.rfind("::");
-    return pos == std::string::npos ? qual : qual.substr(pos + 2);
-  }
-
-  /// Adds every identifier in [begin, end) to the active method body.
-  void Harvest(std::size_t begin, std::size_t end) {
-    IndexMethodBody* body = ActiveBody();
-    if (body == nullptr) return;
-    for (std::size_t k = begin; k < end && k < toks_.size(); ++k) {
-      if (toks_[k].kind != Kind::kIdent) continue;
-      body->idents.insert(toks_[k].text);
-      if (k + 1 < toks_.size() && IsPunct(toks_[k + 1], "(")) {
-        body->called.insert(toks_[k].text);
-      }
-    }
   }
 
   bool HeadHas(std::size_t begin, std::size_t end, const char* ident) const {
@@ -258,7 +226,6 @@ class FileWalker {
         return;
       case Scope::kFunction:
       case Scope::kBlock:
-        Harvest(i, head_end);
         DetectLocalStatic(i, head_end);
         if (term == "{") Push(Scope::kBlock);
         return;
@@ -367,13 +334,6 @@ class FileWalker {
         ty.file = path_;
         ty.line = toks_[name_i].line;
       }
-      if (!outer.empty()) {
-        IndexType& parent = idx_->types[outer];
-        if (std::find(parent.nested.begin(), parent.nested.end(), qual) ==
-            parent.nested.end()) {
-          parent.nested.push_back(qual);
-        }
-      }
       Push(Scope::kType, qual);
       return;
     }
@@ -411,7 +371,9 @@ class FileWalker {
     }
 
     if (lparen != kNpos) {
-      ProcessFunction(i, head_end, term, lparen, at_type);
+      // Functions are not indexed; a body only opens a scope, so its local
+      // statics are still seen.
+      if (term == "{") Push(Scope::kFunction);
       return;
     }
 
@@ -421,7 +383,6 @@ class FileWalker {
       if (term == "{") Push(Scope::kBlock);
       return;
     }
-    const bool is_const = HeadHasConst(i, head_end);
     // Brace initialization: the "head" stops at '{', so look ahead into the
     // balanced braces for the calibration scan.
     std::size_t init_begin = eq != kNpos ? eq + 1 : head_end;
@@ -439,8 +400,6 @@ class FileWalker {
       IndexMember m;
       m.name = name;
       m.line = line;
-      m.is_static = HeadHas(i, head_end, "static");
-      m.is_const = is_const;
       m.calibrated_init = calibrated;
       ty.members.push_back(std::move(m));
     } else {
@@ -448,70 +407,13 @@ class FileWalker {
       v.name = name;
       v.file = path_;
       v.line = line;
-      v.is_const = is_const;
+      v.is_const = HeadHasConst(i, head_end);
       v.is_extern_decl =
           HeadHas(i, head_end, "extern") && eq == kNpos && term == ";";
       v.calibrated_init = calibrated;
       idx_->vars.push_back(std::move(v));
     }
     if (term == "{") Push(Scope::kBlock);
-  }
-
-  void ProcessFunction(std::size_t i, std::size_t head_end,
-                       const std::string& term, std::size_t lparen,
-                       bool at_type) {
-    const std::string name =
-        (lparen > i && toks_[lparen - 1].kind == Kind::kIdent)
-            ? toks_[lparen - 1].text
-            : "";
-    if (name.empty()) {
-      if (term == "{") Push(Scope::kFunction);
-      return;
-    }
-    // Out-of-line definition `Type::Method(...)`: the qualifier right
-    // before the name keys the method body (namespace qualifiers key dead
-    // entries nothing ever looks up).
-    std::string qualifier;
-    if (lparen >= i + 3 && IsPunct(toks_[lparen - 2], "::") &&
-        toks_[lparen - 3].kind == Kind::kIdent) {
-      qualifier = toks_[lparen - 3].text;
-    }
-
-    if (at_type) {
-      IndexType& ty = idx_->types[EnclosingTypeQual()];
-      IndexMember m;
-      m.name = name;
-      m.line = toks_[lparen - 1].line;
-      m.is_function = true;
-      m.is_static = HeadHas(i, lparen, "static");
-      ty.member_fns.push_back(std::move(m));
-      if (term == "{") {
-        IndexMethodBody* body =
-            &idx_->methods[{Unqualify(EnclosingTypeQual()), name}];
-        if (body->file.empty()) {
-          body->file = path_;
-          body->line = toks_[lparen - 1].line;
-        }
-        Push(Scope::kFunction, "", body);
-        // Member-initializer lists live in the head; fold them into the
-        // body so initialized members count as referenced.
-        Harvest(i, head_end);
-      }
-      return;
-    }
-
-    if (term == "{") {
-      IndexMethodBody* body = nullptr;
-      if (!qualifier.empty()) {
-        body = &idx_->methods[{qualifier, name}];
-        if (body->file.empty()) {
-          body->file = path_;
-          body->line = toks_[lparen - 1].line;
-        }
-      }
-      Push(Scope::kFunction, "", body);
-      Harvest(i, head_end);
-    }
   }
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
@@ -531,22 +433,9 @@ const IndexMember* IndexType::FindMember(const std::string& name) const {
   return nullptr;
 }
 
-bool IndexType::HasMemberFn(const std::string& name) const {
-  for (const IndexMember& m : member_fns) {
-    if (m.name == name) return true;
-  }
-  return false;
-}
-
 const IndexType* SymbolIndex::FindType(const std::string& qual_name) const {
   auto it = types.find(qual_name);
   return it == types.end() ? nullptr : &it->second;
-}
-
-const IndexMethodBody* SymbolIndex::FindMethod(
-    const std::string& unqual_type, const std::string& method) const {
-  auto it = methods.find({unqual_type, method});
-  return it == methods.end() ? nullptr : &it->second;
 }
 
 SymbolIndex BuildIndex(const std::vector<std::string>& paths,
@@ -564,7 +453,7 @@ SymbolIndex BuildIndex(const std::vector<std::string>& paths,
   for (const auto& [qual, ty] : idx.types) {
     const std::string& dir = idx.file_dir[ty.file];
     for (const IndexMember& m : ty.members) {
-      if (!m.is_function && EndsWith(m.name, "_")) {
+      if (EndsWith(m.name, "_")) {
         idx.member_owner_dirs[m.name].insert(dir);
       }
     }

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lexer.h"
@@ -14,41 +13,33 @@ namespace fvcheck {
 /// Whole-tree symbol/ownership index (DESIGN.md §11): pass 1 of the
 /// two-phase analyzer. It is built once from every lexed file in the batch
 /// and then consumed read-only by the cross-file rules (pass 2):
-/// domain-confinement, stats-merge-coverage and config-coupling.
+/// domain-confinement and config-coupling.
 ///
 /// Like the rest of fvcheck this is a token-level approximation, not a
 /// compiler front end: the extractors are tuned to Google-style C++ as
 /// written in this tree and are biased toward false negatives — a
 /// declaration the walker cannot classify is simply not indexed.
 
-/// One data or function member of an indexed type.
+/// One data member of an indexed type.
 struct IndexMember {
   std::string name;
-  int line = 0;             ///< declaration line in the owning type's file
-  bool is_function = false;
-  bool is_static = false;   ///< declared `static` (class-scope)
-  bool is_const = false;    ///< const / constexpr / constinit in the head
-  /// Data members only: the default-member-initializer contains a numeric
-  /// literal other than 0/1 — i.e. a calibrated magnitude, not a switch or
-  /// sentinel. Drives the config-coupling rule.
+  int line = 0;  ///< declaration line in the owning type's file
+  /// The default-member-initializer contains a numeric literal other than
+  /// 0/1 — i.e. a calibrated magnitude, not a switch or sentinel. Drives
+  /// the config-coupling rule.
   bool calibrated_init = false;
 };
 
 /// One struct/class declaration, keyed by its qualified name with nesting
 /// spelled `Outer::Inner` (enclosing namespaces are not part of the key —
-/// the tree has no type-name collisions across namespaces, and suppressing
-/// the namespace keeps out-of-line `Type::Method` definitions resolvable
-/// without name lookup).
+/// the tree has no type-name collisions across namespaces).
 struct IndexType {
   std::string qual_name;
   std::string file;
   int line = 0;
-  std::vector<IndexMember> members;     ///< data members, declaration order
-  std::vector<IndexMember> member_fns;  ///< member functions declared in-class
-  std::vector<std::string> nested;      ///< qualified names of nested types
+  std::vector<IndexMember> members;  ///< data members, declaration order
 
   const IndexMember* FindMember(const std::string& name) const;
-  bool HasMemberFn(const std::string& name) const;
 };
 
 /// One namespace-scope (or function-local static) variable.
@@ -62,16 +53,6 @@ struct IndexVar {
   bool calibrated_init = false; ///< see IndexMember::calibrated_init
 };
 
-/// Identifier sets of one (possibly out-of-line) function body, keyed by
-/// (unqualified class name, method name). Overloads merge into one entry —
-/// a conservative over-approximation of what the method may reference.
-struct IndexMethodBody {
-  std::string file;
-  int line = 0;
-  std::set<std::string> idents;  ///< every identifier token in the body
-  std::set<std::string> called;  ///< identifiers directly followed by '('
-};
-
 /// The index itself. All containers are keyed/ordered deterministically so
 /// rules iterating them produce a stable diagnostic order.
 struct SymbolIndex {
@@ -80,9 +61,6 @@ struct SymbolIndex {
 
   /// Namespace-scope variables and function-local statics, in file order.
   std::vector<IndexVar> vars;
-
-  /// Method bodies by (unqualified class name, method name).
-  std::map<std::pair<std::string, std::string>, IndexMethodBody> methods;
 
   /// File → owning directory ("src/sim/parallel" for
   /// "src/sim/parallel/mailbox.h"; "" for a bare filename).
@@ -103,11 +81,6 @@ struct SymbolIndex {
   std::set<std::string> ambiguous_fns;
 
   const IndexType* FindType(const std::string& qual_name) const;
-
-  /// Looks up a method body by unqualified class name (`NodeStats`,
-  /// including for the nested `NodeStats::QpStats` spelled just `QpStats`).
-  const IndexMethodBody* FindMethod(const std::string& unqual_type,
-                                    const std::string& method) const;
 };
 
 /// Builds the index over the whole batch. `paths[i]` names `lexed[i]`;
