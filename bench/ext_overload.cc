@@ -1,22 +1,13 @@
 // Extension benchmark: overload-safe multi-tenancy (DESIGN.md §15,
-// EXPERIMENTS.md "ext_overload"). Two sections:
-//
-//  1. Hot-tenant storm through the RegionScheduler: four well-behaved
-//     latency-class tenants run closed-loop selections while one hot tenant
-//     dumps a growing burst of batch-class jobs into the same six regions.
-//     With admission off the victims' p99 grows with the storm (head-of-
-//     line blocking in the FIFO drain); with admission on the hot tenant is
-//     bounded by its queue cap (excess jobs shed with `ResourceExhausted` +
-//     retry-after) and the DWRR drain keeps the victims' p99 within 2x of
-//     the unloaded baseline. Both claims are FV_CHECKed on every run.
-//
-//  2. Megaclient storm on the partitioned event core: a many-tenant
-//     closed-loop population offered far above node capacity, with and
-//     without node-side admission shaping (`MegaclientConfig::shed_backlog`).
-//     Shaping converts timeout-discovered overload (every attempt burns its
-//     full client deadline) into immediate sheds the clients back off from.
-//     Runs with threads=0 (FV_SIM_THREADS) and is byte-identical at any
-//     thread count; the 1-vs-4-thread equality is FV_CHECKed here too.
+// EXPERIMENTS.md "ext_overload"). A hot-tenant storm through the
+// RegionScheduler: four well-behaved latency-class tenants run closed-loop
+// selections while one hot tenant dumps a growing burst of batch-class jobs
+// into the same six regions. With admission off the victims' p99 grows with
+// the storm (head-of-line blocking in the FIFO drain); with admission on
+// the hot tenant is bounded by its queue cap (excess jobs shed with
+// `ResourceExhausted` + retry-after) and the DWRR drain keeps the victims'
+// p99 within 2x of the unloaded baseline. Both claims are FV_CHECKed on
+// every run.
 
 #include <algorithm>
 #include <cstdio>
@@ -26,7 +17,6 @@
 
 #include "benchlib/experiment.h"
 #include "common/logging.h"
-#include "fv/megaclient.h"
 #include "fv/region_scheduler.h"
 #include "sim/stats.h"
 #include "table/generator.h"
@@ -174,7 +164,7 @@ StormOutcome RunStorm(int storm, bool admission_on) {
   return out;
 }
 
-void RunSchedulerStorm() {
+void Run() {
   bench::SeriesPrinter p99(
       "Extension: overload — victim p99 under a hot-tenant storm [us] "
       "(4 latency-class tenants, 6 regions)",
@@ -209,66 +199,6 @@ void RunSchedulerStorm() {
          "experiment lost its contrast";
   p99.Print();
   hot.Print();
-}
-
-void RunMegaclientStorm() {
-  bench::SeriesPrinter table(
-      "Extension: overload — megaclient storm, 30k sessions on 4x8 service "
-      "units",
-      "shaping",
-      {"completed", "giveups", "timeouts", "sheds", "shed retries",
-       "batch p99 us"});
-
-  MegaclientConfig cfg;
-  cfg.sessions = 30000;
-  cfg.client_domains = 8;
-  cfg.node_domains = 4;
-  cfg.node_units = 8;  // deliberately scarce: offered load >> capacity
-  cfg.seed = 1;
-  cfg.horizon = 10 * kMillisecond;
-  cfg.think_mean_batch = 500 * kMicrosecond;
-  cfg.think_mean_interactive = 200 * kMicrosecond;
-  cfg.service_mean = 4 * kMicrosecond;
-
-  MegaclientReport off;
-  for (const bool shaping : {false, true}) {
-    MegaclientConfig point = cfg;
-    if (shaping) {
-      point.shed_backlog = 20 * kMicrosecond;
-      point.shed_retry_after = 100 * kMicrosecond;
-    }
-    const MegaclientReport r = RunMegaclient(point, /*threads=*/0);
-    table.Row(shaping ? "shed@20us" : "off",
-              {static_cast<double>(r.completed),
-               static_cast<double>(r.give_ups),
-               static_cast<double>(r.timeouts),
-               static_cast<double>(r.sheds),
-               static_cast<double>(r.shed_retries), r.p99_batch_us});
-    if (!shaping) {
-      off = r;
-    } else {
-      // Shaping converts timeout-discovered overload into immediate sheds:
-      // the node answers instead of letting the client burn its deadline.
-      FV_CHECK(r.sheds > 0) << "storm never tripped the shed threshold";
-      FV_CHECK(r.timeouts * 4 < off.timeouts)
-          << "shaping failed to absorb the timeout storm: " << r.timeouts
-          << " vs " << off.timeouts << " unshaped";
-      // Byte-identity across thread counts, like ext_megaclient.
-      const MegaclientReport r1 = RunMegaclient(point, /*threads=*/1);
-      const MegaclientReport r4 = RunMegaclient(point, /*threads=*/4);
-      FV_CHECK(r1.Summary() == r4.Summary())
-          << "megaclient storm diverged across thread counts:\n"
-          << r4.Summary() << "---- vs 1-thread ----\n"
-          << r1.Summary();
-    }
-  }
-  table.Print();
-}
-
-void Run() {
-  RunSchedulerStorm();
-  std::printf("\n");
-  RunMegaclientStorm();
 }
 
 }  // namespace

@@ -16,6 +16,9 @@
 //  - ext_faults:   lossy 1 MiB reads with an 8-packet credit window
 //                  (retransmit timers, attempt timeouts, client retries —
 //                  far-future events stressing the calendar overflow).
+// The layer workloads below them (failover, shardout, overload) add the
+// replication, routing and admission event mixes, and far_future_drain
+// isolates the event queue's far-future overflow.
 //
 // Per workload the harness reports simulated events executed, wall time,
 // events/sec, ns/event, and — when the counting allocator hook is linked and
@@ -35,10 +38,8 @@
 #include "common/alloc_counter.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "fv/megaclient.h"
 #include "fv/region_scheduler.h"
 #include "fv/sharding.h"
-#include "net/net_config.h"
 #include "table/generator.h"
 
 namespace farview {
@@ -46,12 +47,6 @@ namespace {
 
 struct Measurement {
   std::string name;
-  /// Worker threads used by the workload's engine. Single-engine workloads
-  /// are inherently 1; partitioned workloads repeat under several thread
-  /// counts, and scripts/bench_report.sh keys baseline rows by
-  /// (name, threads) so the multi-thread rows gate against their own
-  /// baselines and report speedup against the 1-thread row.
-  int threads = 1;
   uint64_t events = 0;
   uint64_t allocs = 0;
   uint64_t alloc_bytes = 0;
@@ -259,7 +254,8 @@ Measurement RunExtShardout() {
   FV_CHECK(t.ok()) << t.status().message();
   std::vector<FTable> fts(kTables);
   for (int k = 0; k < kTables; ++k) {
-    fts[static_cast<size_t>(k)].name = "t" + std::to_string(k);
+    fts[static_cast<size_t>(k)].name =
+        std::string("t").append(std::to_string(k));
     fts[static_cast<size_t>(k)].schema = t.value().schema();
     fts[static_cast<size_t>(k)].num_rows = t.value().num_rows();
     FV_CHECK(client
@@ -387,39 +383,21 @@ Measurement RunExtOverload() {
   });
 }
 
-/// Partitioned many-tenant workload (DESIGN.md §14): 20k closed-loop
-/// sessions over 8 client + 4 node domains with seeded drops — the
-/// conservative-window/mailbox/flow-aggregation event mix. Runs under
-/// `threads` workers; the event count is thread-invariant (the differential
-/// determinism suite pins this), so the 1- and 4-thread rows gate the same
-/// simulation while their wall clocks expose parallel speedup.
-Measurement RunMegaclient(int threads) {
-  const NetConfig net;
-  MegaclientConfig cfg;
-  cfg.sessions = 20000;
-  cfg.client_domains = 8;
-  cfg.node_domains = 4;
-  cfg.node_units = 64;
-  cfg.seed = 1;
-  cfg.horizon = 20 * kMillisecond;
-  cfg.request_latency = net.fv_request_latency;
-  cfg.response_latency = net.fv_delivery_latency;
-  cfg.drop_rate = 2e-3;
-
-  const uint64_t allocs0 = alloc_counter::allocations();
-  const uint64_t bytes0 = alloc_counter::bytes();
-  const auto wall0 = std::chrono::steady_clock::now();
-  const MegaclientReport r = farview::RunMegaclient(cfg, threads);
-  const auto wall1 = std::chrono::steady_clock::now();
-  Measurement m;
-  m.name = "megaclient";
-  m.threads = threads;
-  m.events = r.executed_events;
-  m.allocs = alloc_counter::allocations() - allocs0;
-  m.alloc_bytes = alloc_counter::bytes() - bytes0;
-  m.wall_ns = std::chrono::duration<double, std::nano>(wall1 - wall0).count();
-  FV_CHECK(r.completed > 0);
-  return m;
+/// Far-future drain: 25k events scheduled up front, spread uniformly over
+/// 137 ms (about 8k windows of the calendar queue), then drained. All but
+/// the first window's events start in the overflow level, so this row times
+/// their migration into the window, lap after lap.
+Measurement RunFarFutureDrain() {
+  constexpr int kEvents = 25000;
+  constexpr SimTime kSpread = 137 * kMillisecond;
+  sim::Engine engine;
+  Rng rng(42);
+  for (int i = 0; i < kEvents; ++i) {
+    engine.ScheduleAt(
+        static_cast<SimTime>(rng.NextBelow(static_cast<uint64_t>(kSpread))),
+        [] {});
+  }
+  return Measure("far_future_drain", engine, [&] { engine.Run(); });
 }
 
 std::string JsonReport(const std::vector<Measurement>& ms) {
@@ -432,12 +410,11 @@ std::string JsonReport(const std::vector<Measurement>& ms) {
     const Measurement& m = ms[i];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"threads\": %d, \"events\": %llu, "
-        "\"wall_ns\": %.0f, "
+        "    {\"name\": \"%s\", \"events\": %llu, \"wall_ns\": %.0f, "
         "\"events_per_sec\": %.0f, \"ns_per_event\": %.1f, "
         "\"allocs\": %llu, \"alloc_bytes\": %llu, \"allocs_per_event\": "
         "%.3f}%s\n",
-        m.name.c_str(), m.threads, static_cast<unsigned long long>(m.events),
+        m.name.c_str(), static_cast<unsigned long long>(m.events),
         m.wall_ns, m.events_per_sec(), m.ns_per_event(),
         static_cast<unsigned long long>(m.allocs),
         static_cast<unsigned long long>(m.alloc_bytes), m.allocs_per_event(),
@@ -488,18 +465,17 @@ void Run() {
   if (Selected("ext_failover")) ms.push_back(BestOf(reps, RunExtFailover));
   if (Selected("ext_shardout")) ms.push_back(BestOf(reps, RunExtShardout));
   if (Selected("ext_overload")) ms.push_back(BestOf(reps, RunExtOverload));
-  if (Selected("megaclient")) {
-    ms.push_back(BestOf(reps, [] { return RunMegaclient(1); }));
-    ms.push_back(BestOf(reps, [] { return RunMegaclient(4); }));
+  if (Selected("far_future_drain")) {
+    ms.push_back(BestOf(reps, RunFarFutureDrain));
   }
 
   std::printf("Simulator core performance (wall clock; machine-dependent)\n");
-  std::printf("%-20s %3s %12s %10s %12s %10s %12s\n", "workload", "thr",
-              "events", "wall ms", "events/sec", "ns/event", "allocs/evt");
+  std::printf("%-20s %12s %10s %12s %10s %12s\n", "workload", "events",
+              "wall ms", "events/sec", "ns/event", "allocs/evt");
   for (const Measurement& m : ms) {
-    std::printf("%-20s %3d %12llu %10.1f %12.0f %10.1f %12.3f\n",
-                m.name.c_str(), m.threads,
-                static_cast<unsigned long long>(m.events), m.wall_ns / 1e6,
+    std::printf("%-20s %12llu %10.1f %12.0f %10.1f %12.3f\n",
+                m.name.c_str(), static_cast<unsigned long long>(m.events),
+                m.wall_ns / 1e6,
                 m.events_per_sec(), m.ns_per_event(), m.allocs_per_event());
   }
   if (!alloc_counter::hook_active()) {

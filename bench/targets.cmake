@@ -31,13 +31,9 @@ fv_add_bench(ext_compression fv_compress)
 fv_add_bench(ext_faults)
 fv_add_bench(ext_failover)
 fv_add_bench(ext_shardout)
-# Partitioned-core tenant sweep (DESIGN.md §14): stdout is deterministic and
-# golden-checked at any FV_SIM_THREADS; its wall-clock speedup section goes
-# to stderr only.
-fv_add_bench(ext_megaclient)
 # Overload protection (DESIGN.md §15): hot-tenant storm through the
-# RegionScheduler plus a megaclient storm with admission shaping; stdout is
-# deterministic at any FV_SIM_THREADS and golden-checked.
+# RegionScheduler with and without admission shaping; stdout is
+# deterministic and golden-checked.
 fv_add_bench(ext_overload)
 
 # Wall-clock simulator-core harness (DESIGN.md §8). Links the counting

@@ -36,14 +36,8 @@ import json, sys
 
 baseline_path, current_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
-# Rows are keyed by (name, threads); rows predating the threads dimension
-# default to 1, so committed baselines stay valid. A partitioned workload
-# contributes one row per thread count — each gates against its own
-# baseline, and multi-thread rows additionally report speedup against the
-# same-name 1-thread row instead of overwriting it.
 def rows(path):
-    return {(w["name"], w.get("threads", 1)): w
-            for w in json.load(open(path))["workloads"]}
+    return {w["name"]: w for w in json.load(open(path))["workloads"]}
 
 base = rows(baseline_path)
 cur = rows(current_path)
@@ -51,44 +45,37 @@ cur = rows(current_path)
 fail = False
 
 # Every measured workload needs a committed baseline row to gate against.
-for key in cur:
-    if key not in base:
-        name, threads = key
-        print(f"FAIL: workload '{name}' (threads={threads}) has no baseline "
-              f"entry in {baseline_path} — add one to the committed "
-              f"'workloads' block before it can be gated")
+for name in cur:
+    if name not in base:
+        print(f"FAIL: workload '{name}' has no baseline entry in "
+              f"{baseline_path} — add one to the committed 'workloads' "
+              f"block before it can be gated")
         fail = True
 
 print(f"\nperf vs committed baseline (ev/s tolerance: -{tol:.0%}, warning "
       f"only; allocs/event and event counts gate hard):")
-print(f"{'workload':<20} {'thr':>3} {'baseline ev/s':>14} "
-      f"{'current ev/s':>14} {'ratio':>7} {'allocs/ev':>10} {'speedup':>8}")
-for (name, threads), b in base.items():
-    c = cur.get((name, threads))
+print(f"{'workload':<20} {'baseline ev/s':>14} {'current ev/s':>14} "
+      f"{'ratio':>7} {'allocs/ev':>10}")
+for name, b in base.items():
+    c = cur.get(name)
     if c is None:
-        print(f"{name:<20} {threads:>3} {'':>14} {'MISSING':>14}")
+        print(f"{name:<20} {'':>14} {'MISSING':>14}")
         fail = True
         continue
     ratio = c["events_per_sec"] / b["events_per_sec"]
     flag = ""
     if ratio < 1.0 - tol:
         flag = "  << SLOWDOWN (warning, not gated)"
-    # Parallel speedup vs the same workload's 1-thread row in THIS run
-    # (wall-clock vs wall-clock on the same machine — never vs baseline).
-    speedup = ""
-    one = cur.get((name, 1))
-    if threads > 1 and one is not None and one["events_per_sec"] > 0:
-        speedup = f"{c['events_per_sec'] / one['events_per_sec']:.2f}x"
-    print(f"{name:<20} {threads:>3} {b['events_per_sec']:>14,.0f} "
+    print(f"{name:<20} {b['events_per_sec']:>14,.0f} "
           f"{c['events_per_sec']:>14,.0f} {ratio:>6.2f}x "
-          f"{c['allocs_per_event']:>10.3f} {speedup:>8}{flag}")
+          f"{c['allocs_per_event']:>10.3f}{flag}")
     if c["events"] != b["events"]:
-        print(f"FAIL: {name} (threads={threads}): event count changed: "
+        print(f"FAIL: {name}: event count changed: "
               f"{b['events']} -> {c['events']} "
               f"(simulation behavior drifted!)")
         fail = True
     if c["allocs_per_event"] > b["allocs_per_event"]:
-        print(f"FAIL: {name} (threads={threads}): allocs/event regressed: "
+        print(f"FAIL: {name}: allocs/event regressed: "
               f"{b['allocs_per_event']:.3f} -> {c['allocs_per_event']:.3f} "
               f"(deterministic hard gate; see DESIGN.md §8a)")
         fail = True

@@ -130,12 +130,10 @@ class ByteBlockPool {
   }
 
   static ByteBlockPool& Global() {
-    // Magic-static singleton (thread-safe init). The pool is only ever
-    // touched from the sequential path: the one parallel-engine workload
-    // (fv::MegaClient) allocates nothing through ByteBuffer/PooledAllocator
-    // inside domain code. Running full nodes (operators/mem) inside event
-    // domains would make this per-domain state first â this suppression is
-    // the marker for that change.
+    // Magic-static singleton. Host-side state only: which blocks the pool
+    // holds never feeds back into simulated time or output bytes, so runs
+    // sharing it stay deterministic, and the simulation is single-threaded,
+    // so nothing races on it.
     // fvcheck:allow=domain-confinement
     static ByteBlockPool pool;
     return pool;

@@ -1,15 +1,16 @@
 #include "common/logging.h"
 
-// The log level must be readable from worker threads while a test or tool
-// mutates it; a relaxed atomic carries no event-ordering role, so this is
-// outside the src/sim/parallel threading confinement by design.
+// The log level must stay readable from any thread a host-side tool or test
+// harness starts while another mutates it; a relaxed atomic carries no
+// event-ordering role, so this one-off sits outside the threading ban by
+// design.
 #include <atomic>  // fvcheck:allow=banned-api
 
 namespace farview {
 namespace {
 
 // Process-wide log threshold: host-side, set once at startup, and an
-// atomic precisely so concurrent domain reads are race-free.
+// atomic precisely so concurrent reads are race-free.
 // fvcheck:allow=banned-api,domain-confinement
 std::atomic<LogLevel> g_log_level{LogLevel::kInfo};
 

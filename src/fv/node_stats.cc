@@ -21,34 +21,6 @@ void AppendStageRow(std::ostringstream& out, const char* label,
   out << buf;
 }
 
-/// Folds `from` into `into` by `fold`, word by word.
-template <class T>
-void FoldCounter(CounterFold fold, T& into, const T& from) {
-  const auto dst = CounterWords(into);
-  const auto src = CounterWords(from);
-  for (size_t i = 0; i < dst.size(); ++i) {
-    switch (fold) {
-      case CounterFold::kSum:
-        dst[i] += src[i];
-        break;
-      case CounterFold::kMax:
-        dst[i] = std::max(dst[i], src[i]);
-        break;
-      case CounterFold::kFirstSet:
-        if (src[i] != 0 && (dst[i] == 0 || src[i] < dst[i])) dst[i] = src[i];
-        break;
-    }
-  }
-}
-
-/// Folds every row of `S`'s counter table from `from` into `into`.
-template <class S>
-void MergeCounters(S& into, const S& from) {
-  ForEachCounter(S::kCounters, [&into, &from](const auto& row) {
-    FoldCounter(row.fold, into.*row.member, from.*row.member);
-  });
-}
-
 /// One zero-gated report section: "  <label>: name=value ..." over the
 /// rows of `table`, omitted while they are all zero so runs that never
 /// touch the section keep their reports byte-identical. A histogram prints
@@ -108,30 +80,10 @@ void NodeStats::RecordCompletion(const RequestContext& ctx) {
   QpStats& qp = per_qp_[rec.qp_id];
   ++qp.completed;
   qp.bytes_delivered += rec.bytes_on_wire;
-  if (qp.first_submitted == 0 || rec.submitted < qp.first_submitted) {
+  if (qp.completed == 1 || rec.submitted < qp.first_submitted) {
     qp.first_submitted = rec.submitted;
   }
   qp.last_delivered = std::max(qp.last_delivered, rec.delivered);
-}
-
-void NodeStats::MergeFrom(const NodeStats& other) {
-  completed_.insert(completed_.end(), other.completed_.begin(),
-                    other.completed_.end());
-  ingress_.Append(other.ingress_);
-  queue_wait_.Append(other.queue_wait_);
-  execute_.Append(other.execute_);
-  egress_.Append(other.egress_);
-  total_.Append(other.total_);
-  last_request_id_ = std::max(last_request_id_, other.last_request_id_);
-  for (const auto& [qp_id, qp] : other.per_qp_) {
-    MergeCounters(per_qp_[qp_id], qp);
-  }
-  for (const auto& [region_id, busy] : other.region_busy_) {
-    region_busy_[region_id] += busy;
-  }
-  MergeCounters(reliability_, other.reliability_);
-  MergeCounters(sharding_, other.sharding_);
-  MergeCounters(admission_, other.admission_);
 }
 
 uint64_t NodeStats::failed_count() const {

@@ -16,24 +16,15 @@
 
 namespace farview {
 
-/// How a `NodeStats` counter folds when `NodeStats::MergeFrom` combines two
-/// registries (DESIGN.md §14).
-enum class CounterFold {
-  kSum,       ///< event counts and accumulated totals add
-  kMax,       ///< high-water marks and latest instants keep the larger
-  kFirstSet,  ///< earliest instant; 0 means unset and never wins
-};
-
-/// One row of a counter table: the counter's report name, its member of
-/// `S` (a 64-bit counter, or an array of them for a histogram) and how it
-/// folds. Each `NodeStats` counter struct lists its members in one
-/// `kCounters` tuple of rows; merge, zero tests and report sections loop
-/// over the rows, so no other code lists a counter.
+/// One row of a counter table: the counter's report name and its member of
+/// `S` (a 64-bit counter, or an array of them for a histogram). Each
+/// `NodeStats` counter struct lists its members in one `kCounters` tuple of
+/// rows; zero tests and report sections loop over the rows, so no other
+/// code lists a counter.
 template <class S, class T>
 struct Counter {
   const char* name;
   T S::*member;
-  CounterFold fold = CounterFold::kSum;
 
   static constexpr size_t kBytes = sizeof(T);  ///< bytes of `S` it covers
 };
@@ -242,7 +233,7 @@ class NodeStats {
         Counter{"scheduler_overflows", &AdmissionStats::scheduler_overflows},
         Counter{"shed_delay_hist_log2_us", &AdmissionStats::shed_delay_hist},
         Counter{"tenant_backlog_high_water",
-                &AdmissionStats::tenant_backlog_high_water, CounterFold::kMax},
+                &AdmissionStats::tenant_backlog_high_water},
     };
 
     bool AnyNonZero() const { return AnyCounterNonZero(*this, kCounters); }
@@ -255,21 +246,10 @@ class NodeStats {
     uint64_t rejected = 0;
     uint64_t bytes_delivered = 0;
     size_t queue_high_water = 0;
-    SimTime first_submitted = 0;  ///< earliest submission seen (0 = none)
+    /// Earliest submission among completed requests; meaningful once
+    /// `completed` > 0 (0 is a valid submit time, not a sentinel).
+    SimTime first_submitted = 0;
     SimTime last_delivered = 0;
-
-    /// The counter table (the qp report line keeps its own format).
-    static constexpr std::tuple kCounters{
-        Counter{"completed", &QpStats::completed},
-        Counter{"failed", &QpStats::failed},
-        Counter{"rejected", &QpStats::rejected},
-        Counter{"bytes_delivered", &QpStats::bytes_delivered},
-        Counter{"queue_high_water", &QpStats::queue_high_water,
-                CounterFold::kMax},
-        Counter{"first_submitted", &QpStats::first_submitted,
-                CounterFold::kFirstSet},
-        Counter{"last_delivered", &QpStats::last_delivered, CounterFold::kMax},
-    };
   };
 
   NodeStats() = default;
@@ -282,18 +262,6 @@ class NodeStats {
 
   /// Folds a finished request into the distributions and appends its record.
   void RecordCompletion(const RequestContext& ctx);
-
-  /// Per-partition merge (DESIGN.md §14): folds `other`'s telemetry into
-  /// this registry. When a simulation is partitioned into event domains,
-  /// each domain records into its own NodeStats — no shared mutable state
-  /// crosses a domain boundary — and the driver merges the registries in
-  /// ascending domain order after the run, so the merged report depends
-  /// only on the simulation, never on the thread schedule. `other`'s
-  /// completion records and stage samples are appended in order (exactly
-  /// what recording its completions here would add); every counter,
-  /// per-qp ones included, folds by its table row. `other` is left
-  /// untouched and must not be this registry.
-  void MergeFrom(const NodeStats& other);
 
   /// Counts a request that reached the node but failed with a Status.
   void RecordFailure(int qp_id);
@@ -417,7 +385,6 @@ class NodeStats {
 static_assert(EveryMemberHasARow<NodeStats::ReliabilityStats>());
 static_assert(EveryMemberHasARow<NodeStats::ShardingStats>());
 static_assert(EveryMemberHasARow<NodeStats::AdmissionStats>());
-static_assert(EveryMemberHasARow<NodeStats::QpStats>());
 
 }  // namespace farview
 

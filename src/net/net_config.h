@@ -118,27 +118,6 @@ struct NetConfig {
   }
 };
 
-/// Conservative-parallelism lookahead implied by this fabric (DESIGN.md
-/// §14): the minimum one-way latency of any client↔node link. A partitioned
-/// simulation (sim/parallel/partition.h) may execute each domain `L` ahead
-/// of its neighbors because no message can cross a domain boundary faster
-/// than the slowest-case-free bound below — every cross-domain send in the
-/// stacks is a request, a delivery, or an ack, each of which costs at least
-/// its configured one-way latency. With the calibrated defaults this is the
-/// 650 ns commercial-NIC one-way latency.
-inline SimTime CrossDomainLookahead(const NetConfig& cfg) {
-  SimTime lookahead = cfg.fv_request_latency;
-  if (cfg.fv_delivery_latency < lookahead) lookahead = cfg.fv_delivery_latency;
-  if (cfg.ack_latency < lookahead) lookahead = cfg.ack_latency;
-  if (cfg.rnic_request_latency < lookahead) {
-    lookahead = cfg.rnic_request_latency;
-  }
-  if (cfg.rnic_delivery_latency < lookahead) {
-    lookahead = cfg.rnic_delivery_latency;
-  }
-  return lookahead;
-}
-
 }  // namespace farview
 
 #endif  // FARVIEW_NET_NET_CONFIG_H_

@@ -24,13 +24,9 @@ namespace farview::sim {
 /// bucket, and buckets recycle their capacity across laps. Pinned by
 /// tests/sim_alloc_test.cc and measured by bench/perf_simcore.cc.
 ///
-/// The engine itself is single-threaded: one clock, one queue, no locks.
-/// Parallelism lives a layer above — `sim::ParallelEngine`
-/// (sim/parallel/partition.h) runs one private Engine per event domain
-/// under conservative lookahead synchronization, preserving this engine's
-/// exact (time, seq) order (DESIGN.md §14). An Engine instance must only
-/// ever be touched by one thread at a time; the parallel layer's window
-/// barrier provides that exclusion.
+/// The engine is single-threaded: one clock, one queue, no locks. Every
+/// simulated component of a run, a sharded pool's nodes included, shares
+/// one Engine, so (time, seq) is a total order over the whole simulation.
 class Engine {
  public:
   Engine() = default;
@@ -86,17 +82,6 @@ class Engine {
 
   /// Number of events currently pending.
   size_t pending_events() const { return queue_.size(); }
-
-  /// Timestamp of the earliest pending event, or `kNoPendingEvent` when the
-  /// queue is empty. Amortized O(1). The conservative parallel scheduler
-  /// uses this to compute the global next-event time across domains
-  /// (sim/parallel/partition.h); it is also handy for tests.
-  SimTime NextEventTime() {
-    return queue_.empty() ? kNoPendingEvent : queue_.PeekTime();
-  }
-
-  /// Sentinel returned by `NextEventTime` for an empty queue.
-  static constexpr SimTime kNoPendingEvent = INT64_MAX;
 
   /// Resets the clock and drops all pending events. Statistics reset too.
   /// Queue capacity is retained (warm restarts stay allocation-free).

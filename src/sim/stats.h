@@ -14,12 +14,6 @@ class SampleStats {
   // fvcheck:allow=hot-path-alloc report-time sink
   void Add(double v) { samples_.push_back(v); }
 
-  /// Adds every sample of `other` (not this accumulator), in its order.
-  void Append(const SampleStats& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-  }
-
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 

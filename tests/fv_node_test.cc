@@ -4,11 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
-#include <type_traits>
 
 #include "fv/client.h"
 #include "fv/farview_node.h"
@@ -663,218 +661,90 @@ TEST_F(FvQueueTest, StageStampsMonotoneForEveryCompletedRequest) {
   EXPECT_GT(node_.stats().queue_wait().Max(), 0.0);
 }
 
-// --- NodeStats::MergeFrom (DESIGN.md §14 per-partition merge) --------------
+// --- NodeStats recording ----------------------------------------------------
 
-/// Builds a completed-request context with stamps derived from `i` so every
-/// stage latency, byte count and qp id is distinct and deterministic.
-RequestContext MergeTestCtx(uint64_t i, int qp_id) {
+/// A completed request on `qp_id`: submitted at `submitted`, delivered at
+/// `delivered`, 1000 bytes on the wire, no other stage stamped.
+RequestContext CompletedCtx(int qp_id, SimTime submitted, SimTime delivered) {
   RequestContext ctx;
-  ctx.request_id = i + 1;
   ctx.qp_id = qp_id;
-  ctx.client_id = static_cast<int>(i % 3);
-  ctx.verb = Verb::kFarview;
-  const SimTime base = static_cast<SimTime>(i + 1) * kMicrosecond;
-  ctx.submitted = base;
-  ctx.ingress_done = base + 100 * kNanosecond;
-  ctx.region_start = base + (200 + static_cast<SimTime>(i)) * kNanosecond;
-  ctx.first_memory_beat = base + 300 * kNanosecond;
-  ctx.operator_done = base + 400 * kNanosecond;
-  ctx.egress_finished = base + 500 * kNanosecond;
-  ctx.delivered = base + (600 + 7 * static_cast<SimTime>(i)) * kNanosecond;
-  ctx.bytes_on_wire = 1000 + 13 * i;
-  ctx.packets = 2 + i % 4;
-  ctx.rows = 10 * i;
+  ctx.submitted = submitted;
+  ctx.delivered = delivered;
+  ctx.bytes_on_wire = 1000;
   return ctx;
 }
 
-TEST(NodeStatsMergeTest, MergedRegistriesMatchDirectRecording) {
-  // Two partition registries record disjoint halves of a request stream;
-  // `direct` records the identical stream in the same (domain-major) order
-  // through the ordinary single-registry path. Merging in ascending domain
-  // order must then reproduce `direct` exactly — including the full text
-  // report, which covers the stage distributions, per-qp table and region
-  // busy fractions in one comparison.
-  NodeStats parts[2];
-  NodeStats direct;
-  for (int d = 0; d < 2; ++d) {
-    for (uint64_t k = 0; k < 8; ++k) {
-      const uint64_t i = static_cast<uint64_t>(d) * 8 + k;
-      // qp 1 appears in both partitions; qp 2/3 are partition-local.
-      const int qp = (i % 2 == 0) ? 1 : 2 + d;
-      const RequestContext ctx = MergeTestCtx(i, qp);
-      parts[d].RecordCompletion(ctx);
-      direct.RecordCompletion(ctx);
-    }
-  }
-  parts[0].RecordFailure(2);
-  direct.RecordFailure(2);
-  parts[1].RecordRejection(3);
-  direct.RecordRejection(3);
-  parts[0].RecordQueueDepth(1, 5);
-  parts[1].RecordQueueDepth(1, 9);
-  direct.RecordQueueDepth(1, 5);
-  direct.RecordQueueDepth(1, 9);
-  parts[0].RecordRegionBusy(0, 3 * kMicrosecond);
-  parts[1].RecordRegionBusy(0, 4 * kMicrosecond);
-  parts[1].RecordRegionBusy(1, 5 * kMicrosecond);
-  direct.RecordRegionBusy(0, 7 * kMicrosecond);
-  direct.RecordRegionBusy(1, 5 * kMicrosecond);
+TEST(NodeStatsTest, RecordersAccumulateIntoTheirCounters) {
+  NodeStats stats;
+  stats.RecordTimeout();
+  stats.RecordTimeout();
+  stats.RecordRetry();
+  stats.RecordLateCompletion();
+  stats.RecordFallback();
+  stats.RecordResyncBytes(100);
+  stats.RecordResyncDone(3 * kMicrosecond);
+  stats.RecordFragmentRead(64);
+  stats.RecordFragmentWrite();
+  stats.RecordPartialGroups(17);
+  stats.RecordQueueDepth(1, 9);
+  stats.RecordQueueDepth(1, 5);
+  stats.RecordFailure(1);
+  stats.RecordRejection(2);
+  stats.RecordRegionBusy(0, 3 * kMicrosecond);
+  stats.RecordRegionBusy(0, 4 * kMicrosecond);
+  for (int i = 0; i < 3; ++i) stats.NextRequestId();
 
-  NodeStats merged;
-  merged.MergeFrom(parts[0]);
-  merged.MergeFrom(parts[1]);
-
-  EXPECT_EQ(merged.completed_count(), direct.completed_count());
-  EXPECT_EQ(merged.failed_count(), direct.failed_count());
-  EXPECT_EQ(merged.rejected_count(), direct.rejected_count());
-  ASSERT_EQ(merged.per_qp().size(), direct.per_qp().size());
-  for (const auto& [qp, d] : direct.per_qp()) {
-    ASSERT_EQ(merged.per_qp().count(qp), 1u) << "qp " << qp;
-    const NodeStats::QpStats& m = merged.per_qp().at(qp);
-    EXPECT_EQ(m.completed, d.completed) << "qp " << qp;
-    EXPECT_EQ(m.failed, d.failed) << "qp " << qp;
-    EXPECT_EQ(m.rejected, d.rejected) << "qp " << qp;
-    EXPECT_EQ(m.bytes_delivered, d.bytes_delivered) << "qp " << qp;
-    EXPECT_EQ(m.queue_high_water, d.queue_high_water) << "qp " << qp;
-    EXPECT_EQ(m.first_submitted, d.first_submitted) << "qp " << qp;
-    EXPECT_EQ(m.last_delivered, d.last_delivered) << "qp " << qp;
-  }
-  const SimTime now = 100 * kMicrosecond;
-  EXPECT_EQ(merged.FormatReport(now, 0.5), direct.FormatReport(now, 0.5));
-}
-
-TEST(NodeStatsMergeTest, ReliabilityShardingAndIdsAccumulate) {
-  NodeStats a;
-  NodeStats b;
-  a.RecordTimeout();
-  a.RecordRetry();
-  a.RecordRetry();
-  a.RecordLateCompletion();
-  a.RecordResyncBytes(100);
-  a.RecordFragmentRead(64);
-  b.RecordTimeout();
-  b.RecordFallback();
-  b.RecordResyncDone(3 * kMicrosecond);
-  b.RecordFragmentWrite();
-  b.RecordPartialGroups(17);
-  // Distinct id high-water marks: the merged registry must continue above
-  // the maximum so ids stay node-unique after a partition fold.
-  for (int i = 0; i < 3; ++i) a.NextRequestId();
-  for (int i = 0; i < 5; ++i) b.NextRequestId();
-
-  NodeStats merged;
-  merged.MergeFrom(a);
-  merged.MergeFrom(b);
-
-  const NodeStats::ReliabilityStats& rel = merged.reliability();
+  const NodeStats::ReliabilityStats& rel = stats.reliability();
   EXPECT_EQ(rel.timeouts, 2u);
-  EXPECT_EQ(rel.retries, 2u);
+  EXPECT_EQ(rel.retries, 1u);
   EXPECT_EQ(rel.late_completions, 1u);
   EXPECT_EQ(rel.fallbacks, 1u);
   EXPECT_EQ(rel.resyncs, 1u);
   EXPECT_EQ(rel.resync_bytes, 100u);
   EXPECT_EQ(rel.resync_time, 3 * kMicrosecond);
-  const NodeStats::ShardingStats& sh = merged.sharding();
+  const NodeStats::ShardingStats& sh = stats.sharding();
   EXPECT_EQ(sh.fragment_reads, 1u);
   EXPECT_EQ(sh.fragment_writes, 1u);
   EXPECT_EQ(sh.gather_bytes, 64u);
   EXPECT_EQ(sh.partial_groups, 17u);
-  EXPECT_EQ(merged.NextRequestId(), 6u);
+  // The queue high-water mark keeps the deepest observation; busy time adds.
+  EXPECT_EQ(stats.per_qp().at(1).queue_high_water, 9u);
+  EXPECT_EQ(stats.failed_count(), 1u);
+  EXPECT_EQ(stats.rejected_count(), 1u);
+  EXPECT_EQ(stats.region_busy_time(0), 7 * kMicrosecond);
+  EXPECT_EQ(stats.region_busy_time(1), 0);
+  // Request ids stay node-unique: monotone from 1.
+  EXPECT_EQ(stats.NextRequestId(), 4u);
+}
+
+TEST(NodeStatsTest, QpSpanStartsAtASubmitAtTimeZero) {
+  // 0 is a valid submit time: a qp whose first request is submitted at
+  // t = 0 keeps first_submitted == 0 while later completions arrive (fig12's
+  // clients write their tables at t = 0, then scan).
+  NodeStats stats;
+  stats.RecordCompletion(CompletedCtx(1, 0, 10 * kMicrosecond));
+  stats.RecordCompletion(CompletedCtx(1, 5 * kMicrosecond, 20 * kMicrosecond));
+  // The earliest submit wins whichever completion records first.
+  stats.RecordCompletion(CompletedCtx(2, 8 * kMicrosecond, 30 * kMicrosecond));
+  stats.RecordCompletion(CompletedCtx(2, 6 * kMicrosecond, 40 * kMicrosecond));
+
+  const NodeStats::QpStats& qp1 = stats.per_qp().at(1);
+  EXPECT_EQ(qp1.completed, 2u);
+  EXPECT_EQ(qp1.first_submitted, 0);
+  EXPECT_EQ(qp1.last_delivered, 20 * kMicrosecond);
+  const NodeStats::QpStats& qp2 = stats.per_qp().at(2);
+  EXPECT_EQ(qp2.first_submitted, 6 * kMicrosecond);
+  EXPECT_EQ(qp2.last_delivered, 40 * kMicrosecond);
 }
 
 // --- NodeStats counter tables ----------------------------------------------
 
-/// The registry hands its counter structs out read-only; these tests write
+/// The registry hands its counter structs out read-only; this test writes
 /// rows straight through the tables, which is well-defined because the
-/// registries they write are not const objects.
+/// registries it writes are not const objects.
 template <class T>
 T& Mutable(const T& v) {
   return const_cast<T&>(v);
-}
-
-/// Sets every word of every row of `s` through its table: `base`, `base`+1,
-/// ... in table order, so every word differs from every other.
-template <class S>
-void SetEveryRow(S& s, int64_t base) {
-  ForEachCounter(S::kCounters, [&s, &base](const auto& row) {
-    for (auto& w : CounterWords(s.*row.member)) {
-      w = static_cast<std::remove_reference_t<decltype(w)>>(base++);
-    }
-  });
-}
-
-/// The fold each counter must merge by, pinned here independently of the
-/// tables: a row whose fold changes fails the merge test.
-CounterFold PinnedFold(const std::string& name) {
-  if (name == "tenant_backlog_high_water" || name == "queue_high_water" ||
-      name == "last_delivered") {
-    return CounterFold::kMax;
-  }
-  if (name == "first_submitted") return CounterFold::kFirstSet;
-  return CounterFold::kSum;
-}
-
-/// Checks every word of `merged` against the pinned fold of `first` then
-/// `second` merged into an empty registry (in either order).
-template <class S>
-void ExpectFolded(const S& merged, const S& first, const S& second) {
-  ForEachCounter(S::kCounters, [&](const auto& row) {
-    const auto m = CounterWords(merged.*row.member);
-    const auto a = CounterWords(first.*row.member);
-    const auto b = CounterWords(second.*row.member);
-    for (size_t i = 0; i < m.size(); ++i) {
-      auto want = a[i] + b[i];
-      switch (PinnedFold(row.name)) {
-        case CounterFold::kSum:
-          break;
-        case CounterFold::kMax:
-          want = std::max(a[i], b[i]);
-          break;
-        case CounterFold::kFirstSet:
-          want = a[i] == 0 ? b[i] : b[i] == 0 ? a[i] : std::min(a[i], b[i]);
-          break;
-      }
-      EXPECT_EQ(m[i], want) << row.name << "[" << i << "]";
-    }
-  });
-}
-
-TEST(NodeStatsCounterTableTest, EveryRowMergesByItsFold) {
-  NodeStats a;
-  NodeStats b;
-  SetEveryRow(Mutable(a.reliability()), 1000);
-  SetEveryRow(Mutable(b.reliability()), 2000);
-  SetEveryRow(Mutable(a.sharding()), 3000);
-  SetEveryRow(Mutable(b.sharding()), 4000);
-  SetEveryRow(Mutable(a.admission()), 5000);
-  SetEveryRow(Mutable(b.admission()), 6000);
-  // qp 1 in both registries; qp 2 only in `b`, so it merges against an
-  // unset entry.
-  auto& a_qps = Mutable(a.per_qp());
-  auto& b_qps = Mutable(b.per_qp());
-  SetEveryRow(a_qps[1], 7000);
-  SetEveryRow(b_qps[1], 8000);
-  SetEveryRow(b_qps[2], 9000);
-
-  // First-set keeps the earliest instant whichever registry merges first.
-  NodeStats ab;
-  ab.MergeFrom(a);
-  ab.MergeFrom(b);
-  NodeStats ba;
-  ba.MergeFrom(b);
-  ba.MergeFrom(a);
-  for (const NodeStats* merged : {&ab, &ba}) {
-    ExpectFolded(merged->reliability(), a.reliability(), b.reliability());
-    ExpectFolded(merged->sharding(), a.sharding(), b.sharding());
-    ExpectFolded(merged->admission(), a.admission(), b.admission());
-    ASSERT_EQ(merged->per_qp().size(), 2u);
-    ExpectFolded(merged->per_qp().at(1), a_qps[1], b_qps[1]);
-    ExpectFolded(merged->per_qp().at(2), NodeStats::QpStats{}, b_qps[2]);
-    EXPECT_EQ(merged->failed_count(),
-              a_qps[1].failed + b_qps[1].failed + b_qps[2].failed);
-    EXPECT_EQ(merged->rejected_count(),
-              a_qps[1].rejected + b_qps[1].rejected + b_qps[2].rejected);
-  }
 }
 
 /// Checks one zero-gated report section: absent from a fresh registry, and

@@ -212,21 +212,25 @@ TEST(EventQueueDifferentialTest, MatchesReferenceHeapAcrossSeeds) {
         EXPECT_EQ(q.PeekTime(), ref.top().time);
       } else {
         // Push a burst. Deltas cover every structural path: same-instant
-        // FIFO ties, same-bucket collisions, in-window spread, and
-        // far-future overflow up to ~100 windows out (the peek above can
-        // park the cursor there, forcing the sweep-and-re-anchor path on
-        // the next near push).
+        // FIFO ties, same-bucket collisions, in-window spread, far-future
+        // overflow up to ~100 windows out (the peek above can park the
+        // cursor there, forcing the sweep-and-re-anchor path on the next
+        // near push), and a ~137 ms spread (~8k window laps), the pattern
+        // perf_simcore's far_future_drain row times.
         const int burst = 1 + static_cast<int>(rng.NextBelow(4));
         for (int i = 0; i < burst; ++i) {
           SimTime delta = 0;
-          switch (rng.NextBelow(4)) {
+          switch (rng.NextBelow(5)) {
             case 0: delta = 0; break;
             case 1: delta = static_cast<SimTime>(
                         rng.NextBelow(EventQueue::kBucketWidth)); break;
             case 2: delta = static_cast<SimTime>(
                         rng.NextBelow(static_cast<uint64_t>(kWindow))); break;
-            default: delta = static_cast<SimTime>(
-                         rng.NextBelow(static_cast<uint64_t>(100 * kWindow)));
+            case 3: delta = static_cast<SimTime>(
+                        rng.NextBelow(static_cast<uint64_t>(100 * kWindow)));
+              break;
+            default: delta = static_cast<SimTime>(rng.NextBelow(
+                         static_cast<uint64_t>(137 * kMillisecond)));
           }
           push(cur + delta);
         }
@@ -595,24 +599,6 @@ TEST(StatsTest, MedianUnaffectedByInsertionOrder) {
   for (double v : {9.0, 1.0, 5.0}) a.Add(v);
   for (double v : {1.0, 5.0, 9.0}) b.Add(v);
   EXPECT_DOUBLE_EQ(a.Median(), b.Median());
-}
-
-TEST(StatsTest, AppendEqualsAddingEachSample) {
-  SampleStats a, b, direct;
-  for (double v : {4.0, 8.0}) {
-    a.Add(v);
-    direct.Add(v);
-  }
-  for (double v : {1.0, 6.0, 2.0}) {
-    b.Add(v);
-    direct.Add(v);
-  }
-  a.Append(b);
-  EXPECT_EQ(a.count(), direct.count());
-  EXPECT_EQ(b.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.Mean(), direct.Mean());
-  EXPECT_DOUBLE_EQ(a.Percentile(40), direct.Percentile(40));
-  EXPECT_DOUBLE_EQ(a.Max(), direct.Max());
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ const std::vector<std::string>& AllRuleNames() {
 std::vector<std::string> Options::DefaultWallClockAllowlist() {
   return {
       "bench/perf_simcore.cc",          // wall-clock perf harness by design
-      "bench/ext_megaclient.cc",        // stderr-only speedup section
       "src/common/alloc_counter.cc",    // alloc accounting (host-side only)
       "src/common/alloc_counter_hook.cc",
       "tools/fvcheck/fvcheck_main.cc",  // --timings instrumentation (host tool)
@@ -47,13 +46,12 @@ std::vector<std::string> Options::DefaultWallClockAllowlist() {
 }
 
 std::vector<std::string> Options::DefaultThreadingAllowlist() {
-  // The conservative parallel core is the project's complete set of
-  // *simulation* code allowed to synchronize: every mutex/atomic/condvar
-  // lives behind its window barrier, where determinism is argued once
-  // (DESIGN.md §14). fvcheck itself is a host-side tool whose --jobs pool
-  // never touches simulated state; its output order is pinned by the
-  // per-file merge + sort in Analyze (and by the JobsDeterminismTest pair).
-  return {"src/sim/parallel/", "tools/fvcheck/"};
+  // Simulation code is single-threaded: one sim::Engine per run, so no
+  // simulated component may synchronize. fvcheck itself is a host-side tool
+  // whose --jobs pool never touches simulated state; its output order is
+  // pinned by the per-file merge + sort in Analyze (and by the
+  // JobsDeterminismTest pair).
+  return {"tools/fvcheck/"};
 }
 
 std::vector<std::string> Options::CalibratedConfigHeaders() {
@@ -162,8 +160,8 @@ const std::set<std::string>& WallClockHeaders() {
 
 /// std::-qualified names whose presence means raw threading: a second clock
 /// and scheduler-dependent interleavings, i.e. nondeterminism — banned
-/// outside the conservative parallel core (lock_guard/unique_lock need no
-/// entries; they are unusable without one of the mutex types below).
+/// outside the threading allowlist (lock_guard/unique_lock need no entries;
+/// they are unusable without one of the mutex types below).
 const std::set<std::string>& ThreadingIdents() {
   static const std::set<std::string> kSet = {
       "thread",       "jthread",      "this_thread",
@@ -259,17 +257,16 @@ void CheckBannedApi(const CheckContext& ctx) {
     }
 
     // Threading primitives: scheduler-dependent interleavings break the
-    // deterministic-event contract, so raw std:: threading is confined to
-    // the conservative parallel core. Only the std::-qualified spelling is
-    // the banned API — `my::mutex` or a member named `thread` is not.
+    // deterministic-event contract, and the simulation is single-threaded.
+    // Only the std::-qualified spelling is the banned API — `my::mutex` or a
+    // member named `thread` is not.
     if (!threading_ok && ThreadingIdents().count(t) > 0 && i >= 2 &&
         prev_punct(i, "::") && toks[i - 2].kind == Kind::kIdent &&
         toks[i - 2].text == "std") {
       ctx.Report(toks[i].line, kRuleBannedApi,
-                 "threading primitive 'std::" + t + "' outside "
-                 "src/sim/parallel/; deterministic simulation code must not "
-                 "synchronize — route parallelism through the conservative "
-                 "core (DESIGN.md §14)");
+                 "threading primitive 'std::" + t + "' outside the "
+                 "threading allowlist; deterministic simulation code must "
+                 "not synchronize");
       continue;
     }
 
@@ -296,8 +293,8 @@ void CheckBannedApi(const CheckContext& ctx) {
       for (const std::string& hdr : ThreadingHeaders()) {
         if (text.find(hdr) != std::string::npos) {
           ctx.Report(line, kRuleBannedApi,
-                     "threading header #include " + hdr + " outside "
-                     "src/sim/parallel/ (DESIGN.md §14)");
+                     "threading header #include " + hdr + " outside the "
+                     "threading allowlist");
         }
       }
     }
@@ -670,78 +667,12 @@ void CheckHotPathAlloc(const CheckContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// domain-confinement (cross-file; DESIGN.md §14)
+// domain-confinement (cross-file)
 // ---------------------------------------------------------------------------
 
-/// True when the token after member index `i` mutates it: plain assignment
-/// (not `==`, which the lexer emits as two '=' tokens), compound assignment,
-/// or postfix increment/decrement.
-bool IsWriteAfter(const std::vector<Token>& toks, std::size_t i) {
-  if (i + 1 >= toks.size() || toks[i + 1].kind != Kind::kPunct) return false;
-  const std::string& a = toks[i + 1].text;
-  const bool b_punct = i + 2 < toks.size() && toks[i + 2].kind == Kind::kPunct;
-  const std::string b = b_punct ? toks[i + 2].text : "";
-  if (a == "=") return b != "=";
-  if ((a == "+" || a == "-" || a == "*" || a == "/" || a == "%" ||
-       a == "&" || a == "|" || a == "^") &&
-      b == "=") {
-    return true;
-  }
-  if (a == "+" && b == "+") return true;
-  if (a == "-" && b == "-") return true;
-  return false;
-}
-
-/// Per-file half of domain-confinement: SpscMailbox plumbing outside the
-/// parallel core, and writes to members the index attributes exclusively to
-/// src/sim/parallel/ types. (The mutable-global half walks the index once,
-/// in AppendDomainConfinementGlobals.)
-void CheckDomainConfinement(const CheckContext& ctx) {
-  if (!ctx.RuleEnabled(kRuleDomainConfinement)) return;
-  const std::string& path = *ctx.path;
-  if (!StartsWith(path, "src/")) return;
-  const bool in_core = StartsWith(path, "src/sim/parallel/");
-  if (in_core) return;  // the core is where crossing is legal, argued once
-  const auto& toks = ctx.lex->tokens;
-
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != Kind::kIdent) continue;
-    const std::string& t = toks[i].text;
-
-    // Mailbox plumbing is the cross-domain mechanism itself; only the core
-    // (and the coordinator living there) may touch it.
-    if (t == "SpscMailbox") {
-      ctx.Report(toks[i].line, kRuleDomainConfinement,
-                 "SpscMailbox outside src/sim/parallel/; cross-domain "
-                 "messaging must go through Domain::Send so lookahead "
-                 "windows stay conservative (DESIGN.md §14)");
-      continue;
-    }
-
-    // `expr.member_ = ...` where `member_` belongs exclusively to types
-    // declared in src/sim/parallel/: domain-private bookkeeping mutated
-    // from outside the core, i.e. a statically visible confinement break.
-    // Names declared by types in more than one directory never decide
-    // ownership (false negatives over false positives).
-    if (EndsWith(t, "_") && i > 0 && toks[i - 1].kind == Kind::kPunct &&
-        (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
-        IsWriteAfter(toks, i)) {
-      auto it = ctx.index->member_owner_dirs.find(t);
-      if (it != ctx.index->member_owner_dirs.end() &&
-          it->second.size() == 1 &&
-          *it->second.begin() == "src/sim/parallel") {
-        ctx.Report(toks[i].line, kRuleDomainConfinement,
-                   "write to '" + t + "', a member owned by the parallel "
-                   "core, from outside src/sim/parallel/; domain state may "
-                   "only change inside its own domain (DESIGN.md §14)");
-      }
-    }
-  }
-}
-
-/// Index-walking half of domain-confinement: mutable namespace-scope state
-/// and non-const function-local statics anywhere under src/ are reachable
-/// from every domain at once and therefore race under FV_SIM_THREADS > 1.
+/// Mutable namespace-scope state and non-const function-local statics
+/// anywhere under src/ outlive the simulation that wrote them: every engine
+/// in the process shares them, so a run could depend on the runs before it.
 void AppendDomainConfinementGlobals(
     const SymbolIndex& index, const Options& opts,
     const std::map<std::string, std::size_t>& file_idx,
@@ -760,10 +691,10 @@ void AppendDomainConfinementGlobals(
                                  : "mutable namespace-scope variable '";
     (*per_file)[it->second].push_back(Diagnostic{
         v.file, v.line, kRuleDomainConfinement,
-        what + v.name + "' is shared across event domains and races under "
-        "FV_SIM_THREADS > 1; make it const, move it into domain-owned "
-        "state, or carry a named suppression arguing why it is host-side "
-        "only (DESIGN.md §14)"});
+        what + v.name + "' is process-wide state shared by every "
+        "simulation in the process; make it const, move it into the object "
+        "that owns it, or carry a named suppression arguing why it is "
+        "host-side only (DESIGN.md §11)"});
   }
 }
 
@@ -972,7 +903,6 @@ std::vector<Diagnostic> Analyze(const std::vector<FileInput>& files,
     CheckPoolEscape(ctx);
     CheckDocCoverage(ctx);
     CheckHotPathAlloc(ctx);
-    CheckDomainConfinement(ctx);
   });
 
   // Pass 2b: cross-file rules walk the index once and file their findings

@@ -10,7 +10,7 @@ namespace fvcheck {
 /// Names of the project-invariant rules (DESIGN.md §11):
 ///  - "banned-api":       wall clocks, randomness, exceptions in src/, and
 ///                        raw threading primitives (std::thread/mutex/atomic
-///                        &c.) outside the parallel-core allowlist
+///                        &c.) outside the threading allowlist
 ///  - "unchecked-status": discarded Status/Result<T> call results
 ///  - "simtime-mixing":   SimTime arithmetic with std::chrono or raw literals
 ///  - "pool-escape":      pooled pointers stored beyond the event lifetime
@@ -19,9 +19,7 @@ namespace fvcheck {
 ///                        growth under src/sim, src/net, src/operators
 /// Cross-file rules (run against the pass-1 symbol index, index.h):
 ///  - "domain-confinement":   mutable namespace-scope state / function-local
-///                            statics under src/, SpscMailbox plumbing, and
-///                            writes to parallel-core-owned members outside
-///                            src/sim/parallel/ (DESIGN.md §14)
+///                            statics under src/
 ///  - "config-coupling":      calibrated constants in the four config
 ///                            headers must be referenced by EXPERIMENTS.md
 ///                            or a test (the CLAUDE.md constants contract)
@@ -70,11 +68,10 @@ struct Options {
 
   /// Repo-relative path prefixes allowed to use raw threading primitives
   /// (std::thread, std::mutex, std::atomic, std::condition_variable and
-  /// their headers). Everything else must stay single-threaded — event
-  /// determinism (DESIGN.md §14) is enforced by keeping synchronization
-  /// confined to the conservative parallel core. Exact files with a vetted
-  /// one-off (e.g. the log-level atomic) carry a named inline suppression
-  /// instead of an entry here.
+  /// their headers): only fvcheck's own --jobs pool. Everything else must
+  /// stay single-threaded, which is what keeps event order deterministic.
+  /// Exact files with a vetted one-off (e.g. the log-level atomic) carry a
+  /// named inline suppression instead of an entry here.
   std::vector<std::string> threading_allowlist_prefixes =
       DefaultThreadingAllowlist();
 

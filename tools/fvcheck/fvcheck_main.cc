@@ -5,7 +5,7 @@
 // Status/Result error discipline, SimTime unit hygiene, pooled-lifetime
 // annotations, doc coverage on public headers, the hot-path memory
 // discipline (DESIGN.md §8a), and the cross-file analyses built on the
-// pass-1 symbol index (index.h): domain confinement for the parallel core,
+// pass-1 symbol index (index.h): domain confinement of mutable globals,
 // config-constant coupling, and stale-suppression hygiene.
 //
 // Usage:

@@ -3,6 +3,7 @@
 // plus the wall-clock allowlist self-check over the real tree.
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -40,22 +41,6 @@ int CountRule(const std::vector<Diagnostic>& diags, const std::string& rule) {
   return static_cast<int>(
       std::count_if(diags.begin(), diags.end(),
                     [&](const Diagnostic& d) { return d.rule == rule; }));
-}
-
-/// Multi-file variant for the cross-file rules: each (fixture, pretend
-/// path) pair joins one batch, so the pass-1 index sees them together.
-std::vector<Diagnostic> AnalyzeFixtureBatch(
-    const std::vector<std::pair<std::string, std::string>>& fixtures,
-    Options opts = Options()) {
-  std::vector<FileInput> inputs;
-  for (const auto& [fixture, pretend] : fixtures) {
-    FileInput input;
-    EXPECT_TRUE(ReadFileInput(FVCHECK_TESTDATA_DIR, fixture, &input))
-        << "missing fixture " << fixture;
-    input.path = pretend;
-    inputs.push_back(std::move(input));
-  }
-  return Analyze(inputs, opts);
 }
 
 std::string Dump(const std::vector<Diagnostic>& diags) {
@@ -152,12 +137,14 @@ TEST(ThreadingBanTest, NegativeFixtureStaysClean) {
       << (diags.empty() ? "" : diags[0].message);
 }
 
-TEST(ThreadingBanTest, ParallelCoreIsAllowlisted) {
+TEST(ThreadingBanTest, OnlyFvcheckIsAllowlisted) {
+  EXPECT_EQ(Options::DefaultThreadingAllowlist(),
+            std::vector<std::string>{"tools/fvcheck/"});
   auto diags = AnalyzeFixture("threading_bad.cc",
-                              "src/sim/parallel/threading_bad.cc");
+                              "tools/fvcheck/threading_bad.cc");
   for (const auto& d : diags) {
     EXPECT_EQ(d.message.find("threading"), std::string::npos)
-        << "threading ban must not apply under src/sim/parallel/: "
+        << "threading ban must not apply under tools/fvcheck/: "
         << d.message;
   }
 }
@@ -298,16 +285,14 @@ TEST(TreeSelfCheckTest, AllowlistedFilesAreTheOnlyWallClockUsers) {
   // The detector provably sees the known users (guards against the check
   // rotting into a vacuous pass).
   EXPECT_EQ(wall_clock_users.count("bench/perf_simcore.cc"), 1u);
-  EXPECT_EQ(wall_clock_users.count("bench/ext_megaclient.cc"), 1u);
 }
 
-// Threading-ban self-check (DESIGN.md §14): with the allowlist emptied and
-// suppressions audited through, every threading finding in the real tree
-// must land under src/sim/parallel/ — or in src/common/logging.cc, whose
-// single log-level atomic carries a named inline suppression. Nobody can
-// sneak a mutex into the simulation without editing the allowlist or this
-// test.
-TEST(TreeSelfCheckTest, ParallelCoreIsTheOnlyThreadingUser) {
+// Threading-ban self-check: with the allowlist emptied and suppressions
+// audited through, the only threading finding outside fvcheck's own --jobs
+// pool is src/common/logging.cc, whose single log-level atomic carries a
+// named inline suppression. Nobody can sneak a thread or a mutex into
+// src/, bench/, tests/ or examples/ without editing this test.
+TEST(TreeSelfCheckTest, SimulationCodeIsSingleThreaded) {
   const std::string root = FVCHECK_SOURCE_ROOT;
   const std::vector<std::string> files = CollectSourceFiles(
       root, {"src", "tests", "bench", "tools", "examples"});
@@ -327,25 +312,12 @@ TEST(TreeSelfCheckTest, ParallelCoreIsTheOnlyThreadingUser) {
 
   std::set<std::string> threading_users;
   for (const Diagnostic& d : Analyze(inputs, opts)) {
-    if (d.message.find("threading") != std::string::npos) {
+    if (d.message.find("threading") != std::string::npos &&
+        d.file.rfind("tools/fvcheck/", 0) != 0) {
       threading_users.insert(d.file);
     }
   }
-
-  const std::set<std::string> suppressed_ok = {"src/common/logging.cc"};
-  for (const std::string& user : threading_users) {
-    EXPECT_TRUE(user.rfind("src/sim/parallel/", 0) == 0 ||
-                user.rfind("tools/fvcheck/", 0) == 0 ||  // --jobs worker pool
-                suppressed_ok.count(user) > 0)
-        << user << " uses threading primitives but is neither under "
-        << "src/sim/parallel/, tools/fvcheck/, nor a named suppression "
-        << "carrier";
-  }
-  // Non-vacuous: the detector provably sees the parallel core, fvcheck's
-  // own worker pool, and the suppressed one-off.
-  EXPECT_EQ(threading_users.count("src/sim/parallel/partition.h"), 1u);
-  EXPECT_EQ(threading_users.count("tools/fvcheck/checks.cc"), 1u);
-  EXPECT_EQ(threading_users.count("src/common/logging.cc"), 1u);
+  EXPECT_EQ(threading_users, std::set<std::string>{"src/common/logging.cc"});
 }
 
 // Satellite spot check (ISSUE 5): the replication layer is where a
@@ -458,44 +430,38 @@ TEST(LexerTest, BackslashSplices) {
 
 // --- Symbol index (pass 1) -------------------------------------------------
 
-TEST(IndexTest, CrossFileTypesMembersAndOwnership) {
-  FileInput core;
-  FileInput other;
-  ASSERT_TRUE(ReadFileInput(FVCHECK_TESTDATA_DIR, "domain_confinement_core.h",
-                            &core));
+TEST(IndexTest, CrossFileTypesMembersAndVars) {
+  FileInput ok;
+  FileInput bad;
   ASSERT_TRUE(ReadFileInput(FVCHECK_TESTDATA_DIR, "domain_confinement_ok.cc",
-                            &other));
-  const std::vector<std::string> paths = {"src/sim/parallel/fake_core.h",
-                                          "src/fv/domain_confinement_ok.cc"};
-  const std::vector<LexedFile> lexed = {Lex(core.content), Lex(other.content)};
+                            &ok));
+  ASSERT_TRUE(ReadFileInput(FVCHECK_TESTDATA_DIR, "domain_confinement_bad.cc",
+                            &bad));
+  const std::vector<std::string> paths = {"src/fv/domain_confinement_ok.cc",
+                                          "src/fv/domain_confinement_bad.cc"};
+  const std::vector<LexedFile> lexed = {Lex(ok.content), Lex(bad.content)};
   const SymbolIndex index = BuildIndex(paths, lexed);
 
-  const IndexType* domain = index.FindType("FakeDomain");
-  ASSERT_NE(domain, nullptr);
-  EXPECT_EQ(domain->file, "src/sim/parallel/fake_core.h");
-  EXPECT_NE(domain->FindMember("fake_send_seq_"), nullptr);
-  // Member functions are not data members.
-  EXPECT_EQ(domain->FindMember("Tick"), nullptr);
-
-  // Ownership: each file's members map to exactly its directory.
-  auto own = index.member_owner_dirs.find("fake_send_seq_");
-  ASSERT_NE(own, index.member_owner_dirs.end());
-  ASSERT_EQ(own->second.size(), 1u);
-  EXPECT_EQ(*own->second.begin(), "src/sim/parallel");
-  auto other_own = index.member_owner_dirs.find("other_count_");
-  ASSERT_NE(other_own, index.member_owner_dirs.end());
-  EXPECT_EQ(other_own->second, std::set<std::string>{"src/fv"});
-
-  // Types and namespace-scope variables from the second file.
   const IndexType* fake_other = index.FindType("FakeOther");
   ASSERT_NE(fake_other, nullptr);
   EXPECT_EQ(fake_other->file, "src/fv/domain_confinement_ok.cc");
-  EXPECT_EQ(index.file_dir.at("src/fv/domain_confinement_ok.cc"), "src/fv");
-  bool saw_const_global = false;
-  for (const IndexVar& v : index.vars) {
-    if (v.name == "kTickLimit") saw_const_global = v.is_const;
-  }
-  EXPECT_TRUE(saw_const_global);
+  EXPECT_NE(fake_other->FindMember("other_count_"), nullptr);
+  // Member functions are not data members.
+  EXPECT_EQ(fake_other->FindMember("Tick"), nullptr);
+
+  // Namespace-scope variables and function-local statics from both files.
+  std::map<std::string, IndexVar> vars;
+  for (const IndexVar& v : index.vars) vars[v.name] = v;
+  ASSERT_EQ(vars.count("kTickLimit"), 1u);
+  EXPECT_TRUE(vars["kTickLimit"].is_const);
+  ASSERT_EQ(vars.count("g_declared_elsewhere"), 1u);
+  EXPECT_TRUE(vars["g_declared_elsewhere"].is_extern_decl);
+  ASSERT_EQ(vars.count("g_tick_count"), 1u);
+  EXPECT_EQ(vars["g_tick_count"].file, "src/fv/domain_confinement_bad.cc");
+  EXPECT_FALSE(vars["g_tick_count"].is_const);
+  EXPECT_FALSE(vars["g_tick_count"].is_static_local);
+  ASSERT_EQ(vars.count("cached_calls"), 1u);
+  EXPECT_TRUE(vars["cached_calls"].is_static_local);
 }
 
 // --- domain-confinement ----------------------------------------------------
@@ -503,26 +469,17 @@ TEST(IndexTest, CrossFileTypesMembersAndOwnership) {
 TEST(DomainConfinementTest, PositiveFixtureCatchesEveryClass) {
   Options opts;
   opts.enabled_rules = {kRuleDomainConfinement};
-  auto diags = AnalyzeFixtureBatch(
-      {{"domain_confinement_core.h", "src/sim/parallel/fake_core.h"},
-       {"domain_confinement_bad.cc", "src/fv/domain_confinement_bad.cc"}},
-      opts);
-  // 1 mutable global + 1 function-local static + 1 SpscMailbox
-  // + 3 member writes (plain =, +=, ++).
-  EXPECT_EQ(CountRule(diags, kRuleDomainConfinement), 6) << Dump(diags);
-  // The core file itself carries none of them.
-  for (const Diagnostic& d : diags) {
-    EXPECT_EQ(d.file, "src/fv/domain_confinement_bad.cc") << Dump(diags);
-  }
+  auto diags = AnalyzeFixture("domain_confinement_bad.cc",
+                              "src/fv/domain_confinement_bad.cc", opts);
+  // 1 mutable global + 1 function-local static.
+  EXPECT_EQ(CountRule(diags, kRuleDomainConfinement), 2) << Dump(diags);
 }
 
 TEST(DomainConfinementTest, NegativeFixtureStaysClean) {
   Options opts;
   opts.enabled_rules = {kRuleDomainConfinement};
-  auto diags = AnalyzeFixtureBatch(
-      {{"domain_confinement_core.h", "src/sim/parallel/fake_core.h"},
-       {"domain_confinement_ok.cc", "src/fv/domain_confinement_ok.cc"}},
-      opts);
+  auto diags = AnalyzeFixture("domain_confinement_ok.cc",
+                              "src/fv/domain_confinement_ok.cc", opts);
   EXPECT_TRUE(diags.empty()) << Dump(diags);
 }
 
@@ -530,10 +487,8 @@ TEST(DomainConfinementTest, OnlyAppliesUnderSrc) {
   Options opts;
   opts.enabled_rules = {kRuleDomainConfinement};
   // The same breaks under tests/ are fine — harnesses are host-side.
-  auto diags = AnalyzeFixtureBatch(
-      {{"domain_confinement_core.h", "src/sim/parallel/fake_core.h"},
-       {"domain_confinement_bad.cc", "tests/domain_confinement_bad.cc"}},
-      opts);
+  auto diags = AnalyzeFixture("domain_confinement_bad.cc",
+                              "tests/domain_confinement_bad.cc", opts);
   EXPECT_TRUE(diags.empty()) << Dump(diags);
 }
 

@@ -17,10 +17,6 @@ bool IsIdent(const Token& t, const char* name) {
 bool IsUpperCamel(const std::string& s) {
   return !s.empty() && s[0] >= 'A' && s[0] <= 'Z';
 }
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 /// Advances past a balanced token pair starting at `i` (which must hold
 /// `open`); returns the index one past the matching closer, or `limit` when
@@ -442,21 +438,7 @@ SymbolIndex BuildIndex(const std::vector<std::string>& paths,
                        const std::vector<LexedFile>& lexed) {
   SymbolIndex idx;
   for (std::size_t i = 0; i < paths.size() && i < lexed.size(); ++i) {
-    const std::size_t slash = paths[i].rfind('/');
-    idx.file_dir[paths[i]] =
-        slash == std::string::npos ? "" : paths[i].substr(0, slash);
     FileWalker(paths[i], lexed[i], &idx).Run();
-  }
-
-  // Trailing-underscore member → owning directories. Only names owned by a
-  // single directory can identify that directory's state.
-  for (const auto& [qual, ty] : idx.types) {
-    const std::string& dir = idx.file_dir[ty.file];
-    for (const IndexMember& m : ty.members) {
-      if (EndsWith(m.name, "_")) {
-        idx.member_owner_dirs[m.name].insert(dir);
-      }
-    }
   }
 
   // Function return types (consumed by unchecked-status).

@@ -62,16 +62,6 @@ struct SymbolIndex {
   /// Namespace-scope variables and function-local statics, in file order.
   std::vector<IndexVar> vars;
 
-  /// File → owning directory ("src/sim/parallel" for
-  /// "src/sim/parallel/mailbox.h"; "" for a bare filename).
-  std::map<std::string, std::string> file_dir;
-
-  /// Trailing-underscore data-member name → set of directories owning a
-  /// type that declares it. A name owned by exactly one directory
-  /// identifies that directory's state unambiguously; names declared in
-  /// several directories are never used for ownership decisions.
-  std::map<std::string, std::set<std::string>> member_owner_dirs;
-
   /// CamelCase function names declared (anywhere in the batch) to return
   /// Status / Result<T> by value...
   std::set<std::string> status_fns;

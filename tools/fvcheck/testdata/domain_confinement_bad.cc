@@ -1,14 +1,9 @@
-// Fixture: every class of confinement break outside src/sim/parallel/ —
-// a mutable namespace-scope counter, a function-local static, mailbox
-// plumbing, and writes (plain, compound, increment) to core-owned members.
+// Fixture: both classes of confinement break — a mutable namespace-scope
+// counter and a function-local static, state every simulation in the
+// process would share.
 int g_tick_count = 0;
 
-SpscMailbox* StealMailbox();
-
-void Touch(FakeDomain* d) {
+void Touch() {
   static int cached_calls = 0;
-  d->fake_send_seq_ = 7;
-  d->fake_cross_count_ += 1;
-  d->fake_send_seq_++;
   cached_calls = cached_calls + 1;
 }

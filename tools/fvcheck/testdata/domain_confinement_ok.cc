@@ -1,17 +1,16 @@
 // Fixture: look-alikes that must stay clean — const/constexpr globals, an
-// extern declaration, reads and comparisons of core-owned members, and a
-// write to a member a *local* type owns (not exclusive to the core).
+// extern declaration, and mutable state owned by an object.
 const int kTickLimit = 64;
 constexpr double kRate = 2.5;
 extern int g_declared_elsewhere;
 
 class FakeOther {
  public:
+  void Tick();
   unsigned other_count_ = 0;
 };
 
-int Observe(const FakeDomain& d, FakeOther* o) {
-  if (d.fake_send_seq_ == 3) return 1;
+int Observe(FakeOther* o) {
   o->other_count_ = 2;
-  return static_cast<int>(d.fake_cross_count_);
+  return kTickLimit;
 }

@@ -1,5 +1,5 @@
 // Positive fixture for the threading-primitive ban: every class of raw
-// std:: synchronization that must stay confined to src/sim/parallel/.
+// std:: synchronization that must stay out of the single-threaded tree.
 #include <atomic>              // banned header
 #include <condition_variable>  // banned header
 #include <mutex>               // banned header
