@@ -18,7 +18,9 @@
 //                  far-future events stressing the calendar overflow).
 // The layer workloads below them (failover, shardout, overload) add the
 // replication, routing and admission event mixes, and far_future_drain
-// isolates the event queue's far-future overflow.
+// isolates the event queue's far-future overflow. node_build runs no events:
+// it times building and destroying one default node, the set-up cost every
+// sweep point and most tests pay.
 //
 // Per workload the harness reports simulated events executed, wall time,
 // events/sec, ns/event, and — when the counting allocator hook is linked and
@@ -116,7 +118,7 @@ Measurement RunFig12Multiclient() {
         gen.WithDistinct(Schema::DefaultWideRow(), kRows, 0, 32, 100);
     FV_CHECK(t.ok()) << t.status().message();
     FTable ft;
-    ft.name = "t" + std::to_string(i);
+    ft.name = std::string("t").append(std::to_string(i));
     ft.schema = t.value().schema();
     ft.num_rows = kRows;
     FV_CHECK(clients[static_cast<size_t>(i)]->AllocTableMem(&ft).ok());
@@ -400,6 +402,15 @@ Measurement RunFarFutureDrain() {
   return Measure("far_future_drain", engine, [&] { engine.Run(); });
 }
 
+/// Node build: constructs and destroys one default FarviewNode (2 x 512 MiB
+/// of DRAM). No events run, so the row's only number is its host time,
+/// advisory like every wall-clock column.
+Measurement RunNodeBuild() {
+  sim::Engine engine;
+  return Measure("node_build", engine,
+                 [&] { FarviewNode node(&engine, FarviewConfig{}); });
+}
+
 std::string JsonReport(const std::vector<Measurement>& ms) {
   std::string out = "{\n  \"schema\": \"fv-perf-simcore-v1\",\n";
   out += "  \"alloc_hook\": ";
@@ -468,6 +479,7 @@ void Run() {
   if (Selected("far_future_drain")) {
     ms.push_back(BestOf(reps, RunFarFutureDrain));
   }
+  if (Selected("node_build")) ms.push_back(BestOf(reps, RunNodeBuild));
 
   std::printf("Simulator core performance (wall clock; machine-dependent)\n");
   std::printf("%-20s %12s %10s %12s %10s %12s\n", "workload", "events",

@@ -11,7 +11,8 @@
 #     committed baseline row; a new workload lands together with its entry.
 #   - events_per_sec: WARNING only. Wall-clock numbers are machine-dependent;
 #     a drop of more than FV_PERF_TOLERANCE (default 0.30 = 30%) below the
-#     committed baseline is reported loudly but does not fail the run.
+#     committed baseline is reported loudly but does not fail the run. Rows
+#     that run no events (node_build) compare wall time the same way.
 #
 # Usage: bench_report.sh <build_dir> [out_json]
 #   build_dir: a Release build containing bench/perf_simcore
@@ -62,12 +63,20 @@ for name, b in base.items():
         print(f"{name:<20} {'':>14} {'MISSING':>14}")
         fail = True
         continue
-    ratio = c["events_per_sec"] / b["events_per_sec"]
+    if b["events"] > 0:
+        ratio = c["events_per_sec"] / b["events_per_sec"]
+        base_col = f"{b['events_per_sec']:>14,.0f}"
+        cur_col = f"{c['events_per_sec']:>14,.0f}"
+    else:
+        # No events, so no events/sec: the speed ratio is the wall-time
+        # ratio, and the columns show wall ms.
+        ratio = b["wall_ns"] / c["wall_ns"] if c["wall_ns"] > 0 else 0.0
+        base_col = f"{b['wall_ns'] / 1e6:>11,.3f} ms"
+        cur_col = f"{c['wall_ns'] / 1e6:>11,.3f} ms"
     flag = ""
     if ratio < 1.0 - tol:
         flag = "  << SLOWDOWN (warning, not gated)"
-    print(f"{name:<20} {b['events_per_sec']:>14,.0f} "
-          f"{c['events_per_sec']:>14,.0f} {ratio:>6.2f}x "
+    print(f"{name:<20} {base_col} {cur_col} {ratio:>6.2f}x "
           f"{c['allocs_per_event']:>10.3f}{flag}")
     if c["events"] != b["events"]:
         print(f"FAIL: {name}: event count changed: "

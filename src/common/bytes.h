@@ -11,6 +11,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include <sys/mman.h>
+
+#include "common/logging.h"
+
 namespace farview {
 
 /// Process-wide recycler for large payload blocks.
@@ -32,6 +36,12 @@ namespace farview {
 /// malloc's fast bins that is the dominant allocs/event term on fig12
 /// (DESIGN.md §8a). A class free list turns the steady state into pure
 /// pointer pops with zero allocator traffic.
+///
+/// Zeroed stores (AcquireZeroed / ReleaseZeroed) are a third kind: large,
+/// sparsely written, zero-initialized memory such as a node's DRAM frame
+/// store (mem/physical_memory.h). They come from anonymous private
+/// mappings, which the kernel zero-fills page by page on first touch, and
+/// are parked for reuse only once their owner has re-zeroed what it wrote.
 ///
 /// Single-threaded by design, like the rest of the simulator. Pool state
 /// never feeds back into simulated behavior — only wall-clock speed.
@@ -64,12 +74,20 @@ class ByteBlockPool {
     return kMinClassBytes << c;
   }
 
+  ByteBlockPool() = default;
+
+  ByteBlockPool(const ByteBlockPool&) = delete;
+  ByteBlockPool& operator=(const ByteBlockPool&) = delete;
+
   ~ByteBlockPool() {
     for (auto& [size, blocks] : free_) {
       for (void* p : blocks) ::operator delete(p);
     }
     for (auto& blocks : class_free_) {
       for (void* p : blocks) ::operator delete(p);
+    }
+    for (auto& [size, stores] : zeroed_) {
+      for (uint8_t* p : stores) ::munmap(p, size);
     }
   }
 
@@ -129,6 +147,45 @@ class ByteBlockPool {
     ::operator delete(p);
   }
 
+  /// Returns `n` bytes (n > 0) that read as zero: a parked store of
+  /// exactly `n` bytes when one is held, else a fresh anonymous mapping.
+  /// A fresh mapping costs nothing per byte up front; only the pages its
+  /// owner touches become resident. Pair with ReleaseZeroed, never with
+  /// Deallocate.
+  [[nodiscard]] uint8_t* AcquireZeroed(std::size_t n) {
+    auto it = zeroed_.find(n);
+    if (it != zeroed_.end() && !it->second.empty()) {
+      uint8_t* p = it->second.back();
+      it->second.pop_back();
+      held_ -= n;
+      return p;
+    }
+    void* p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    FV_CHECK(p != MAP_FAILED) << "cannot map a " << n << "-byte store";
+    return static_cast<uint8_t*>(p);
+  }
+
+  /// Takes back a store from AcquireZeroed(n). If it fits under
+  /// kMaxHeldBytes it is parked, touched pages still resident, after
+  /// `scrub()` has re-zeroed every byte its owner wrote; otherwise it is
+  /// unmapped and `scrub` does not run. Under FV_POOL_POISON stores are
+  /// always unmapped: a parked store must read zero, so it cannot carry
+  /// poison, and a stale access to an unmapped one faults.
+  template <typename Scrub>
+  void ReleaseZeroed(uint8_t* p, std::size_t n,
+                     [[maybe_unused]] Scrub&& scrub) {
+#ifndef FV_POOL_POISON
+    if (held_ + n <= kMaxHeldBytes) {
+      scrub();
+      zeroed_[n].push_back(p);
+      held_ += n;
+      return;
+    }
+#endif
+    ::munmap(p, n);
+  }
+
   static ByteBlockPool& Global() {
     // Magic-static singleton. Host-side state only: which blocks the pool
     // holds never feeds back into simulated time or output bytes, so runs
@@ -142,6 +199,8 @@ class ByteBlockPool {
  private:
   std::unordered_map<std::size_t, std::vector<void*>> free_;
   std::array<std::vector<void*>, kNumClasses> class_free_;
+  /// Parked zeroed stores, keyed by exact byte count; all read zero.
+  std::unordered_map<std::size_t, std::vector<uint8_t*>> zeroed_;
   std::size_t held_ = 0;
 };
 

@@ -13,10 +13,22 @@ namespace farview {
 /// array divided into fixed-size frames handed out by a free-list
 /// allocator. Channel interleaving is a *timing* concern handled by the
 /// MemoryController; functionally the frames are plain bytes.
+///
+/// The store is lazily zeroed (ByteBlockPool::AcquireZeroed): experiments
+/// touch a small part of the board's capacity, so building a node costs
+/// nothing per byte, and only pages that are touched become resident.
+/// WritePhysical, the store's only writer, records the byte extent written
+/// in each frame since it was last all zero; scrub-on-free and the
+/// destructor zero just that extent, which keeps every other byte zero
+/// untouched and lets the pool hand the store, all zero again, to the next
+/// node of the same size (DESIGN.md §8).
 class PhysicalMemory {
  public:
   /// `capacity` is rounded down to a whole number of `frame_bytes` frames.
   PhysicalMemory(uint64_t capacity, uint64_t frame_bytes);
+
+  /// Hands the store back to ByteBlockPool, scrubbed if it is parked.
+  ~PhysicalMemory();
 
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
@@ -24,7 +36,8 @@ class PhysicalMemory {
   /// Allocates one frame; returns its index. Fails when memory is full.
   Result<uint64_t> AllocFrame();
 
-  /// Returns a frame to the free list. Fails on double free / bad index.
+  /// Returns a frame to the free list, zeroing what was written to it.
+  /// Fails on double free / bad index.
   Status FreeFrame(uint64_t frame);
 
   /// Raw access to physical bytes. `paddr` + `len` must be in range.
@@ -39,16 +52,29 @@ class PhysicalMemory {
   /// Base physical address of a frame.
   uint64_t FrameAddress(uint64_t frame) const { return frame * frame_bytes_; }
 
-  uint64_t capacity() const { return data_.size(); }
+  uint64_t capacity() const { return num_frames_ * frame_bytes_; }
   uint64_t frame_bytes() const { return frame_bytes_; }
   uint64_t num_frames() const { return num_frames_; }
   uint64_t free_frames() const { return free_list_.size(); }
   uint64_t used_frames() const { return num_frames_ - free_list_.size(); }
 
  private:
+  /// Byte range [lo, hi) of a frame, relative to its base, that may hold
+  /// non-zero bytes; empty (lo == hi) while the frame is all zero.
+  struct Extent {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+  };
+
+  /// Zeroes the written extent of `frame` and marks the frame all zero.
+  void Scrub(uint64_t frame);
+
   uint64_t frame_bytes_;
   uint64_t num_frames_;
-  ByteBuffer data_;
+  /// From ByteBlockPool::AcquireZeroed; the destructor releases it.
+  uint8_t* store_;  // fvcheck:owner=pool
+  /// Written extent per frame.
+  std::vector<Extent> written_;
   std::vector<uint64_t> free_list_;
   std::vector<bool> in_use_;
 };

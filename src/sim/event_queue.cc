@@ -12,6 +12,12 @@ inline bool Earlier(SimTime at, uint64_t aseq, SimTime bt, uint64_t bseq) {
   return aseq < bseq;
 }
 
+/// Heap order of the overflow: the std heap algorithms keep the greatest
+/// element at the front, so ordering by "later" puts the earliest there.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return Earlier(b.time, b.seq, a.time, a.seq);
+};
+
 }  // namespace
 
 void EventQueue::Push(SimTime t, uint64_t seq, EventFn&& fn) {
@@ -66,36 +72,19 @@ void EventQueue::PushToBucket(SimTime t, uint64_t seq, EventFn&& fn) {
 }
 
 void EventQueue::PushToOverflow(SimTime t, uint64_t seq, EventFn&& fn) {
-  if (overflow_.empty() ||
-      Earlier(t, seq, overflow_min_time_, overflow_min_seq_)) {
-    overflow_min_time_ = t;
-    overflow_min_seq_ = seq;
-  }
   // fvcheck:allow=hot-path-alloc overflow recycles capacity
   overflow_.emplace_back(t, seq, std::move(fn));
+  std::push_heap(overflow_.begin(), overflow_.end(), kLater);
 }
 
 void EventQueue::MigrateOverflowIntoWindow() {
   const SimTime end = WindowEnd();
-  std::size_t kept = 0;
-  SimTime min_t = 0;
-  uint64_t min_s = 0;
-  for (std::size_t i = 0; i < overflow_.size(); ++i) {
-    Event& ev = overflow_[i];
-    if (ev.time < end) {
-      PushToBucket(ev.time, ev.seq, std::move(ev.fn));
-      continue;
-    }
-    if (kept == 0 || Earlier(ev.time, ev.seq, min_t, min_s)) {
-      min_t = ev.time;
-      min_s = ev.seq;
-    }
-    if (kept != i) overflow_[kept] = std::move(ev);
-    ++kept;
+  while (!overflow_.empty() && overflow_.front().time < end) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), kLater);
+    Event& ev = overflow_.back();
+    PushToBucket(ev.time, ev.seq, std::move(ev.fn));
+    overflow_.pop_back();
   }
-  overflow_.resize(kept);  // fvcheck:allow=hot-path-alloc shrinking compaction
-  overflow_min_time_ = min_t;
-  overflow_min_seq_ = min_s;
 }
 
 void EventQueue::AnchorWindowAt(SimTime t) {
@@ -124,22 +113,23 @@ std::size_t EventQueue::SeekFront(bool commit) {
     // Everything pending lives in the overflow: jump the window forward
     // to the earliest overflow event and pull the next batch in. (No bucket
     // residue to clean — PopNext resets a bucket as its last event pops.)
-    AnchorWindowAt(overflow_min_time_);
+    AnchorWindowAt(overflow_.front().time);
     MigrateOverflowIntoWindow();
   }
-  // Invariant: the cursor never passes `overflow_min_` — before jumping to
-  // a candidate bucket, any overflow event that sorts at or before it is
-  // migrated in first. (Letting the cursor sail past and migrating later
-  // would alias SlotOf() into a lapped bucket and pop the event a whole
-  // window late.) Once the candidate survives the check, every remaining
-  // overflow event lies in a strictly later slot, so the candidate's front
-  // is globally earliest.
+  // Invariant: the cursor never passes the overflow's earliest event —
+  // before jumping to a candidate bucket, any overflow event that sorts at
+  // or before it is migrated in first. (Letting the cursor sail past and
+  // migrating later would alias SlotOf() into a lapped bucket and pop the
+  // event a whole window late.) Once the candidate survives the check,
+  // every remaining overflow event lies in a strictly later slot, so the
+  // candidate's front is globally earliest.
   for (;;) {
     const std::size_t idx = NextOccupied(cur_bucket_);
     const std::size_t dist = (idx - cur_bucket_) & (kNumBuckets - 1);
     const SimTime slot_start =
         win_start_ + static_cast<SimTime>(dist) * kBucketWidth;
-    if (!overflow_.empty() && overflow_min_time_ < slot_start + kBucketWidth) {
+    if (!overflow_.empty() &&
+        overflow_.front().time < slot_start + kBucketWidth) {
       MigrateOverflowIntoWindow();
       continue;
     }

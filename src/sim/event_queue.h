@@ -26,10 +26,11 @@ using EventFn = InlineFn<void()>;
 /// within the window — packet serialization (~82 ns), delivery (1 µs), acks
 /// (1.5 µs), DRAM bursts (tens of ns) — so Push is an O(1) bucket append
 /// and Pop consumes buckets in time order, sorting each small bucket once on
-/// first touch. Level 2 is an unsorted overflow vector for far-future
-/// events (retransmit timeouts, link flaps, idle-client timers); overflow
-/// events migrate into the window in batches, at most once per window span,
-/// when the cursor catches up with `overflow_min_`.
+/// first touch. Level 2 is an overflow (time, seq) min-heap for far-future
+/// events (retransmit timeouts, link flaps, idle-client timers). When the
+/// cursor catches up with the heap's front, the events due inside the
+/// window pop off the heap into their buckets and the rest stay put, so a
+/// far-future event costs O(log N) however many window laps it waits.
 ///
 /// Bucket occupancy is mirrored in a two-level bitmap (64 words + one
 /// summary word), so finding the next non-empty bucket is a couple of
@@ -44,9 +45,10 @@ using EventFn = InlineFn<void()>;
 /// events. The structure is fully deterministic: behavior depends only on
 /// the (time, seq) sequence pushed, never on addresses or capacity.
 ///
-/// Steady-state operation is allocation-free: buckets and the overflow keep
-/// their capacity across laps (tests/sim_test.cc EngineAllocTest pins zero
-/// allocations per event after warm-up).
+/// Steady-state operation is allocation-free: buckets and the overflow heap
+/// keep their capacity across laps (tests/sim_test.cc EngineAllocTest pins
+/// zero allocations per event after warm-up, with and without overflow
+/// traffic).
 class EventQueue {
  public:
   /// Bucket width in picoseconds (power of two, so the slot of a timestamp
@@ -127,11 +129,11 @@ class EventQueue {
   /// already sorted.
   void PushToBucket(SimTime t, uint64_t seq, EventFn&& fn);
 
-  /// Appends to the overflow, maintaining `overflow_min_`.
+  /// Pushes onto the overflow heap.
   void PushToOverflow(SimTime t, uint64_t seq, EventFn&& fn);
 
-  /// Moves every overflow event inside the current window into its bucket;
-  /// recomputes `overflow_min_` from the remainder.
+  /// Pops the overflow events due inside the current window off the heap
+  /// into their buckets, earliest first; later events stay on the heap.
   void MigrateOverflowIntoWindow();
 
   /// Re-anchors the (empty) window so that it starts at `t`'s bucket.
@@ -178,11 +180,8 @@ class EventQueue {
   std::vector<Bucket> buckets_;
   std::array<uint64_t, kOccWords> occ_ = {};
   uint64_t occ_summary_ = 0;
+  /// Far-future events, a (time, seq) min-heap: `front()` is the earliest.
   std::vector<Event> overflow_;
-  /// (time, seq) of the earliest overflow event; meaningful only while the
-  /// overflow is non-empty.
-  SimTime overflow_min_time_ = 0;
-  uint64_t overflow_min_seq_ = 0;
 
   /// Start time of the cursor bucket. All bucketed events lie in
   /// [win_start_, WindowEnd()).

@@ -2,9 +2,11 @@
 // translation) and the memory controller's timing model.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "mem/dram_config.h"
 #include "mem/memory_controller.h"
@@ -67,6 +69,63 @@ TEST(PhysicalMemoryTest, FreedFramesAreScrubbed) {
   uint8_t out[8];
   ASSERT_TRUE(pm.ReadPhysical(pm.FrameAddress(f2.value()), 8, out).ok());
   for (uint8_t b : out) EXPECT_EQ(b, 0);
+}
+
+TEST(PhysicalMemoryTest, FreeFrameAfterPartialWriteLeavesWholeFrameZero) {
+  PhysicalMemory pm(2 * kPage, kPage);
+  Result<uint64_t> f = pm.AllocFrame();
+  ASSERT_TRUE(f.ok());
+  const uint64_t base = pm.FrameAddress(f.value());
+  // Two writes with a gap between them, neither at the frame's edges.
+  const std::vector<uint8_t> ones(4096, 0x11);
+  ASSERT_TRUE(pm.WritePhysical(base + 12345, ones.size(), ones.data()).ok());
+  ASSERT_TRUE(pm.WritePhysical(base + kPage / 2, 7, ones.data()).ok());
+  ASSERT_TRUE(pm.FreeFrame(f.value()).ok());
+  std::vector<uint8_t> out(kPage, 0xff);
+  ASSERT_TRUE(pm.ReadPhysical(base, kPage, out.data()).ok());
+  EXPECT_EQ(out, std::vector<uint8_t>(kPage, 0));
+}
+
+TEST(PhysicalMemoryTest, DefaultNodeStoreIsNotTouchedAtConstruction) {
+  // The default board is 2 x 512 MiB; zero-filling it up front faulted in
+  // all 262,144 of its 4 KiB pages. The store is lazily zeroed, so
+  // building it touches (nearly) none of them.
+  const DramConfig dram;
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  PhysicalMemory pm(dram.TotalCapacity(), kPage);
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_EQ(pm.num_frames(), 512u);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 4096);
+}
+
+TEST(PhysicalMemoryTest, ReleasedStoreReadsZeroWhenAcquiredAgain) {
+  constexpr uint64_t kFrames = 4;
+  const std::vector<uint8_t> pattern(3 * kPage / 2, 0xa5);
+  // (address, length) of every write, one of them spanning frames 1 and 2.
+  const std::vector<std::pair<uint64_t, uint64_t>> writes = {
+      {5, 100}, {kPage + kPage / 2, kPage}, {4 * kPage - 8, 8}};
+  [[maybe_unused]] const uint8_t* first_store = nullptr;
+  {
+    PhysicalMemory pm(kFrames * kPage, kPage);
+    first_store = pm.Span(0, 1).value();
+    for (const auto& [paddr, len] : writes) {
+      ASSERT_TRUE(pm.WritePhysical(paddr, len, pattern.data()).ok());
+    }
+  }
+  PhysicalMemory pm(kFrames * kPage, kPage);
+#ifndef FV_POOL_POISON
+  // The previous owner's store fits under the pool's bound, so it is
+  // parked and handed back; under pool poisoning it is unmapped instead.
+  ASSERT_LE(kFrames * kPage, ByteBlockPool::kMaxHeldBytes);
+  EXPECT_EQ(pm.Span(0, 1).value(), first_store);
+#endif
+  for (const auto& [paddr, len] : writes) {
+    std::vector<uint8_t> out(len, 0xff);
+    ASSERT_TRUE(pm.ReadPhysical(paddr, len, out.data()).ok());
+    EXPECT_EQ(out, std::vector<uint8_t>(len, 0)) << "write at " << paddr;
+  }
 }
 
 // ---------------------------------------------------------------------------

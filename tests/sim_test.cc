@@ -293,7 +293,21 @@ struct ModelLater {
   }
 };
 
-TEST(EngineDifferentialTest, RunUntilAndResetMatchReferenceModel) {
+/// Offset below `near`, or, with probability `far_share`, below `far`.
+/// With `far_share` 0 it draws exactly what `rng.NextBelow(near)` does.
+SimTime DrawOffset(Rng& rng, uint64_t near, double far_share, uint64_t far) {
+  if (far_share > 0 && rng.NextBernoulli(far_share)) {
+    return static_cast<SimTime>(rng.NextBelow(far));
+  }
+  return static_cast<SimTime>(rng.NextBelow(near));
+}
+
+/// Drives an Engine and the reference interpreter through the same random
+/// schedule/RunUntil/Run/Reset script over three seeds and compares the
+/// execution order after every round. Schedule deltas are below 200 ns and
+/// RunUntil spans below 150 ns, except that a `far_share` of each reaches
+/// `far` instead.
+void CheckEngineAgainstModel(int rounds, double far_share, uint64_t far) {
   constexpr SimTime kChildDelta = 777 * kPicosecond;
   for (const uint64_t seed : {3ull, 99ull, 555555ull}) {
     Rng rng(seed);
@@ -333,17 +347,16 @@ TEST(EngineDifferentialTest, RunUntilAndResetMatchReferenceModel) {
       if (!model.empty()) model_now = deadline;
     };
 
-    for (int round = 0; round < 60; ++round) {
+    for (int round = 0; round < rounds; ++round) {
       const int batch = static_cast<int>(rng.NextBelow(6));
       for (int i = 0; i < batch; ++i) {
-        const SimTime t =
-            e.Now() + static_cast<SimTime>(rng.NextBelow(200000));
+        const SimTime t = e.Now() + DrawOffset(rng, 200000, far_share, far);
         schedule(t, rng.NextBernoulli(0.3));
       }
       const uint64_t action = rng.NextBelow(10);
       if (action < 6) {
         const SimTime deadline =
-            e.Now() + static_cast<SimTime>(rng.NextBelow(150000));
+            e.Now() + DrawOffset(rng, 150000, far_share, far);
         const bool drained = e.RunUntil(deadline);
         model_run_until(deadline);
         EXPECT_EQ(drained, model.empty());
@@ -368,6 +381,20 @@ TEST(EngineDifferentialTest, RunUntilAndResetMatchReferenceModel) {
     model_run_until(std::numeric_limits<SimTime>::max());
     EXPECT_EQ(got, want);
   }
+}
+
+TEST(EngineDifferentialTest, RunUntilAndResetMatchReferenceModel) {
+  CheckEngineAgainstModel(/*rounds=*/60, /*far_share=*/0, /*far=*/0);
+}
+
+TEST(EngineDifferentialTest, FarFutureRunUntilMatchesReferenceModel) {
+  // A quarter of the deltas and deadlines reach ~137 ms (~8k calendar
+  // windows), so events wait in the overflow heap and migrate lap after
+  // lap, and a RunUntil that stops short of a far event leaves the cursor
+  // parked at it: the next near schedule then takes the sweep-and-re-anchor
+  // path (EventQueue::SweepWindowIntoOverflow).
+  CheckEngineAgainstModel(/*rounds=*/400, /*far_share=*/0.25,
+                          /*far=*/static_cast<uint64_t>(137 * kMillisecond));
 }
 
 // ---------------------------------------------------------------------------
@@ -409,6 +436,35 @@ TEST(EngineAllocTest, SteadyStateExecutesZeroAllocationsPerEvent) {
   const uint64_t allocs = alloc_counter::allocations() - allocs0;
   EXPECT_GT(events, 50000u);
   EXPECT_EQ(allocs, 0u) << "event core allocated in steady state ("
+                        << events << " events)";
+}
+
+TEST(EngineAllocTest, OverflowHeavySteadyStateExecutesZeroAllocationsPerEvent) {
+  if (!alloc_counter::hook_active()) {
+    GTEST_SKIP() << "counting operator new hook not active in this binary";
+  }
+  constexpr SimTime kWindow =
+      static_cast<SimTime>(EventQueue::kNumBuckets) * EventQueue::kBucketWidth;
+  constexpr int kTimers = 64;
+  Engine e;
+  uint64_t fired = 0;
+  // Every period is a whole number of windows (2 to 9), so each reschedule
+  // lands past the window, waits in the overflow heap and migrates back
+  // into the same bucket slot; phases 8 buckets apart give every timer its
+  // own slot, so no bucket grows after warm-up.
+  for (int i = 0; i < kTimers; ++i) {
+    const SimTime period = (2 + i % 8) * kWindow;
+    e.ScheduleAt(8 * i * EventQueue::kBucketWidth,
+                 PeriodicTimer{&e, period, &fired});
+  }
+  e.RunUntil(20 * kWindow);  // warm-up: grows the heap to kTimers entries
+  const uint64_t allocs0 = alloc_counter::allocations();
+  const uint64_t events0 = e.executed_events();
+  e.RunUntil(2020 * kWindow);
+  const uint64_t events = e.executed_events() - events0;
+  const uint64_t allocs = alloc_counter::allocations() - allocs0;
+  EXPECT_GT(events, 20000u);
+  EXPECT_EQ(allocs, 0u) << "overflow path allocated in steady state ("
                         << events << " events)";
 }
 
