@@ -95,11 +95,6 @@ class FarviewCluster {
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   FarviewNode& node(int r) { return *replicas_[static_cast<size_t>(r)].node; }
 
-  /// Rotation state of replica `r`.
-  ReplicaState replica_state(int r) const {
-    return replicas_[static_cast<size_t>(r)].state;
-  }
-
   /// True when `r` has applied every epoch and may serve routed reads.
   bool InSync(int r) const {
     return replicas_[static_cast<size_t>(r)].state == ReplicaState::kInSync;

@@ -25,15 +25,12 @@ DynamicRegion::DynamicRegion(int region_id, sim::Engine* engine,
 void DynamicRegion::LoadPipeline(Pipeline pipeline,
                                  std::function<void(Status)> done) {
   if (faulted_) {
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      done(Status::Unavailable("region faulted"));
-    });
+    FailSoon(engine_, std::move(done), Status::Unavailable("region faulted"));
     return;
   }
   if (busy_ || reconfiguring_) {
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      done(Status::Unavailable("region busy; cannot reconfigure"));
-    });
+    FailSoon(engine_, std::move(done),
+             Status::Unavailable("region busy; cannot reconfigure"));
     return;
   }
   reconfiguring_ = true;
@@ -49,14 +46,52 @@ void DynamicRegion::LoadPipeline(Pipeline pipeline,
       });
 }
 
-/// Per-request execution state, kept alive by shared_ptr across the event
-/// callbacks of the three stacks.
-struct DynamicRegion::ExecState {
-  /// Lifecycle context of the request being served; stamps are written here
-  /// as the request crosses stack boundaries.
-  RequestContextPtr ctx;
-  bool plain_read = false;
+namespace {
 
+/// Opens `st->tx`: the egress-stream callback of every read-type request.
+/// Each delivered packet counts into `st->result`; the last one stamps the
+/// completion time and the context's delivery fields, then calls
+/// `st->finish`.
+void OpenEgress(NetworkStack* net, const std::shared_ptr<EgressState>& st) {
+  st->tx = net->OpenStream(
+      st->ctx->qp_id, [st](uint64_t bytes, bool last, SimTime t) {
+        st->result.bytes_on_wire += bytes;
+        if (st->result.first_byte_at == 0) st->result.first_byte_at = t;
+        if (!last) return;
+        st->result.completed_at = t;
+        RequestContext& ctx = *st->ctx;
+        ctx.delivered = t;
+        ctx.egress_finished = st->tx->last_link_exit();
+        ctx.bytes_on_wire = st->result.bytes_on_wire;
+        ctx.packets = st->tx->packets_sent();
+        ctx.rows = st->result.rows;
+        st->finish(std::move(st->result));
+      });
+}
+
+}  // namespace
+
+void StreamBypass(MemoryController* memctl, NetworkStack* net,
+                  const std::shared_ptr<EgressState>& st) {
+  OpenEgress(net, st);
+  const FvRequest& request = st->ctx->request;
+  memctl->StreamRead(st->ctx->qp_id, request.vaddr, request.len,
+                     [st](uint64_t bytes, bool last, SimTime t) {
+                       if (st->ctx->first_memory_beat == 0) {
+                         st->ctx->first_memory_beat = t;
+                       }
+                       if (bytes > 0) st->tx->Push(bytes);
+                       if (last) {
+                         st->ctx->operator_done = t;
+                         st->tx->Finish();
+                       }
+                     });
+}
+
+/// Per-request datapath state of the Farview verb, kept alive by
+/// shared_ptr across the event callbacks of the three stacks; the egress
+/// half is the base.
+struct DynamicRegion::ExecState : EgressState {
   /// Functionally materialized input stream (whole tuples, or the
   /// smart-addressing extraction), consumed in order by the datapath.
   ByteBuffer stream;
@@ -66,25 +101,35 @@ struct DynamicRegion::ExecState {
   /// vectorization).
   std::unique_ptr<sim::Server> pipe;
 
-  NetworkStack::StreamHandle tx;
   /// Borrowed from DynamicRegion::parser_ (rebound per request); never
   /// outlives the region.
   StreamParser* parser = nullptr;
 
-  uint64_t mem_bursts_total = 0;
   uint64_t mem_bursts_done = 0;
   uint64_t pipe_chunks_done = 0;
   bool input_done = false;
   bool failed = false;
-
-  FvResult result;
-  std::function<void(Result<FvResult>)> on_result;
 };
 
-void DynamicRegion::EnterBusy(RequestContextPtr& ctx) {
+Status DynamicRegion::Ready() const {
+  if (faulted_) return Status::Unavailable("region faulted");
+  if (busy_ || reconfiguring_) return Status::Unavailable("region busy");
+  return Status::OK();
+}
+
+void DynamicRegion::Begin(const std::shared_ptr<EgressState>& st,
+                          RequestContextPtr ctx,
+                          std::function<void(Result<FvResult>)> on_result) {
   busy_ = true;
   busy_since_ = engine_->Now();
   ctx->region_start = busy_since_;
+  st->ctx = std::move(ctx);
+  st->finish = [this, on_result = std::move(on_result)](
+                   Result<FvResult> res) mutable {
+    ReleaseBusy();
+    if (res.ok()) ++requests_served_;
+    on_result(std::move(res));
+  };
 }
 
 void DynamicRegion::ReleaseBusy() {
@@ -92,70 +137,44 @@ void DynamicRegion::ReleaseBusy() {
   stats_->RecordRegionBusy(region_id_, engine_->Now() - busy_since_);
 }
 
-void DynamicRegion::StampDelivered(const std::shared_ptr<ExecState>& st,
-                                   SimTime t) {
-  st->ctx->delivered = t;
-  st->ctx->egress_finished = st->tx->last_link_exit();
-  st->ctx->bytes_on_wire = st->result.bytes_on_wire;
-  st->ctx->packets = st->tx->packets_sent();
-  st->ctx->rows = st->result.rows;
+Status DynamicRegion::CheckLayout(const FvRequest& request) const {
+  if (!pipeline_.has_value()) {
+    return Status::FailedPrecondition("no pipeline loaded");
+  }
+  if (request.tuple_bytes == 0 || request.len % request.tuple_bytes != 0) {
+    return Status::InvalidArgument("length is not a whole number of tuples");
+  }
+  const uint32_t stream_tuple =
+      request.smart_addressing ? request.sa_access_bytes : request.tuple_bytes;
+  if (stream_tuple != pipeline_->input_schema().tuple_width()) {
+    return Status::InvalidArgument(
+        "pipeline input width does not match the requested tuple layout");
+  }
+  if (request.smart_addressing) {
+    if (request.vectorized) {
+      return Status::InvalidArgument(
+          "smart addressing and vectorization are mutually exclusive");
+    }
+    if (request.sa_access_bytes == 0 ||
+        request.sa_offset + request.sa_access_bytes > request.tuple_bytes) {
+      return Status::InvalidArgument("smart-addressing window out of tuple");
+    }
+  }
+  return Status::OK();
 }
 
 void DynamicRegion::Execute(RequestContextPtr ctx,
                             std::function<void(Result<FvResult>)> on_result) {
   const FvRequest& request = ctx->request;
-  auto fail = [this, &on_result](Status s) {
-    engine_->ScheduleAfter(0, [s, on_result = std::move(on_result)]() {
-      on_result(s);
-    });
-  };
-  if (faulted_) {
-    fail(Status::Unavailable("region faulted"));
+  Status s = Ready();
+  if (s.ok()) s = CheckLayout(request);
+  if (!s.ok()) {
+    FailSoon(engine_, std::move(on_result), std::move(s));
     return;
-  }
-  if (busy_ || reconfiguring_) {
-    fail(Status::Unavailable("region busy"));
-    return;
-  }
-  if (!pipeline_.has_value()) {
-    fail(Status::FailedPrecondition("no pipeline loaded"));
-    return;
-  }
-  if (request.tuple_bytes == 0 || request.len % request.tuple_bytes != 0) {
-    fail(Status::InvalidArgument("length is not a whole number of tuples"));
-    return;
-  }
-  const uint32_t stream_tuple =
-      request.smart_addressing ? request.sa_access_bytes : request.tuple_bytes;
-  if (stream_tuple != pipeline_->input_schema().tuple_width()) {
-    fail(Status::InvalidArgument(
-        "pipeline input width does not match the requested tuple layout"));
-    return;
-  }
-  if (request.smart_addressing) {
-    if (request.vectorized) {
-      fail(Status::InvalidArgument(
-          "smart addressing and vectorization are mutually exclusive"));
-      return;
-    }
-    if (request.sa_access_bytes == 0 ||
-        request.sa_offset + request.sa_access_bytes > request.tuple_bytes) {
-      fail(Status::InvalidArgument("smart-addressing window out of tuple"));
-      return;
-    }
   }
 
   auto st = std::make_shared<ExecState>();
-  st->ctx = ctx;
-  st->on_result = std::move(on_result);
-  st->result.issued_at = ctx->submitted;
-
   // Functional materialization of the input stream (and access check).
-  // `on_result` now lives in the state object, so failures from here on
-  // must route through it, not through `fail`.
-  auto fail_st = [this, st](Status s) {
-    engine_->ScheduleAfter(0, [st, s]() { st->on_result(s); });
-  };
   // Take the recycled buffer (FinishStream returns it): its warm pages make
   // the materialization a single copy pass instead of fault + zero + copy.
   st->stream = std::move(stream_pool_);
@@ -163,47 +182,30 @@ void DynamicRegion::Execute(RequestContextPtr ctx,
   const uint64_t rows = request.len / request.tuple_bytes;
   if (request.smart_addressing) {
     st->stream.resize(rows * request.sa_access_bytes);
-    for (uint64_t r = 0; r < rows; ++r) {
-      const Status s = mmu_->Read(
+    for (uint64_t r = 0; r < rows && s.ok(); ++r) {
+      s = mmu_->Read(
           ctx->client_id,
           request.vaddr + r * request.tuple_bytes + request.sa_offset,
           request.sa_access_bytes,
           st->stream.data() + r * request.sa_access_bytes);
-      if (!s.ok()) {
-        fail_st(s);
-        return;
-      }
     }
   } else {
-    const Status s =
-        mmu_->ReadInto(ctx->client_id, request.vaddr, request.len,
+    s = mmu_->ReadInto(ctx->client_id, request.vaddr, request.len,
                        &st->stream);
-    if (!s.ok()) {
-      fail_st(s);
-      return;
-    }
+  }
+  if (!s.ok()) {
+    FailSoon(engine_, std::move(on_result), std::move(s));
+    return;
   }
 
-  EnterBusy(ctx);
+  Begin(st, ctx, std::move(on_result));
   pipeline_->Reset();
   parser_.Rebind(&pipeline_->input_schema());
   st->parser = &parser_;
   st->pipe = std::make_unique<sim::Server>(
       engine_, "region" + std::to_string(region_id_) + "_pipe",
       config_.PipeRate(request.vectorized));
-
-  st->tx = net_->OpenStream(
-      ctx->qp_id, [this, st](uint64_t bytes, bool last, SimTime t) {
-        st->result.bytes_on_wire += bytes;
-        if (st->result.first_byte_at == 0) st->result.first_byte_at = t;
-        if (last) {
-          st->result.completed_at = t;
-          StampDelivered(st, t);
-          ReleaseBusy();
-          ++requests_served_;
-          st->on_result(std::move(st->result));
-        }
-      });
+  OpenEgress(net_, st);
 
   // Timing: drive the memory stack; each completed burst is handed to the
   // datapath; each datapath completion processes the next chunk of the
@@ -243,8 +245,7 @@ void DynamicRegion::OnBurstProcessed(std::shared_ptr<ExecState> st,
   Result<Batch> out = pipeline_->Process(std::move(batch));
   if (!out.ok()) {
     st->failed = true;
-    ReleaseBusy();
-    st->on_result(out.status());
+    st->finish(out.status());
     return;
   }
   st->result.data.insert(st->result.data.end(), out.value().data.begin(),
@@ -268,8 +269,7 @@ void DynamicRegion::FinishStream(std::shared_ptr<ExecState> st) {
   Result<Batch> flushed = pipeline_->Flush();
   if (!flushed.ok()) {
     st->failed = true;
-    ReleaseBusy();
-    st->on_result(flushed.status());
+    st->finish(flushed.status());
     return;
   }
   const Batch& fb = flushed.value();
@@ -292,62 +292,23 @@ void DynamicRegion::FinishStream(std::shared_ptr<ExecState> st) {
 
 void DynamicRegion::ExecuteRead(
     RequestContextPtr ctx, std::function<void(Result<FvResult>)> on_result) {
-  auto fail = [this, &on_result](Status s) {
-    engine_->ScheduleAfter(0, [s, on_result = std::move(on_result)]() {
-      on_result(s);
-    });
-  };
-  if (faulted_) {
-    fail(Status::Unavailable("region faulted"));
-    return;
-  }
-  if (busy_) {
-    fail(Status::Unavailable("region busy"));
-    return;
-  }
-  auto st = std::make_shared<ExecState>();
-  st->ctx = ctx;
-  st->plain_read = true;
-  st->on_result = std::move(on_result);
-  st->result.issued_at = ctx->submitted;
-  // Plain reads have no parser/datapath stage, so the payload is appended
-  // straight into the result — one copy pass, no scratch buffer and no
-  // value-initializing resize.
-  const Status s = mmu_->ReadInto(ctx->client_id, ctx->request.vaddr,
-                                  ctx->request.len, &st->result.data);
+  Status s = Ready();
   if (!s.ok()) {
-    engine_->ScheduleAfter(0, [s, st]() { st->on_result(s); });
+    FailSoon(engine_, std::move(on_result), std::move(s));
     return;
   }
-
-  EnterBusy(ctx);
-  st->tx = net_->OpenStream(
-      ctx->qp_id, [this, st](uint64_t bytes, bool last, SimTime t) {
-        st->result.bytes_on_wire += bytes;
-        if (st->result.first_byte_at == 0) st->result.first_byte_at = t;
-        if (last) {
-          st->result.completed_at = t;
-          StampDelivered(st, t);
-          ReleaseBusy();
-          ++requests_served_;
-          st->on_result(std::move(st->result));
-        }
-      });
-
-  // Blue bypass path (Figure 3): memory bursts stream straight to the
-  // network stack, no datapath stage — the memory stack's last burst marks
-  // the operator-done stage for plain reads.
-  memctl_->StreamRead(ctx->qp_id, ctx->request.vaddr, ctx->request.len,
-                      [st](uint64_t bytes, bool last, SimTime t) {
-                        if (st->ctx->first_memory_beat == 0) {
-                          st->ctx->first_memory_beat = t;
-                        }
-                        if (bytes > 0) st->tx->Push(bytes);
-                        if (last) {
-                          st->ctx->operator_done = t;
-                          st->tx->Finish();
-                        }
-                      });
+  auto st = std::make_shared<EgressState>();
+  // Plain reads have no parser/datapath stage, so the payload is appended
+  // straight into the result: one copy pass, no scratch buffer and no
+  // value-initializing resize.
+  s = mmu_->ReadInto(ctx->client_id, ctx->request.vaddr, ctx->request.len,
+                     &st->result.data);
+  if (!s.ok()) {
+    FailSoon(engine_, std::move(on_result), std::move(s));
+    return;
+  }
+  Begin(st, std::move(ctx), std::move(on_result));
+  StreamBypass(memctl_, net_, st);
 }
 
 }  // namespace farview

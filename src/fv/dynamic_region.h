@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/bytes.h"
+#include "common/inline_fn.h"
 #include "common/status.h"
 #include "fv/fv_config.h"
 #include "fv/node_stats.h"
@@ -20,6 +21,27 @@
 #include "sim/server.h"
 
 namespace farview {
+
+/// Egress half of one read-type request (Figure 3), shared by the region
+/// datapath and the bypass path: the result being built, the egress stream
+/// carrying it to the client and the step that settles it.
+struct EgressState {
+  RequestContextPtr ctx;
+  FvResult result;
+  NetworkStack::StreamHandle tx;
+  /// Runs once: with the result when its last byte lands in client memory,
+  /// or with the failure that ended the request first.
+  InlineFn<void(Result<FvResult>)> finish;
+};
+
+/// Figure 3's blue bypass path: streams the bytes of `st->ctx->request`
+/// from memory straight onto a newly opened egress stream, with no
+/// datapath stage; the memory stack's last burst stamps `operator_done`.
+/// `st->result.data` must already hold the bytes. Plain region reads
+/// (`DynamicRegion::ExecuteRead`) and raw reads (`FarviewNode::RawRead`)
+/// both stream through it.
+void StreamBypass(MemoryController* memctl, NetworkStack* net,
+                  const std::shared_ptr<EgressState>& st);
 
 /// One virtual dynamic region of the operator stack (Sections 3.2, 4.5).
 ///
@@ -104,14 +126,22 @@ class DynamicRegion {
 
   void FinishStream(std::shared_ptr<ExecState> st);
 
-  /// Marks the region busy and records the occupancy start.
-  void EnterBusy(RequestContextPtr& ctx);
+  /// Shared prologue of Execute and ExecuteRead: OK when the region can
+  /// take a request now, else the `Unavailable` to fail it with.
+  Status Ready() const;
+
+  /// Execute's request check: a pipeline is loaded and `request`'s tuple
+  /// layout fits its input.
+  Status CheckLayout(const FvRequest& request) const;
+
+  /// Starts serving `ctx` with state `st`: marks the region busy and
+  /// stamps `region_start`. `st->finish` frees the region before handing
+  /// the outcome to `on_result`.
+  void Begin(const std::shared_ptr<EgressState>& st, RequestContextPtr ctx,
+             std::function<void(Result<FvResult>)> on_result);
 
   /// Frees the region and reports the busy interval to NodeStats.
   void ReleaseBusy();
-
-  /// Copies delivery accounting from the exec state into its context.
-  void StampDelivered(const std::shared_ptr<ExecState>& st, SimTime t);
 
   int region_id_;
   sim::Engine* engine_;

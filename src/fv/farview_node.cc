@@ -39,18 +39,10 @@ void FarviewNode::ScheduleFaultEvents() {
   fault_rng_ = std::make_unique<Rng>(f.seed);
   if (f.node_crash_at > 0) {
     engine_->ScheduleAt(f.node_crash_at, [this]() { CrashNow(); });
-    // The absolute-instant form wins over the relative one so a bench can
-    // place crash and recovery on one timeline (DESIGN.md §12).
-    SimTime restart_at = 0;
     if (f.node_restart_at > 0) {
       FV_CHECK(f.node_restart_at > f.node_crash_at)
           << "node_restart_at must be after node_crash_at";
-      restart_at = f.node_restart_at;
-    } else if (f.node_restart_after > 0) {
-      restart_at = f.node_crash_at + f.node_restart_after;
-    }
-    if (restart_at > 0) {
-      engine_->ScheduleAt(restart_at, [this]() { RestartNow(); });
+      engine_->ScheduleAt(f.node_restart_at, [this]() { RestartNow(); });
     }
   }
   if (f.faulted_region >= 0 && f.faulted_region < config_.num_regions) {
@@ -76,15 +68,14 @@ void FarviewNode::CrashNow() {
   last_crash_at_ = engine_->Now();
   stats_.RecordNodeCrash();
   // Queued requests die with the node. The executing one, if any, fails at
-  // completion through the crash check in FinishRequest — its region state
-  // is gone even though the simulation events still drain.
+  // completion through Settle's crash rule — its region state is gone even
+  // though the simulation events still drain.
   for (auto& entry : qp_queues_) {
     for (RequestContextPtr& ctx : entry.second.Flush()) {
       stats_.RecordFailure(entry.first);
       stats_.RecordCrashFailure();
-      engine_->ScheduleAfter(0, [done = std::move(ctx->done)]() {
-        done(Status::Unavailable("node crashed with the request queued"));
-      });
+      FailSoon(engine_, std::move(ctx),
+               Status::Unavailable("node crashed with the request queued"));
     }
   }
   for (const auto& observer : down_observers_) observer(true);
@@ -108,9 +99,7 @@ void FarviewNode::FailQueuedForRegion(int region_id) {
     if (qit == qp_queues_.end()) continue;
     for (RequestContextPtr& ctx : qit->second.Flush()) {
       stats_.RecordFailure(entry.first);
-      engine_->ScheduleAfter(0, [done = std::move(ctx->done)]() {
-        done(Status::Unavailable("region faulted"));
-      });
+      FailSoon(engine_, std::move(ctx), Status::Unavailable("region faulted"));
     }
   }
 }
@@ -132,7 +121,6 @@ Result<QPair*> FarviewNode::Connect(int client_id) {
   qp->qp_id = next_qp_id_++;
   qp->client_id = client_id;
   qp->region_id = region;
-  qp->connected = true;
   QPair* raw = qp.get();
   qpairs_.emplace(raw->qp_id, std::move(qp));
   qp_queues_.emplace(raw->qp_id,
@@ -146,7 +134,6 @@ Result<QPair*> FarviewNode::ConnectShared(int client_id) {
   qp->qp_id = next_qp_id_++;
   qp->client_id = client_id;
   qp->region_id = -1;
-  qp->connected = true;
   QPair* raw = qp.get();
   qpairs_.emplace(raw->qp_id, std::move(qp));
   return raw;
@@ -167,10 +154,9 @@ Status FarviewNode::Disconnect(int qp_id) {
     // completes on its own.
     for (RequestContextPtr& ctx : qit->second.Flush()) {
       stats_.RecordFailure(qp_id);
-      engine_->ScheduleAfter(0, [done = std::move(ctx->done)]() {
-        done(Status::Unavailable(
-            "connection closed with the request still queued"));
-      });
+      FailSoon(engine_, std::move(ctx),
+               Status::Unavailable(
+                   "connection closed with the request still queued"));
     }
     qp_queues_.erase(qit);
   }
@@ -220,8 +206,7 @@ void FarviewNode::LoadPipeline(int qp_id, Pipeline pipeline,
                                std::function<void(Status)> done) {
   Result<DynamicRegion*> region = RegionFor(qp_id);
   if (!region.ok()) {
-    engine_->ScheduleAfter(0, [s = region.status(),
-                               done = std::move(done)]() { done(s); });
+    FailSoon(engine_, std::move(done), region.status());
     return;
   }
   // Like any client-initiated operation, the reconfiguration command
@@ -243,41 +228,68 @@ void FarviewNode::LoadPipeline(int qp_id, Pipeline pipeline,
       });
 }
 
+RequestContextPtr FarviewNode::NewContext(
+    int qp_id, int client_id, Verb verb, const FvRequest& request,
+    std::function<void(Result<FvResult>)> done) {
+  auto ctx = std::make_shared<RequestContext>();
+  ctx->request_id = stats_.NextRequestId();
+  ctx->qp_id = qp_id;
+  ctx->client_id = client_id;
+  ctx->verb = verb;
+  ctx->request = request;
+  ctx->slo = request.slo;
+  ctx->submitted = engine_->Now();
+  ctx->done = std::move(done);
+  return ctx;
+}
+
+bool FarviewNode::Arrive(const RequestContextPtr& ctx) {
+  ctx->ingress_done = engine_->Now();
+  if (!down_) return true;
+  stats_.RecordFailure(ctx->qp_id);
+  stats_.RecordCrashFailure();
+  FailSoon(engine_, ctx, Status::Unavailable("node down"));
+  return false;
+}
+
+void FarviewNode::Settle(const RequestContext& ctx, Result<FvResult>* res) {
+  if (res->ok() && ctx.ingress_done <= last_crash_at_) {
+    stats_.RecordCrashFailure();
+    *res = Status::Unavailable("node crashed during execution");
+  }
+  if (res->ok()) {
+    res->value().issued_at = ctx.submitted;
+    stats_.RecordCompletion(ctx);
+  } else {
+    stats_.RecordFailure(ctx.qp_id);
+  }
+}
+
 void FarviewNode::TableWrite(int qp_id, uint64_t vaddr, const uint8_t* data,
                              uint64_t len,
                              std::function<void(Result<SimTime>)> done) {
   QPair* qp = FindQPair(qp_id);
   if (qp == nullptr) {
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      done(Status::NotFound("unknown queue pair"));
-    });
+    FailSoon(engine_, std::move(done), Status::NotFound("unknown queue pair"));
     return;
   }
   if (down_) {
     stats_.RecordFailure(qp_id);
     stats_.RecordCrashFailure();
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      done(Status::Unavailable("node down"));
-    });
+    FailSoon(engine_, std::move(done), Status::Unavailable("node down"));
     return;
   }
   // Functional write now (and access validation); timing below.
   const Status s = mmu_->Write(qp->client_id, vaddr, len, data);
   if (!s.ok()) {
-    engine_->ScheduleAfter(0, [s, done = std::move(done)]() { done(s); });
+    FailSoon(engine_, std::move(done), s);
     return;
   }
-  qp->bytes_written_to_memory += len;
-  ++qp->requests_issued;
-
-  auto ctx = std::make_shared<RequestContext>();
-  ctx->request_id = stats_.NextRequestId();
-  ctx->qp_id = qp_id;
-  ctx->client_id = qp->client_id;
-  ctx->verb = Verb::kWrite;
-  ctx->request.vaddr = vaddr;
-  ctx->request.len = len;
-  ctx->submitted = engine_->Now();
+  FvRequest request;
+  request.vaddr = vaddr;
+  request.len = len;
+  RequestContextPtr ctx =
+      NewContext(qp_id, qp->client_id, Verb::kWrite, request, nullptr);
   ctx->bytes_on_wire = len;
 
   // Timing: request latency, then the payload crosses the ingress link in
@@ -342,158 +354,71 @@ void FarviewNode::TableWrite(int qp_id, uint64_t vaddr, const uint8_t* data,
 
 void FarviewNode::TableRead(int qp_id, uint64_t vaddr, uint64_t len,
                             std::function<void(Result<FvResult>)> done) {
-  Result<DynamicRegion*> region = RegionFor(qp_id);
-  if (!region.ok()) {
-    engine_->ScheduleAfter(0, [s = region.status(),
-                               done = std::move(done)]() { done(s); });
-    return;
-  }
-  QPair* qp = FindQPair(qp_id);
-  ++qp->requests_issued;
-  auto ctx = std::make_shared<RequestContext>();
-  ctx->request_id = stats_.NextRequestId();
-  ctx->qp_id = qp_id;
-  ctx->client_id = qp->client_id;
-  ctx->verb = Verb::kRead;
-  ctx->request.vaddr = vaddr;
-  ctx->request.len = len;
-  ctx->submitted = engine_->Now();
-  ctx->done = std::move(done);
-  net_->DeliverRequest([this, ctx]() { OnArrival(ctx); });
+  FvRequest request;
+  request.vaddr = vaddr;
+  request.len = len;
+  SubmitRegionVerb(qp_id, Verb::kRead, request, std::move(done));
 }
 
 void FarviewNode::FarviewRequest(int qp_id, const FvRequest& request,
                                  std::function<void(Result<FvResult>)> done) {
-  Result<DynamicRegion*> region = RegionFor(qp_id);
-  if (!region.ok()) {
-    engine_->ScheduleAfter(0, [s = region.status(),
-                               done = std::move(done)]() { done(s); });
-    return;
-  }
-  QPair* qp = FindQPair(qp_id);
-  ++qp->requests_issued;
-  auto ctx = std::make_shared<RequestContext>();
-  ctx->request_id = stats_.NextRequestId();
-  ctx->qp_id = qp_id;
-  ctx->client_id = qp->client_id;
-  ctx->verb = Verb::kFarview;
-  ctx->request = request;
-  ctx->slo = request.slo;
-  ctx->submitted = engine_->Now();
-  ctx->done = std::move(done);
-  net_->DeliverRequest([this, ctx]() { OnArrival(ctx); });
+  SubmitRegionVerb(qp_id, Verb::kFarview, request, std::move(done));
 }
 
-namespace {
-
-/// Per-raw-read state shared across the memory and egress callbacks.
-struct RawReadState {
-  RequestContextPtr ctx;
-  FvResult result;
-  NetworkStack::StreamHandle tx;
-  std::function<void(Result<FvResult>)> done;
-};
-
-}  // namespace
+void FarviewNode::SubmitRegionVerb(
+    int qp_id, Verb verb, const FvRequest& request,
+    std::function<void(Result<FvResult>)> done) {
+  Result<DynamicRegion*> region = RegionFor(qp_id);
+  if (!region.ok()) {
+    FailSoon(engine_, std::move(done), region.status());
+    return;
+  }
+  RequestContextPtr ctx = NewContext(qp_id, FindQPair(qp_id)->client_id, verb,
+                                     request, std::move(done));
+  net_->DeliverRequest([this, ctx]() { OnArrival(ctx); });
+}
 
 void FarviewNode::RawRead(int qp_id, uint64_t vaddr, uint64_t len,
                           std::function<void(Result<FvResult>)> done) {
   QPair* qp = FindQPair(qp_id);
   if (qp == nullptr) {
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      done(Status::NotFound("unknown queue pair"));
-    });
+    FailSoon(engine_, std::move(done), Status::NotFound("unknown queue pair"));
     return;
   }
-  ++qp->requests_issued;
-  auto ctx = std::make_shared<RequestContext>();
-  ctx->request_id = stats_.NextRequestId();
-  ctx->qp_id = qp_id;
-  ctx->client_id = qp->client_id;
-  ctx->verb = Verb::kRead;
-  ctx->request.vaddr = vaddr;
-  ctx->request.len = len;
-  ctx->submitted = engine_->Now();
-  ctx->done = std::move(done);
+  FvRequest request;
+  request.vaddr = vaddr;
+  request.len = len;
+  RequestContextPtr ctx =
+      NewContext(qp_id, qp->client_id, Verb::kRead, request, std::move(done));
   net_->DeliverRequest([this, ctx]() {
-    ctx->ingress_done = engine_->Now();
-    if (down_) {
-      stats_.RecordFailure(ctx->qp_id);
-      stats_.RecordCrashFailure();
-      engine_->ScheduleAfter(0, [done = std::move(ctx->done)]() {
-        done(Status::Unavailable("node down"));
-      });
-      return;
-    }
-    auto st = std::make_shared<RawReadState>();
-    st->ctx = ctx;
-    st->done = std::move(ctx->done);
-    st->result.issued_at = ctx->submitted;
+    if (!Arrive(ctx)) return;
+    auto st = std::make_shared<EgressState>();
     const Status s = mmu_->ReadInto(ctx->client_id, ctx->request.vaddr,
                                     ctx->request.len, &st->result.data);
     if (!s.ok()) {
       stats_.RecordFailure(ctx->qp_id);
-      engine_->ScheduleAfter(0, [s, st]() { st->done(s); });
+      FailSoon(engine_, ctx, s);
       return;
     }
-    // Raw path (DESIGN.md §7): memory bursts stream straight onto the
-    // egress link — no region, so it serves even when regions are faulted
-    // or busy; the queue/region lifecycle stamps stay 0 (skipped stages).
-    st->tx = net_->OpenStream(
-        ctx->qp_id, [this, st](uint64_t bytes, bool last, SimTime t) {
-          st->result.bytes_on_wire += bytes;
-          if (st->result.first_byte_at == 0) st->result.first_byte_at = t;
-          if (!last) return;
-          st->result.completed_at = t;
-          st->ctx->delivered = t;
-          st->ctx->egress_finished = st->tx->last_link_exit();
-          st->ctx->bytes_on_wire = st->result.bytes_on_wire;
-          st->ctx->packets = st->tx->packets_sent();
-          if (down_) {
-            // Crash raced the delivery: the stream died with the node.
-            stats_.RecordFailure(st->ctx->qp_id);
-            stats_.RecordCrashFailure();
-            st->done(Status::Unavailable("node crashed during the read"));
-            return;
-          }
-          QPair* q = FindQPair(st->ctx->qp_id);
-          if (q != nullptr) {
-            q->bytes_sent_to_client += st->result.bytes_on_wire;
-          }
-          stats_.RecordCompletion(*st->ctx);
-          st->done(std::move(st->result));
-        });
-    memctl_->StreamRead(ctx->qp_id, ctx->request.vaddr, ctx->request.len,
-                        [st](uint64_t bytes, bool last, SimTime t) {
-                          if (st->ctx->first_memory_beat == 0) {
-                            st->ctx->first_memory_beat = t;
-                          }
-                          if (bytes > 0) st->tx->Push(bytes);
-                          if (last) {
-                            st->ctx->operator_done = t;
-                            st->tx->Finish();
-                          }
-                        });
+    // Raw path (DESIGN.md §7): no region, so it serves even when regions
+    // are faulted or busy; the queue/region lifecycle stamps stay 0
+    // (skipped stages).
+    st->ctx = ctx;
+    st->finish = [this, ctx](Result<FvResult> res) {
+      Settle(*ctx, &res);
+      ctx->done(std::move(res));
+    };
+    StreamBypass(memctl_.get(), net_.get(), st);
   });
 }
 
 void FarviewNode::OnArrival(RequestContextPtr ctx) {
-  ctx->ingress_done = engine_->Now();
-  if (down_) {
-    stats_.RecordFailure(ctx->qp_id);
-    stats_.RecordCrashFailure();
-    engine_->ScheduleAfter(0, [done = std::move(ctx->done)]() {
-      done(Status::Unavailable("node down"));
-    });
-    return;
-  }
+  if (!Arrive(ctx)) return;
   auto it = qp_queues_.find(ctx->qp_id);
   if (it == qp_queues_.end()) {
     // Connection torn down while the request was crossing the network.
     stats_.RecordFailure(ctx->qp_id);
-    engine_->ScheduleAfter(0, [done = std::move(ctx->done)]() {
-      done(Status::Unavailable("connection closed"));
-    });
+    FailSoon(engine_, std::move(ctx), Status::Unavailable("connection closed"));
     return;
   }
   // Admission control in front of the submission queue (DESIGN.md §15):
@@ -502,24 +427,20 @@ void FarviewNode::OnArrival(RequestContextPtr ctx) {
   // healthy; circuit breakers must not trip on shed load). Inert while
   // `AdmissionConfig::enabled` is false.
   if (admission_.enabled()) {
-    ctx->slo = ctx->request.slo;
     Status verdict = admission_.Admit(ctx->client_id, ctx->slo);
     if (!verdict.ok()) {
       stats_.RecordRejection(ctx->qp_id);
-      engine_->ScheduleAfter(0, [done = std::move(ctx->done), verdict]() {
-        done(verdict);
-      });
+      FailSoon(engine_, std::move(ctx), std::move(verdict));
       return;
     }
   }
   SubmissionQueue& q = it->second;
   if (!q.CanAccept()) {
     stats_.RecordRejection(ctx->qp_id);
-    engine_->ScheduleAfter(0, [done = std::move(ctx->done),
-                               depth = q.depth()]() {
-      done(Status::Unavailable("submission queue full (depth " +
-                               std::to_string(depth) + ")"));
-    });
+    FailSoon(engine_, std::move(ctx),
+             Status::Unavailable(std::string("submission queue full (depth ")
+                                     .append(std::to_string(q.depth()))
+                                     .append(")")));
     return;
   }
   q.Enqueue(std::move(ctx));
@@ -541,9 +462,7 @@ void FarviewNode::MaybeDispatch(int qp_id) {
       RequestContextPtr ctx = it->second.PopForDispatch();
       it->second.MarkDone();
       stats_.RecordFailure(qp_id);
-      engine_->ScheduleAfter(0, [done = std::move(ctx->done)]() {
-        done(Status::Unavailable("region faulted"));
-      });
+      FailSoon(engine_, std::move(ctx), Status::Unavailable("region faulted"));
     }
     return;
   }
@@ -580,23 +499,7 @@ void FarviewNode::MaybeDispatch(int qp_id) {
 }
 
 void FarviewNode::FinishRequest(RequestContextPtr ctx, Result<FvResult> res) {
-  // A crash between dispatch and delivery voids the request: the region's
-  // in-flight state (and any partially delivered stream) died with the
-  // node, even though the simulation events still drain.
-  if (res.ok() && last_crash_at_ >= 0 && ctx->region_start <= last_crash_at_) {
-    stats_.RecordCrashFailure();
-    res = Status::Unavailable("node crashed during execution");
-  }
-  if (res.ok()) {
-    res.value().issued_at = ctx->submitted;
-    QPair* qp = FindQPair(ctx->qp_id);
-    if (qp != nullptr) {
-      qp->bytes_sent_to_client += res.value().bytes_on_wire;
-    }
-    stats_.RecordCompletion(*ctx);
-  } else {
-    stats_.RecordFailure(ctx->qp_id);
-  }
+  Settle(*ctx, &res);
   // Free the queue slot and hand the region to the next waiting request
   // before notifying the client (free-before-notify, like the scheduler).
   auto it = qp_queues_.find(ctx->qp_id);

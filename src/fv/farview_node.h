@@ -33,11 +33,15 @@ namespace farview {
 /// drive the paper's data API (Section 4.2) through `FarviewClient` or
 /// directly via the async methods here.
 ///
-/// Every data-path verb allocates a `RequestContext` at submission; dedicated
-/// connections admit region verbs through a bounded per-queue-pair
-/// `SubmissionQueue` (`FarviewConfig::submission_queue_depth` outstanding;
-/// FIFO drain as the region frees; `Unavailable` beyond the cap) and every
-/// completion is recorded in the node-wide `NodeStats`.
+/// Every data-path verb, and every `RegionScheduler` job, goes through one
+/// request lifecycle (DESIGN.md §6b): `NewContext` builds its
+/// `RequestContext` at submission, `Arrive` turns it away from a down node,
+/// `FailSoon` (request_context.h) delivers every early failure, and
+/// `Settle` voids crashed work and records the outcome in the node-wide
+/// `NodeStats`. Dedicated connections admit region verbs through a bounded
+/// per-queue-pair `SubmissionQueue` (`FarviewConfig::submission_queue_depth`
+/// outstanding; FIFO drain as the region frees; `Unavailable` beyond the
+/// cap).
 class FarviewNode {
  public:
   FarviewNode(sim::Engine* engine, const FarviewConfig& config);
@@ -143,9 +147,6 @@ class FarviewNode {
   /// Device resource usage for the currently loaded pipelines.
   ResourceUsage CurrentResources() const;
 
-  /// Number of connected clients.
-  int num_connections() const { return static_cast<int>(qpairs_.size()); }
-
   /// Node-wide telemetry: per-stage latency distributions, per-queue-pair
   /// throughput, queue high-water marks, region busy time. The scheduler
   /// records its completions here too.
@@ -166,6 +167,35 @@ class FarviewNode {
   std::string StatsReport();
 
  private:
+  // The scheduler's jobs share the request lifecycle below.
+  friend class RegionScheduler;
+
+  // --- Request lifecycle (DESIGN.md §6b) ----------------------------------
+
+  /// Builds the context of a verb posted now on `qp_id`: the one place a
+  /// `RequestContext` is created. Writes pass no `done`; they complete
+  /// through their own callback chain.
+  RequestContextPtr NewContext(int qp_id, int client_id, Verb verb,
+                               const FvRequest& request,
+                               std::function<void(Result<FvResult>)> done);
+
+  /// A request reached the node: stamps `ingress_done`. A down node turns
+  /// it away with `Unavailable`, counted as a crash failure; returns false
+  /// then.
+  bool Arrive(const RequestContextPtr& ctx);
+
+  /// The completion step of every read-type verb and scheduler job. Voids
+  /// an OK `*res` whose request reached the node at or before the last
+  /// crash (its region or stream state died with the node, even though the
+  /// simulation events still drain), then stamps `issued_at` and records
+  /// the completion or the failure.
+  void Settle(const RequestContext& ctx, Result<FvResult>* res);
+
+  /// TableRead and FarviewRequest: a verb served by the connection's
+  /// region, admitted at arrival by `OnArrival`.
+  void SubmitRegionVerb(int qp_id, Verb verb, const FvRequest& request,
+                        std::function<void(Result<FvResult>)> done);
+
   /// Region assigned to a queue pair, or error.
   Result<DynamicRegion*> RegionFor(int qp_id);
 
@@ -186,9 +216,8 @@ class FarviewNode {
   /// region is busy/reconfiguring.
   void MaybeDispatch(int qp_id);
 
-  /// Completion of a dispatched request: accounts flow/node stats, frees the
-  /// queue slot, dispatches the next waiting request, then notifies the
-  /// client.
+  /// Completion of a dispatched request: settles it, frees the queue slot,
+  /// dispatches the next waiting request, then notifies the client.
   void FinishRequest(RequestContextPtr ctx, Result<FvResult> res);
 
   sim::Engine* engine_;
@@ -215,8 +244,8 @@ class FarviewNode {
   std::vector<std::function<void(bool)>> down_observers_;
   /// True while crashed (between CrashNow and RestartNow).
   bool down_ = false;
-  /// Instant of the most recent crash; requests whose region execution
-  /// started at or before it fail at completion. -1 = never crashed.
+  /// Instant of the most recent crash; `Settle` voids requests that reached
+  /// the node at or before it. -1 = never crashed.
   SimTime last_crash_at_ = -1;
 };
 

@@ -43,16 +43,12 @@ struct FvFaultConfig {
 
   /// Whole-node crash at `node_crash_at` (0 = never): every queued request
   /// is flushed with `Unavailable`, in-flight requests fail at completion,
-  /// and all verbs are rejected until the node restarts
-  /// `node_restart_after` later (0 = stays down). Loaded pipelines survive
-  /// a restart (configuration flash); in-flight state does not.
+  /// and all verbs are rejected until the node restarts at
+  /// `node_restart_at` (0 = stays down; otherwise later than
+  /// `node_crash_at`). Loaded pipelines survive a restart (configuration
+  /// flash); in-flight state does not. Benches position crash and recovery
+  /// on one timeline this way (DESIGN.md §12).
   SimTime node_crash_at = 0;
-  SimTime node_restart_after = 0;
-
-  /// Absolute-instant companion to `node_restart_after`: when > 0 the node
-  /// restarts at exactly `node_restart_at` (must be later than
-  /// `node_crash_at`), and `node_restart_after` is ignored. Benches position
-  /// crash and recovery on the same timeline this way (DESIGN.md §12).
   SimTime node_restart_at = 0;
 };
 

@@ -17,9 +17,7 @@ RegionScheduler::RegionScheduler(FarviewNode* node)
   }
   FV_CHECK(!regions_.empty());
   node_->AddDownObserver([alive = alive_, this](bool down) {
-    if (!*alive || !down) return;
-    last_crash_at_ = node_->engine()->Now();
-    FlushOnCrash();
+    if (*alive && down) FlushOnCrash();
   });
 }
 
@@ -31,9 +29,8 @@ void RegionScheduler::FlushOnCrash() {
     for (Job& job : tenant.jobs) {
       stats.RecordFailure(job.ctx->qp_id);
       stats.RecordCrashFailure();
-      node_->engine()->ScheduleAfter(0, [done = std::move(job.ctx->done)]() {
-        done(Status::Unavailable("node crashed with the job queued"));
-      });
+      FailSoon(node_->engine(), std::move(job.ctx),
+               Status::Unavailable("node crashed with the job queued"));
     }
     tenant.jobs.clear();
     tenant.deficit = 0;
@@ -48,44 +45,29 @@ void RegionScheduler::Submit(int client_id, int qp_id,
                              PipelineFactory factory,
                              const FvRequest& request,
                              std::function<void(Result<FvResult>)> done) {
-  auto ctx = std::make_shared<RequestContext>();
-  ctx->request_id = node_->stats().NextRequestId();
-  ctx->qp_id = qp_id;
-  ctx->client_id = client_id;
-  ctx->verb = Verb::kFarview;
-  ctx->request = request;
-  ctx->slo = request.slo;
-  ctx->submitted = node_->engine()->Now();
-  ctx->done = std::move(done);
   // The submission crosses the network like any other request; admission
   // and scheduling happen at the node.
-  Job job{std::move(ctx), pipeline_key, std::move(factory), /*seq=*/0};
+  Job job{node_->NewContext(qp_id, client_id, Verb::kFarview, request,
+                            std::move(done)),
+          pipeline_key, std::move(factory), /*seq=*/0};
   node_->network().DeliverRequest(
       [this, job = std::move(job)]() mutable { OnArrival(std::move(job)); });
 }
 
 void RegionScheduler::OnArrival(Job job) {
-  job.ctx->ingress_done = node_->engine()->Now();
+  if (!node_->Arrive(job.ctx)) return;
   NodeStats& stats = node_->stats();
   const FarviewConfig& cfg = node_->config();
-  if (node_->down()) {
-    stats.RecordFailure(job.ctx->qp_id);
-    stats.RecordCrashFailure();
-    node_->engine()->ScheduleAfter(0, [done = std::move(job.ctx->done)]() {
-      done(Status::Unavailable("node down"));
-    });
-    return;
-  }
   // Node-wide backlog bound, enforced in every mode (DESIGN.md §15): the
   // waiting set must never grow without limit, admission on or off.
   if (total_waiting_ >= static_cast<size_t>(cfg.scheduler_queue_cap)) {
     stats.RecordRejection(job.ctx->qp_id);
     stats.RecordSchedulerOverflow();
-    node_->engine()->ScheduleAfter(
-        0, [done = std::move(job.ctx->done), cap = cfg.scheduler_queue_cap]() {
-          done(Status::Unavailable("scheduler queue full (cap " +
-                                   std::to_string(cap) + ")"));
-        });
+    FailSoon(node_->engine(), std::move(job.ctx),
+             Status::Unavailable(
+                 std::string("scheduler queue full (cap ")
+                     .append(std::to_string(cfg.scheduler_queue_cap))
+                     .append(")")));
     return;
   }
   const int tenant_id = job.ctx->client_id;
@@ -98,8 +80,7 @@ void RegionScheduler::OnArrival(Job job) {
             : admission.Admit(tenant_id, job.ctx->slo);
     if (!verdict.ok()) {
       stats.RecordRejection(job.ctx->qp_id);
-      node_->engine()->ScheduleAfter(
-          0, [done = std::move(job.ctx->done), verdict]() { done(verdict); });
+      FailSoon(node_->engine(), std::move(job.ctx), std::move(verdict));
       return;
     }
   }
@@ -264,19 +245,9 @@ void RegionScheduler::FinishJob(size_t slot_index,
                                 Result<FvResult> res) {
   regions_[slot_index].busy = false;
   ++jobs_completed_;
-  // A crash after the job reached the node voids it: waiting jobs were
-  // flushed, so this one was reconfiguring or executing when its region
-  // state died with the node.
-  if (res.ok() && ctx->ingress_done <= last_crash_at_) {
-    node_->stats().RecordCrashFailure();
-    res = Status::Unavailable("node crashed during execution");
-  }
-  if (res.ok()) {
-    res.value().issued_at = ctx->submitted;
-    node_->stats().RecordCompletion(*ctx);
-  } else {
-    node_->stats().RecordFailure(ctx->qp_id);
-  }
+  // Waiting jobs were flushed at a crash, so a job the node's crash rule
+  // voids here was reconfiguring or executing when it died.
+  node_->Settle(*ctx, &res);
   // Free the region before notifying so the callback can submit follow-up
   // work that lands on it.
   Dispatch();
@@ -311,8 +282,7 @@ void RegionScheduler::RunOn(size_t slot_index, Job job) {
   if (!pipeline.ok()) {
     slot.busy = false;
     node_->stats().RecordFailure(shared_job->ctx->qp_id);
-    node_->engine()->ScheduleAfter(
-        0, [shared_job, s = pipeline.status()]() { shared_job->ctx->done(s); });
+    FailSoon(node_->engine(), shared_job->ctx, pipeline.status());
     Dispatch();
     return;
   }

@@ -40,13 +40,14 @@ namespace farview {
 ///  - pipelines are built lazily (via a factory) only when a region
 ///    actually needs reconfiguring.
 ///
-/// Scheduler jobs carry the same `RequestContext` as directly-submitted
-/// requests and report completions into the node's `NodeStats`, so the
-/// telemetry covers both submission paths. They also get the crash
-/// contract `FvFaultConfig` documents for dedicated connections: arrivals
-/// while the node is down fail with `Unavailable`, waiting jobs are flushed
-/// at the crash, and a job that reached the node at or before the crash
-/// (reconfiguring or executing then) fails at completion.
+/// Scheduler jobs go through the node's request lifecycle (DESIGN.md §6b):
+/// the node builds their `RequestContext`, turns them away while down,
+/// delivers their early failures and settles them into its `NodeStats`, so
+/// the telemetry covers both submission paths and they get the crash
+/// contract of dedicated connections. On top, waiting jobs are flushed at
+/// the crash; a job that reached the node at or before the crash
+/// (reconfiguring or executing then) fails at completion by the node's
+/// rule.
 class RegionScheduler {
  public:
   /// The scheduler takes over all currently-unassigned regions of `node`.
@@ -158,9 +159,6 @@ class RegionScheduler {
   uint64_t jobs_completed_ = 0;
   uint64_t reconfigurations_ = 0;
   uint64_t affinity_hits_ = 0;
-  /// Instant of the node's most recent crash seen by this scheduler; jobs
-  /// that arrived at or before it fail at completion. -1 = never crashed.
-  SimTime last_crash_at_ = -1;
   /// Liveness flag shared with the crash observer registered on the
   /// (possibly longer-lived) node; the destructor clears it.
   std::shared_ptr<bool> alive_;

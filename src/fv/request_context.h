@@ -5,12 +5,15 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
 #include "fv/request.h"
 #include "net/qpair.h"
+#include "sim/engine.h"
 
 namespace farview {
 
@@ -84,6 +87,27 @@ struct RequestContext {
 /// Shared handle threading one request through client, node, region
 /// scheduler, and network (DESIGN.md §6b).
 using RequestContextPtr = std::shared_ptr<RequestContext>;
+
+/// Fails a request with `s` from a zero-delay event on `engine`, so no verb
+/// completes inside the call that posted it. `target` is the request's
+/// context (its `done` runs) or, where no context exists yet, the bare
+/// completion callback. A context rides in the event instead of its
+/// `done`: with the Status it fills InlineFn's 64 inline bytes exactly,
+/// where `done` would spill to the heap.
+template <typename Target>
+void FailSoon(sim::Engine* engine, Target target, Status s) {
+  constexpr bool kContext = std::is_same_v<Target, RequestContextPtr>;
+  auto fail = [target = std::move(target), s = std::move(s)]() mutable {
+    if constexpr (kContext) {
+      target->done(std::move(s));
+    } else {
+      target(std::move(s));
+    }
+  };
+  static_assert(!kContext || sim::EventFn::StoredInline<decltype(fail)>(),
+                "a context's failure event must not allocate");
+  engine->ScheduleAfter(0, std::move(fail));
+}
 
 /// Bounded FIFO submission queue of one queue pair (Section 4.3's flows).
 ///

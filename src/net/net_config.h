@@ -7,16 +7,6 @@
 
 namespace farview {
 
-/// Network timing parameters for the 100 Gbps RoCE v2 fabric (Section 4.3)
-/// and the commercial-NIC baseline (ConnectX-5 over PCIe, Section 6.1).
-///
-/// The Figure 6 story these constants encode:
-///  - the commercial NIC has *lower base latency* (specialized circuitry at
-///    a higher clock than the 250 MHz FPGA stack), so it wins on small
-///    transfers;
-///  - the FPGA stack has *cheaper multi-packet processing and page
-///    handling*, and its memory is on-board rather than behind PCIe, so it
-///    wins above the ~8-16 kB crossover (peak ~12.2 GB/s vs ~11 GB/s).
 /// Fault-injection parameters for the network fabric (DESIGN.md §7). All
 /// faults are drawn from a seeded `FaultPlan` stream (net/fault_plan.h), so
 /// every faulty run reproduces bit-for-bit for a given seed. With
@@ -54,8 +44,19 @@ struct NetFaultConfig {
   SimTime link_flap_down = 0;
 };
 
-/// Network timing model: packetization, per-verb latencies, and link
-/// rates calibrated against the paper (Section 6; see EXPERIMENTS.md).
+/// Network timing parameters for the 100 Gbps RoCE v2 fabric (Section 4.3)
+/// and the commercial-NIC baseline (ConnectX-5 over PCIe, Section 6.1).
+///
+/// The Figure 6 story these constants encode:
+///  - the commercial NIC has *lower base latency* (specialized circuitry at
+///    a higher clock than the 250 MHz FPGA stack), so it wins on small
+///    transfers;
+///  - the FPGA stack has *cheaper multi-packet processing and page
+///    handling*, and its memory is on-board rather than behind PCIe, so it
+///    wins above the ~8-16 kB crossover (peak ~12.2 GB/s vs ~11 GB/s).
+///
+/// The model: packetization, per-verb latencies, and link rates calibrated
+/// against the paper (Section 6; see EXPERIMENTS.md).
 struct NetConfig {
   /// RoCE packet payload size used throughout the evaluation ("We set the
   /// packet size to 1 kB", Section 6.2).

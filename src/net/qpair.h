@@ -1,9 +1,6 @@
 #ifndef FARVIEW_NET_QPAIR_H_
 #define FARVIEW_NET_QPAIR_H_
 
-#include <cstdint>
-#include <string>
-
 namespace farview {
 
 /// RDMA verbs understood by Farview's network stack: the two standard
@@ -37,14 +34,6 @@ struct QPair {
   /// flow and its corresponding queue pair gets associated with one of the
   /// virtual dynamic regions", Section 4.3).
   int region_id = -1;
-
-  /// True once the connection handshake completed.
-  bool connected = false;
-
-  // Flow statistics.
-  uint64_t requests_issued = 0;
-  uint64_t bytes_sent_to_client = 0;
-  uint64_t bytes_written_to_memory = 0;
 };
 
 }  // namespace farview

@@ -362,7 +362,7 @@ TEST(CrashTest, ScheduledCrashAndRestartFromConfig) {
   cfg.faults.enabled = true;
   cfg.faults.seed = TestSeed();
   cfg.faults.node_crash_at = 2 * kMillisecond;
-  cfg.faults.node_restart_after = 1 * kMillisecond;
+  cfg.faults.node_restart_at = 3 * kMillisecond;
   bench::FvFixture fx(cfg);
   const FTable ft = AllocOnly(fx, rows);
 
@@ -383,6 +383,77 @@ TEST(CrashTest, ScheduledCrashAndRestartFromConfig) {
   EXPECT_TRUE(after->ok());
   EXPECT_EQ(fx.node().stats().reliability().node_crashes, 1u);
   EXPECT_EQ(fx.node().stats().reliability().node_restarts, 1u);
+}
+
+// A read dispatched before the crash reached the node before it, so the
+// crash voids it even when its injected stall holds it out of the region
+// until after the crash, and whether or not the node is back by then.
+TEST(CrashTest, StalledReadSpanningTheCrashFails) {
+  const Table rows = MakeRows(64 * kKiB);
+  for (const bool restart : {false, true}) {
+    SCOPED_TRACE(restart ? "restart before the stall ends" : "no restart");
+    FarviewConfig cfg;
+    cfg.faults.enabled = true;
+    cfg.faults.seed = TestSeed();
+    cfg.faults.region_stall_prob = 1.0;  // every dispatch stalls
+    cfg.faults.region_stall_time = 20 * kMicrosecond;
+    bench::FvFixture fx(cfg);
+    const FTable ft = fx.Upload("t", rows);
+
+    // The read is dispatched as it arrives and stalls for 20 us; the crash
+    // (and the restart) fall inside the stall.
+    const SimTime dispatched = fx.engine().Now() + cfg.net.fv_request_latency;
+    std::optional<Result<FvResult>> read;
+    fx.client().TableReadAsync(
+        ft, [&](Result<FvResult> r) { read.emplace(std::move(r)); });
+    fx.engine().ScheduleAt(dispatched + 5 * kMicrosecond,
+                           [&]() { fx.node().CrashNow(); });
+    if (restart) {
+      fx.engine().ScheduleAt(dispatched + 10 * kMicrosecond,
+                             [&]() { fx.node().RestartNow(); });
+    }
+    fx.engine().Run();
+
+    ASSERT_TRUE(read.has_value());
+    EXPECT_TRUE(read->status().IsUnavailable());
+    const NodeStats::ReliabilityStats& rel = fx.node().stats().reliability();
+    EXPECT_EQ(rel.region_stalls, 1u);
+    EXPECT_EQ(rel.crash_failures, 1u);
+  }
+}
+
+// A raw read's stream dies with the node too: a restart before its last
+// byte does not bring it back.
+TEST(CrashTest, RawReadSpanningCrashAndRestartFails) {
+  const Table rows = MakeRows(1 * kMiB);
+  bench::FvFixture fx;
+  const FTable ft = fx.Upload("t", rows);
+  const int qp_id = fx.client().qp()->qp_id;
+  auto raw_read = [&](std::optional<Result<FvResult>>* out) {
+    fx.node().RawRead(
+        qp_id, ft.vaddr, rows.size_bytes(),
+        [out](Result<FvResult> r) { out->emplace(std::move(r)); });
+  };
+
+  // Unfaulted, the 1 MiB stream outlasts the crash window below.
+  std::optional<Result<FvResult>> clean;
+  raw_read(&clean);
+  fx.engine().Run();
+  ASSERT_TRUE(clean.has_value() && clean->ok());
+  ASSERT_GT(clean->value().Elapsed(), 40 * kMicrosecond);
+
+  const SimTime arrived =
+      fx.engine().Now() + fx.node().config().net.fv_request_latency;
+  std::optional<Result<FvResult>> raw;
+  raw_read(&raw);
+  fx.engine().ScheduleAt(arrived + 10 * kMicrosecond,
+                         [&]() { fx.node().CrashNow(); });
+  fx.engine().ScheduleAt(arrived + 20 * kMicrosecond,
+                         [&]() { fx.node().RestartNow(); });
+  fx.engine().Run();
+  ASSERT_TRUE(raw.has_value());
+  EXPECT_TRUE(raw->status().IsUnavailable());
+  EXPECT_EQ(fx.node().stats().reliability().crash_failures, 1u);
 }
 
 // --- Client retry policy ----------------------------------------------------

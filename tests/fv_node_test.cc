@@ -53,7 +53,6 @@ TEST_F(FvNodeTest, ConnectionAssignsRegion) {
   ASSERT_NE(client_.qp(), nullptr);
   EXPECT_GE(client_.qp()->region_id, 0);
   EXPECT_LT(client_.qp()->region_id, node_.num_regions());
-  EXPECT_TRUE(client_.qp()->connected);
 }
 
 TEST_F(FvNodeTest, RegionsExhaust) {

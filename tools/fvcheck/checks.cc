@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <string>
-#include <thread>  // --jobs worker pool; tools/fvcheck/ is threading-allowlisted
 #include <utility>
 #include <vector>
 
@@ -45,15 +43,6 @@ std::vector<std::string> Options::DefaultWallClockAllowlist() {
   };
 }
 
-std::vector<std::string> Options::DefaultThreadingAllowlist() {
-  // Simulation code is single-threaded: one sim::Engine per run, so no
-  // simulated component may synchronize. fvcheck itself is a host-side tool
-  // whose --jobs pool never touches simulated state; its output order is
-  // pinned by the per-file merge + sort in Analyze (and by the
-  // JobsDeterminismTest pair).
-  return {"tools/fvcheck/"};
-}
-
 std::vector<std::string> Options::CalibratedConfigHeaders() {
   return {
       "src/fv/fv_config.h",
@@ -76,8 +65,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 }
 
 /// Context shared by the per-file checks. `index` is the whole-batch pass-1
-/// symbol index (read-only here, so the per-file pass can run on --jobs
-/// worker threads without synchronization).
+/// symbol index (read-only here).
 struct CheckContext {
   const std::string* path = nullptr;
   const LexedFile* lex = nullptr;
@@ -160,8 +148,8 @@ const std::set<std::string>& WallClockHeaders() {
 
 /// std::-qualified names whose presence means raw threading: a second clock
 /// and scheduler-dependent interleavings, i.e. nondeterminism — banned
-/// outside the threading allowlist (lock_guard/unique_lock need no entries;
-/// they are unusable without one of the mutex types below).
+/// everywhere (lock_guard/unique_lock need no entries; they are unusable
+/// without one of the mutex types below).
 const std::set<std::string>& ThreadingIdents() {
   static const std::set<std::string> kSet = {
       "thread",       "jthread",      "this_thread",
@@ -181,19 +169,11 @@ const std::set<std::string>& ThreadingHeaders() {
   return kSet;
 }
 
-bool IsThreadingAllowlisted(const CheckContext& ctx) {
-  for (const std::string& prefix : ctx.opts->threading_allowlist_prefixes) {
-    if (StartsWith(*ctx.path, prefix)) return true;
-  }
-  return false;
-}
-
 void CheckBannedApi(const CheckContext& ctx) {
   if (!ctx.RuleEnabled(kRuleBannedApi)) return;
   const auto& toks = ctx.lex->tokens;
   const bool in_src = StartsWith(*ctx.path, "src/");
   const bool wall_ok = IsWallClockAllowlisted(ctx);
-  const bool threading_ok = IsThreadingAllowlisted(ctx);
 
   auto prev_punct = [&](std::size_t i, const char* p) {
     return i > 0 && toks[i - 1].kind == Kind::kPunct && toks[i - 1].text == p;
@@ -260,13 +240,12 @@ void CheckBannedApi(const CheckContext& ctx) {
     // deterministic-event contract, and the simulation is single-threaded.
     // Only the std::-qualified spelling is the banned API — `my::mutex` or a
     // member named `thread` is not.
-    if (!threading_ok && ThreadingIdents().count(t) > 0 && i >= 2 &&
+    if (ThreadingIdents().count(t) > 0 && i >= 2 &&
         prev_punct(i, "::") && toks[i - 2].kind == Kind::kIdent &&
         toks[i - 2].text == "std") {
       ctx.Report(toks[i].line, kRuleBannedApi,
-                 "threading primitive 'std::" + t + "' outside the "
-                 "threading allowlist; deterministic simulation code must "
-                 "not synchronize");
+                 "threading primitive 'std::" + t + "'; deterministic "
+                 "simulation code must not synchronize");
       continue;
     }
 
@@ -289,13 +268,9 @@ void CheckBannedApi(const CheckContext& ctx) {
         }
       }
     }
-    if (!threading_ok) {
-      for (const std::string& hdr : ThreadingHeaders()) {
-        if (text.find(hdr) != std::string::npos) {
-          ctx.Report(line, kRuleBannedApi,
-                     "threading header #include " + hdr + " outside the "
-                     "threading allowlist");
-        }
+    for (const std::string& hdr : ThreadingHeaders()) {
+      if (text.find(hdr) != std::string::npos) {
+        ctx.Report(line, kRuleBannedApi, "threading header #include " + hdr);
       }
     }
   }
@@ -851,32 +826,11 @@ void CheckStaleSuppressions(const std::string& path, const LexedFile& lex,
 
 std::vector<Diagnostic> Analyze(const std::vector<FileInput>& files,
                                 const Options& opts) {
-  const std::size_t jobs = static_cast<std::size_t>(
-      std::max(1, std::min(opts.jobs, 64)));
-
-  // Shards [0, files.size()) across the worker pool; with jobs == 1 this is
-  // a plain loop on the calling thread. Workers touch disjoint slots, so
-  // no synchronization beyond join() is needed and the result is the same
-  // at any thread count.
-  auto run_sharded = [&](const std::function<void(std::size_t)>& fn) {
-    const std::size_t n = std::min(jobs, files.size());
-    if (n <= 1) {
-      for (std::size_t i = 0; i < files.size(); ++i) fn(i);
-      return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (std::size_t t = 0; t < n; ++t) {
-      pool.emplace_back([&, t] {
-        for (std::size_t i = t; i < files.size(); i += n) fn(i);
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  };
-
-  // Pass 0: lex (parallel, per-file independent).
+  // Pass 0: lex (per-file independent).
   std::vector<LexedFile> lexed(files.size());
-  run_sharded([&](std::size_t i) { lexed[i] = Lex(files[i].content); });
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    lexed[i] = Lex(files[i].content);
+  }
 
   // Pass 1: whole-batch symbol/ownership index (sequential; cheap relative
   // to lexing and inherently order-dependent).
@@ -888,9 +842,9 @@ std::vector<Diagnostic> Analyze(const std::vector<FileInput>& files,
   std::map<std::string, std::size_t> file_idx;
   for (std::size_t i = 0; i < files.size(); ++i) file_idx[files[i].path] = i;
 
-  // Pass 2a: per-file rules (parallel; the index is read-only here).
+  // Pass 2a: per-file rules (the index is read-only here).
   std::vector<std::vector<Diagnostic>> per_file(files.size());
-  run_sharded([&](std::size_t i) {
+  for (std::size_t i = 0; i < files.size(); ++i) {
     CheckContext ctx;
     ctx.path = &files[i].path;
     ctx.lex = &lexed[i];
@@ -903,7 +857,7 @@ std::vector<Diagnostic> Analyze(const std::vector<FileInput>& files,
     CheckPoolEscape(ctx);
     CheckDocCoverage(ctx);
     CheckHotPathAlloc(ctx);
-  });
+  }
 
   // Pass 2b: cross-file rules walk the index once and file their findings
   // into the owning file's list, so suppressions apply uniformly.
@@ -911,7 +865,7 @@ std::vector<Diagnostic> Analyze(const std::vector<FileInput>& files,
   AppendConfigCoupling(files, lexed, index, opts, file_idx, &per_file);
 
   // Suppression filter + stale-suppression audit, in batch order; the
-  // final sort pins the output order regardless of jobs.
+  // final sort pins the output order.
   std::vector<Diagnostic> out;
   for (std::size_t i = 0; i < files.size(); ++i) {
     UsedSuppressions used;

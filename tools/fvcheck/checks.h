@@ -10,7 +10,7 @@ namespace fvcheck {
 /// Names of the project-invariant rules (DESIGN.md §11):
 ///  - "banned-api":       wall clocks, randomness, exceptions in src/, and
 ///                        raw threading primitives (std::thread/mutex/atomic
-///                        &c.) outside the threading allowlist
+///                        &c.) anywhere
 ///  - "unchecked-status": discarded Status/Result<T> call results
 ///  - "simtime-mixing":   SimTime arithmetic with std::chrono or raw literals
 ///  - "pool-escape":      pooled pointers stored beyond the event lifetime
@@ -66,15 +66,6 @@ struct Options {
   /// the only users).
   std::vector<std::string> wall_clock_allowlist = DefaultWallClockAllowlist();
 
-  /// Repo-relative path prefixes allowed to use raw threading primitives
-  /// (std::thread, std::mutex, std::atomic, std::condition_variable and
-  /// their headers): only fvcheck's own --jobs pool. Everything else must
-  /// stay single-threaded, which is what keeps event order deterministic.
-  /// Exact files with a vetted one-off (e.g. the log-level atomic) carry a
-  /// named inline suppression instead of an entry here.
-  std::vector<std::string> threading_allowlist_prefixes =
-      DefaultThreadingAllowlist();
-
   /// When non-empty, only these rules run (used by the CLI's --rule flag
   /// and by the allowlist self-check).
   std::set<std::string> enabled_rules;
@@ -83,18 +74,12 @@ struct Options {
   /// to see through suppressions when auditing wall-clock users).
   bool honor_suppressions = true;
 
-  /// Worker threads for the lex + per-file check passes (clamped to
-  /// [1, 64]). Diagnostic output is byte-identical at any value: results
-  /// are collected per file and merged in batch order before sorting.
-  int jobs = 1;
-
   /// Reference documents (EXPERIMENTS.md) whose words count as references
   /// for the config-coupling rule, alongside identifiers in tests/ files of
   /// the batch. The CLI loads <root>/EXPERIMENTS.md here.
   std::vector<FileInput> reference_docs;
 
   static std::vector<std::string> DefaultWallClockAllowlist();
-  static std::vector<std::string> DefaultThreadingAllowlist();
 
   /// The four calibrated config headers the config-coupling rule audits —
   /// the exact set CLAUDE.md's constants-change contract names.

@@ -9,21 +9,17 @@
 // config-constant coupling, and stale-suppression hygiene.
 //
 // Usage:
-//   fvcheck [--root <repo_root>] [--rule <name>]... [--jobs N] [--timings]
-//           [paths...]
+//   fvcheck [--root <repo_root>] [--rule <name>]... [--timings] [paths...]
 //
 // Paths are repo-relative files or directories (default: src tests bench
 // tools examples). Exit status is 1 when any diagnostic fires, 2 on usage
 // errors. Suppression: `// fvcheck:allow=<rule>` on the offending line or
 // the line above (a directive that suppresses nothing is itself flagged by
-// stale-suppression). --jobs parallelizes the lex and per-file passes;
-// output is byte-identical at any value. --timings runs each rule alone
-// and prints its wall time to stderr (CI uses this to spot rule-cost
-// regressions).
+// stale-suppression). --timings runs each rule alone and prints its wall
+// time to stderr (CI uses this to spot rule-cost regressions).
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -47,14 +43,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       opts.enabled_rules.insert(rule);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opts.jobs = std::atoi(argv[++i]);
-      if (opts.jobs < 1) opts.jobs = 1;
     } else if (std::strcmp(argv[i], "--timings") == 0) {
       timings = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::cout << "usage: fvcheck [--root <dir>] [--rule <name>]... "
-                   "[--jobs N] [--timings] [paths...]\nrules:";
+                   "[--timings] [paths...]\nrules:";
       for (const std::string& r : fvcheck::AllRuleNames()) {
         std::cout << " " << r;
       }

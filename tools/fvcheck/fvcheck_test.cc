@@ -137,18 +137,6 @@ TEST(ThreadingBanTest, NegativeFixtureStaysClean) {
       << (diags.empty() ? "" : diags[0].message);
 }
 
-TEST(ThreadingBanTest, OnlyFvcheckIsAllowlisted) {
-  EXPECT_EQ(Options::DefaultThreadingAllowlist(),
-            std::vector<std::string>{"tools/fvcheck/"});
-  auto diags = AnalyzeFixture("threading_bad.cc",
-                              "tools/fvcheck/threading_bad.cc");
-  for (const auto& d : diags) {
-    EXPECT_EQ(d.message.find("threading"), std::string::npos)
-        << "threading ban must not apply under tools/fvcheck/: "
-        << d.message;
-  }
-}
-
 TEST(UncheckedStatusTest, PositiveFixture) {
   auto diags =
       AnalyzeFixture("unchecked_status_bad.cc", "src/unchecked_status.cc");
@@ -287,11 +275,11 @@ TEST(TreeSelfCheckTest, AllowlistedFilesAreTheOnlyWallClockUsers) {
   EXPECT_EQ(wall_clock_users.count("bench/perf_simcore.cc"), 1u);
 }
 
-// Threading-ban self-check: with the allowlist emptied and suppressions
-// audited through, the only threading finding outside fvcheck's own --jobs
-// pool is src/common/logging.cc, whose single log-level atomic carries a
-// named inline suppression. Nobody can sneak a thread or a mutex into
-// src/, bench/, tests/ or examples/ without editing this test.
+// Threading-ban self-check: with suppressions audited through, the only
+// threading finding in the tree is src/common/logging.cc, whose single
+// log-level atomic carries a named inline suppression. Nobody can sneak a
+// thread or a mutex into src/, bench/, tests/, tools/ or examples/ without
+// editing this test.
 TEST(TreeSelfCheckTest, SimulationCodeIsSingleThreaded) {
   const std::string root = FVCHECK_SOURCE_ROOT;
   const std::vector<std::string> files = CollectSourceFiles(
@@ -307,13 +295,11 @@ TEST(TreeSelfCheckTest, SimulationCodeIsSingleThreaded) {
 
   Options opts;
   opts.enabled_rules = {kRuleBannedApi};
-  opts.threading_allowlist_prefixes.clear();
   opts.honor_suppressions = false;
 
   std::set<std::string> threading_users;
   for (const Diagnostic& d : Analyze(inputs, opts)) {
-    if (d.message.find("threading") != std::string::npos &&
-        d.file.rfind("tools/fvcheck/", 0) != 0) {
+    if (d.message.find("threading") != std::string::npos) {
       threading_users.insert(d.file);
     }
   }
@@ -610,32 +596,6 @@ TEST(TreeSelfCheckTest, ConfigCouplingGuardsCalibratedConstants) {
   EXPECT_EQ(CountRule(diags, kRuleConfigCoupling), 1) << Dump(diags);
   EXPECT_NE(Dump(diags).find("'retransmit_timeout_v2'"), std::string::npos)
       << Dump(diags);
-}
-
-// --jobs N must never change what fvcheck reports: same files, same
-// diagnostics, same order, at any worker count.
-TEST(TreeSelfCheckTest, JobsDeterminism) {
-  const std::string root = FVCHECK_SOURCE_ROOT;
-  const std::vector<std::string> files = CollectSourceFiles(
-      root, {"src", "tests", "bench", "tools", "examples"});
-  ASSERT_GT(files.size(), 100u);
-  std::vector<FileInput> inputs;
-  for (const std::string& f : files) {
-    FileInput input;
-    ASSERT_TRUE(ReadFileInput(root, f, &input)) << f;
-    inputs.push_back(std::move(input));
-  }
-
-  // See through suppressions so the comparison is over a non-empty set.
-  Options opts;
-  opts.honor_suppressions = false;
-  opts.jobs = 1;
-  const std::string serial = Dump(Analyze(inputs, opts));
-  EXPECT_FALSE(serial.empty());
-  for (int jobs : {2, 4, 8}) {
-    opts.jobs = jobs;
-    EXPECT_EQ(serial, Dump(Analyze(inputs, opts))) << "jobs=" << jobs;
-  }
 }
 
 }  // namespace
