@@ -113,12 +113,12 @@ void BM_SelectionPipeline(benchmark::State& state) {
           .Select({Predicate::Int(0, CompareOp::kLt, 50)})
           .Build();
   if (!p.ok()) return;
+  // The pipeline reads the table in place, as a region reads its stream,
+  // so the loop times the selection kernel rather than a table copy.
   for (auto _ : state) {
     p.value().Reset();
-    Batch in = Batch::Empty(&schema);
-    in.data = t.value().bytes();
-    in.num_rows = t.value().num_rows();
-    Result<Batch> out = p.value().Process(std::move(in));
+    Result<Batch> out = p.value().Process(
+        Batch::Borrow(&schema, t.value().data(), t.value().num_rows()));
     benchmark::DoNotOptimize(out.ok());
   }
   state.SetBytesProcessed(state.iterations() *

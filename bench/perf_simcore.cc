@@ -29,6 +29,7 @@
 // BENCH_simcore.json, override with FV_BENCH_JSON; FV_BENCH_JSON=- skips the
 // file) consumed by scripts/bench_report.sh and the CI perf-smoke job.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -438,13 +439,20 @@ std::string JsonReport(const std::vector<Measurement>& ms) {
 
 /// Best-of-N to damp scheduler noise: the fastest run is the one least
 /// perturbed by the host, and every run executes the identical event
-/// sequence (the simulator is deterministic).
+/// sequence (the simulator is deterministic). Allocation counts are the
+/// smallest over the reps, whichever rep was fastest: a cold rep's warm-up
+/// allocations (empty pool free lists) must not reach the hard
+/// allocs/event gate because that rep happened to win on wall time.
 template <typename Fn>
 Measurement BestOf(int n, Fn run) {
   Measurement best = run();
   for (int i = 1; i < n; ++i) {
     Measurement m = run();
+    const uint64_t allocs = std::min(best.allocs, m.allocs);
+    const uint64_t alloc_bytes = std::min(best.alloc_bytes, m.alloc_bytes);
     if (m.wall_ns < best.wall_ns) best = m;
+    best.allocs = allocs;
+    best.alloc_bytes = alloc_bytes;
   }
   return best;
 }

@@ -30,12 +30,12 @@ namespace farview {
 /// results), so an exact-size free list converts them to warm-page reuse.
 ///
 /// Blocks below the exact-size threshold recycle through power-of-two size
-/// classes instead: per-burst operator scratch (StreamParser batches,
-/// hash-join emit buffers, group-by key scratch) allocates thousands of
-/// small, similarly-sized ByteBuffers per simulated stream, and even with
-/// malloc's fast bins that is the dominant allocs/event term on fig12
-/// (DESIGN.md §8a). A class free list turns the steady state into pure
-/// pointer pops with zero allocator traffic.
+/// classes instead: per-burst operator output (selection and hash-join
+/// survivors, decrypt's output for a borrowed batch, group-by key scratch)
+/// allocates thousands of small, similarly-sized ByteBuffers per simulated
+/// stream, and even with malloc's fast bins that is the dominant
+/// allocs/event term on fig12 (DESIGN.md §8a). A class free list turns the
+/// steady state into pure pointer pops with zero allocator traffic.
 ///
 /// Zeroed stores (AcquireZeroed / ReleaseZeroed) are a third kind: large,
 /// sparsely written, zero-initialized memory such as a node's DRAM frame
@@ -296,9 +296,11 @@ using ByteBuffer = std::vector<uint8_t, PooledByteAllocator>;
 /// Copies `n` bytes like memcpy, but for large blocks uses non-temporal
 /// stores so a multi-MiB payload copy does not evict the simulator's
 /// working set (event buckets, flow tables, hash state) from the private
-/// caches. The simulated workloads stream payloads that are written once
-/// and consumed far later (or never, for discarded results), so keeping
-/// them out of L1/L2 is pure win for the event core (DESIGN.md §8).
+/// caches. Only for bytes nothing reads again soon: plain-read results
+/// (`Mmu::ReadInto`), which the simulator hands to the client and never
+/// reads. A region's input stream is read back by its operators within
+/// microseconds, so it is copied with a plain memcpy instead: streamed
+/// bytes would have to come back from DRAM (DESIGN.md §8).
 void StreamCopy(uint8_t* dst, const uint8_t* src, std::size_t n);
 
 /// Reads a little-endian 64-bit unsigned integer at `p`.

@@ -12,14 +12,14 @@ namespace farview {
 namespace {
 
 #if defined(__x86_64__)
-/// XORs the keystream of `kLanes` consecutive blocks, counters `counter`
-/// onward, into `data`. The lanes go through the rounds together, so the
-/// AESENC pipeline stays full. `rk` is the expanded key schedule and
+/// Writes `in` XOR the keystream of `kLanes` consecutive blocks, counters
+/// `counter` onward, to `out`. The lanes go through the rounds together, so
+/// the AESENC pipeline stays full. `rk` is the expanded key schedule and
 /// `nonce_hi` the nonce's first 8 bytes as a little-endian word.
 template <size_t kLanes>
 __attribute__((target("aes"), always_inline)) inline void XorLanes(
     const __m128i rk[Aes128::kRounds + 1], uint64_t nonce_hi,
-    uint64_t counter, uint8_t* data) {
+    uint64_t counter, const uint8_t* in, uint8_t* out) {
   __m128i b[kLanes];
   for (size_t j = 0; j < kLanes; ++j) {
     // Bytes 8..15 of a counter block are the counter big-endian, i.e. the
@@ -34,18 +34,20 @@ __attribute__((target("aes"), always_inline)) inline void XorLanes(
     for (size_t j = 0; j < kLanes; ++j) b[j] = _mm_aesenc_si128(b[j], rk[r]);
   }
   for (size_t j = 0; j < kLanes; ++j) {
-    __m128i* p = reinterpret_cast<__m128i*>(data + 16 * j);
     const __m128i ks = _mm_aesenclast_si128(b[j], rk[Aes128::kRounds]);
-    _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), ks));
+    const __m128i src =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * j));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * j),
+                     _mm_xor_si128(src, ks));
   }
 }
 
-/// XORs the keystream of `blocks` whole blocks into `data`, the first block
-/// having counter `counter`, eight blocks in flight. Counter blocks are the
-/// nonce's first 8 bytes followed by the counter big-endian.
+/// Writes `in` XOR the keystream of `blocks` whole blocks to `out`, the
+/// first block having counter `counter`, eight blocks in flight. Counter
+/// blocks are the nonce's first 8 bytes followed by the counter big-endian.
 __attribute__((target("aes"))) void XorKeystreamAesNi(
     const uint8_t* round_keys, const uint8_t* nonce, uint64_t counter,
-    uint8_t* data, uint64_t blocks) {
+    const uint8_t* in, uint8_t* out, uint64_t blocks) {
   uint64_t nonce_hi = 0;
   std::memcpy(&nonce_hi, nonce, sizeof(nonce_hi));
   __m128i rk[Aes128::kRounds + 1];
@@ -54,12 +56,12 @@ __attribute__((target("aes"))) void XorKeystreamAesNi(
         reinterpret_cast<const __m128i*>(round_keys + 16 * r));
   }
   constexpr size_t kBatch = 8;
-  for (; blocks >= kBatch;
-       blocks -= kBatch, counter += kBatch, data += kBatch * 16) {
-    XorLanes<kBatch>(rk, nonce_hi, counter, data);
+  for (; blocks >= kBatch; blocks -= kBatch, counter += kBatch,
+                           in += kBatch * 16, out += kBatch * 16) {
+    XorLanes<kBatch>(rk, nonce_hi, counter, in, out);
   }
-  for (; blocks > 0; --blocks, ++counter, data += 16) {
-    XorLanes<1>(rk, nonce_hi, counter, data);
+  for (; blocks > 0; --blocks, ++counter, in += 16, out += 16) {
+    XorLanes<1>(rk, nonce_hi, counter, in, out);
   }
 }
 #endif
@@ -90,7 +92,8 @@ void AesCtr::KeystreamBlock(uint64_t counter, uint8_t out[16]) const {
   cipher_.EncryptBlock(block, out);
 }
 
-void AesCtr::Apply(uint8_t* data, uint64_t len, uint64_t offset) const {
+void AesCtr::Apply(const uint8_t* in, uint8_t* out, uint64_t len,
+                   uint64_t offset) const {
   uint64_t pos = 0;
   while (pos < len) {
     const uint64_t abs = offset + pos;
@@ -100,7 +103,8 @@ void AesCtr::Apply(uint8_t* data, uint64_t len, uint64_t offset) const {
     if (aesni_ && in_block == 0 && len - pos >= Aes128::kBlockSize) {
       const uint64_t blocks = (len - pos) / Aes128::kBlockSize;
       XorKeystreamAesNi(cipher_.round_keys(), nonce_.data(),
-                        counter_base_ + block_index, data + pos, blocks);
+                        counter_base_ + block_index, in + pos, out + pos,
+                        blocks);
       pos += blocks * Aes128::kBlockSize;
       continue;
     }
@@ -110,7 +114,7 @@ void AesCtr::Apply(uint8_t* data, uint64_t len, uint64_t offset) const {
     const uint64_t n =
         std::min<uint64_t>(len - pos, Aes128::kBlockSize - in_block);
     for (uint64_t i = 0; i < n; ++i) {
-      data[pos + i] ^= ks[in_block + i];
+      out[pos + i] = in[pos + i] ^ ks[in_block + i];
     }
     pos += n;
   }

@@ -32,7 +32,14 @@ class AesCtr {
 
   /// XORs `len` bytes at absolute stream offset `offset` with the keystream:
   /// applies encryption (or equivalently decryption) in place.
-  void Apply(uint8_t* data, uint64_t len, uint64_t offset) const;
+  void Apply(uint8_t* data, uint64_t len, uint64_t offset) const {
+    Apply(data, data, len, offset);
+  }
+
+  /// Out-of-place form: writes `in` XOR keystream to `out`. The two spans
+  /// are either the same bytes or disjoint.
+  void Apply(const uint8_t* in, uint8_t* out, uint64_t len,
+             uint64_t offset) const;
 
   /// Convenience: transforms a buffer starting at stream offset 0.
   void Apply(ByteBuffer* buf) const { Apply(buf->data(), buf->size(), 0); }

@@ -95,15 +95,16 @@ struct DynamicRegion::ExecState : EgressState {
   /// Functionally materialized input stream (whole tuples, or the
   /// smart-addressing extraction), consumed in order by the datapath.
   ByteBuffer stream;
+  /// Bytes of `stream` that have cleared the datapath.
   uint64_t stream_cursor = 0;
+  /// Bytes of `stream` handed to the pipeline: always a whole number of
+  /// tuples, at most `stream_cursor`. The tuple straddling the two waits in
+  /// the stream itself for the burst that completes it.
+  uint64_t row_cursor = 0;
 
   /// Private datapath server for this request (rate depends on
   /// vectorization).
   std::unique_ptr<sim::Server> pipe;
-
-  /// Borrowed from DynamicRegion::parser_ (rebound per request); never
-  /// outlives the region.
-  StreamParser* parser = nullptr;
 
   uint64_t mem_bursts_done = 0;
   uint64_t pipe_chunks_done = 0;
@@ -174,7 +175,8 @@ void DynamicRegion::Execute(RequestContextPtr ctx,
   }
 
   auto st = std::make_shared<ExecState>();
-  // Functional materialization of the input stream (and access check).
+  // Functional materialization of the input stream (and access check): the
+  // one copy of the input the datapath makes; operators read it in place.
   // Take the recycled buffer (FinishStream returns it): its warm pages make
   // the materialization a single copy pass instead of fault + zero + copy.
   st->stream = std::move(stream_pool_);
@@ -190,8 +192,9 @@ void DynamicRegion::Execute(RequestContextPtr ctx,
           st->stream.data() + r * request.sa_access_bytes);
     }
   } else {
-    s = mmu_->ReadInto(ctx->client_id, request.vaddr, request.len,
-                       &st->stream);
+    st->stream.resize(request.len);
+    s = mmu_->Read(ctx->client_id, request.vaddr, request.len,
+                   st->stream.data());
   }
   if (!s.ok()) {
     FailSoon(engine_, std::move(on_result), std::move(s));
@@ -200,8 +203,6 @@ void DynamicRegion::Execute(RequestContextPtr ctx,
 
   Begin(st, ctx, std::move(on_result));
   pipeline_->Reset();
-  parser_.Rebind(&pipeline_->input_schema());
-  st->parser = &parser_;
   st->pipe = std::make_unique<sim::Server>(
       engine_, "region" + std::to_string(region_id_) + "_pipe",
       config_.PipeRate(request.vectorized));
@@ -237,19 +238,21 @@ void DynamicRegion::OnBurstProcessed(std::shared_ptr<ExecState> st,
   if (st->failed) return;
   ++st->pipe_chunks_done;
   // Functional processing: the next `bytes` of the stream clear the
-  // datapath now.
-  const uint64_t n =
+  // datapath now, and with them every tuple they complete.
+  st->stream_cursor +=
       std::min<uint64_t>(bytes, st->stream.size() - st->stream_cursor);
-  Batch batch = st->parser->Push(st->stream.data() + st->stream_cursor, n);
-  st->stream_cursor += n;
-  Result<Batch> out = pipeline_->Process(std::move(batch));
+  const Schema& schema = pipeline_->input_schema();
+  const uint64_t rows =
+      (st->stream_cursor - st->row_cursor) / schema.tuple_width();
+  Result<Batch> out = pipeline_->Process(
+      Batch::Borrow(&schema, st->stream.data() + st->row_cursor, rows));
+  st->row_cursor += rows * schema.tuple_width();
   if (!out.ok()) {
     st->failed = true;
     st->finish(out.status());
     return;
   }
-  st->result.data.insert(st->result.data.end(), out.value().data.begin(),
-                         out.value().data.end());
+  out.value().AppendTo(&st->result.data);
   st->result.rows += out.value().num_rows;
   if (out.value().size_bytes() > 0) {
     st->tx->Push(out.value().size_bytes());
@@ -266,6 +269,7 @@ void DynamicRegion::FinishStream(std::shared_ptr<ExecState> st) {
   stream_pool_ = std::move(st->stream);
   st->stream.clear();
   st->stream_cursor = 0;
+  st->row_cursor = 0;
   Result<Batch> flushed = pipeline_->Flush();
   if (!flushed.ok()) {
     st->failed = true;
@@ -279,8 +283,7 @@ void DynamicRegion::FinishStream(std::shared_ptr<ExecState> st) {
   if (fb.num_rows > 0 && pipeline_->IsBlocking()) {
     flush_latency = static_cast<SimTime>(fb.num_rows) * config_.flush_per_group;
   }
-  st->result.data.insert(st->result.data.end(), fb.data.begin(),
-                         fb.data.end());
+  fb.AppendTo(&st->result.data);
   st->result.rows += fb.num_rows;
   const uint64_t flush_bytes = fb.size_bytes();
   engine_->ScheduleAfter(flush_latency, [this, st, flush_bytes]() {
@@ -298,9 +301,10 @@ void DynamicRegion::ExecuteRead(
     return;
   }
   auto st = std::make_shared<EgressState>();
-  // Plain reads have no parser/datapath stage, so the payload is appended
-  // straight into the result: one copy pass, no scratch buffer and no
-  // value-initializing resize.
+  // Plain reads have no datapath stage, so the payload is appended straight
+  // into the result: one streaming-copy pass (nothing in the simulator
+  // reads a result again), no scratch buffer and no value-initializing
+  // resize.
   s = mmu_->ReadInto(ctx->client_id, ctx->request.vaddr, ctx->request.len,
                      &st->result.data);
   if (!s.ok()) {

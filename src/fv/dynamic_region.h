@@ -15,7 +15,6 @@
 #include "mem/memory_controller.h"
 #include "mem/mmu.h"
 #include "net/network_stack.h"
-#include "operators/batch.h"
 #include "operators/pipeline.h"
 #include "sim/engine.h"
 #include "sim/server.h"
@@ -58,10 +57,13 @@ void StreamBypass(MemoryController* memctl, NetworkStack* net,
 ///
 /// Timing: bursts queue on the shared DRAM channel servers (striped), then
 /// on the region's private datapath server (rate = 16 GB/s × pipes), then
-/// the produced payload queues on the shared egress link. Functional bytes
-/// are read through the MMU when each burst clears the datapath — in
-/// stream order, which the reorder step guarantees (the hardware's
-/// inter-stack queues do the same).
+/// the produced payload queues on the shared egress link. Functionally the
+/// request's input is copied once, at the start, out of the MMU into one
+/// contiguous stream buffer; each burst that clears the datapath hands the
+/// pipeline a borrowed batch (`Batch::Borrow`) of the whole tuples
+/// completed so far, read in place from that buffer — in stream order,
+/// which the reorder step guarantees (the hardware's inter-stack queues do
+/// the same).
 ///
 /// The region stamps each request's `RequestContext` as it moves through the
 /// stacks (region-start, first-memory-beat, operator-done, egress-finished,
@@ -120,9 +122,10 @@ class DynamicRegion {
  private:
   struct ExecState;
 
-  /// Burst `index` cleared the datapath: run the functional pipeline over
-  /// its bytes and push output to the network; finish after the last.
-  void OnBurstProcessed(std::shared_ptr<ExecState> st, uint64_t index);
+  /// A burst of `bytes` cleared the datapath: run the functional pipeline
+  /// over the tuples it completed and push output to the network; finish
+  /// after the last.
+  void OnBurstProcessed(std::shared_ptr<ExecState> st, uint64_t bytes);
 
   void FinishStream(std::shared_ptr<ExecState> st);
 
@@ -156,13 +159,10 @@ class DynamicRegion {
   /// fresh vector costs milliseconds of page faults + zeroing per request;
   /// reusing the previous request's buffer makes the same-size resize free
   /// (Execute overwrites every byte through the MMU before reading any).
+  /// The copy is a plain one, not `Mmu::ReadInto`'s streaming stores: the
+  /// datapath reads these bytes back within microseconds of host time, so
+  /// they should still be in cache.
   ByteBuffer stream_pool_;
-  /// Long-lived stream parser, rebound to the loaded pipeline's input schema
-  /// at the start of each request (a region serves one request at a time, so
-  /// reuse is race-free). Like `stream_pool_`, reuse keeps its partial-tuple
-  /// buffer capacity warm instead of heap-allocating a parser per request
-  /// (DESIGN.md §8a).
-  StreamParser parser_{nullptr};
   bool busy_ = false;
   bool reconfiguring_ = false;
   bool faulted_ = false;

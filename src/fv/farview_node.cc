@@ -243,12 +243,18 @@ RequestContextPtr FarviewNode::NewContext(
   return ctx;
 }
 
-bool FarviewNode::Arrive(const RequestContextPtr& ctx) {
+bool FarviewNode::Arrive(const RequestContextPtr& ctx,
+                         std::function<void(Result<SimTime>)>* write_done) {
   ctx->ingress_done = engine_->Now();
   if (!down_) return true;
   stats_.RecordFailure(ctx->qp_id);
   stats_.RecordCrashFailure();
-  FailSoon(engine_, ctx, Status::Unavailable("node down"));
+  Status s = Status::Unavailable("node down");
+  if (write_done != nullptr) {
+    FailSoon(engine_, std::move(*write_done), std::move(s));
+  } else {
+    FailSoon(engine_, ctx, std::move(s));
+  }
   return false;
 }
 
@@ -273,6 +279,10 @@ void FarviewNode::TableWrite(int qp_id, uint64_t vaddr, const uint8_t* data,
     FailSoon(engine_, std::move(done), Status::NotFound("unknown queue pair"));
     return;
   }
+  // The functional write lands now, while the caller's bytes are valid, so
+  // a down node is refused here too: it must not take the bytes. A node
+  // that goes down later fails the write through `Arrive` and `Settle`,
+  // like a read.
   if (down_) {
     stats_.RecordFailure(qp_id);
     stats_.RecordCrashFailure();
@@ -301,7 +311,7 @@ void FarviewNode::TableWrite(int qp_id, uint64_t vaddr, const uint8_t* data,
   engine_->ScheduleAfter(
       config_.net.fv_request_latency, [this, flow, vaddr, len, ctx,
                                        done = std::move(done)]() mutable {
-        ctx->ingress_done = engine_->Now();
+        if (!Arrive(ctx, &done)) return;
         const uint64_t packet = config_.net.packet_bytes;
         uint64_t sent = 0;
         // Only the final packet carries a completion: earlier packets
@@ -332,18 +342,17 @@ void FarviewNode::TableWrite(int qp_id, uint64_t vaddr, const uint8_t* data,
                       engine_->ScheduleAfter(
                           config_.net.fv_delivery_latency,
                           [this, ctx, done = std::move(done)]() mutable {
-                            if (down_) {
-                              // Crash raced the acknowledgment: the client
-                              // never learns the write landed.
-                              stats_.RecordFailure(ctx->qp_id);
-                              stats_.RecordCrashFailure();
-                              done(Status::Unavailable(
-                                  "node crashed before the write ack"));
-                              return;
-                            }
+                            // A crash after the write arrived voids its
+                            // ack, even when the node is back up by now:
+                            // the client never learns the write landed.
                             ctx->delivered = engine_->Now();
-                            stats_.RecordCompletion(*ctx);
-                            done(engine_->Now());
+                            Result<FvResult> res = FvResult{};
+                            Settle(*ctx, &res);
+                            if (res.ok()) {
+                              done(engine_->Now());
+                            } else {
+                              done(res.status());
+                            }
                           });
                     });
               });

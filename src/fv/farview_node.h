@@ -181,12 +181,14 @@ class FarviewNode {
 
   /// A request reached the node: stamps `ingress_done`. A down node turns
   /// it away with `Unavailable`, counted as a crash failure; returns false
-  /// then.
-  bool Arrive(const RequestContextPtr& ctx);
+  /// then. The failure goes to the context's `done`, or to `*write_done`
+  /// when given (a write's context has no `done`).
+  bool Arrive(const RequestContextPtr& ctx,
+              std::function<void(Result<SimTime>)>* write_done = nullptr);
 
-  /// The completion step of every read-type verb and scheduler job. Voids
-  /// an OK `*res` whose request reached the node at or before the last
-  /// crash (its region or stream state died with the node, even though the
+  /// The completion step of every verb and scheduler job. Voids an OK
+  /// `*res` whose request reached the node at or before the last crash (its
+  /// region, stream or write state died with the node, even though the
   /// simulation events still drain), then stamps `issued_at` and records
   /// the completion or the failure.
   void Settle(const RequestContext& ctx, Result<FvResult>* res);

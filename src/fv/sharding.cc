@@ -697,6 +697,14 @@ void ShardedClient::GatherAsync(const FTable& table, Verb verb,
             FvResult out;
             out.issued_at = g->parts[0]->issued_at;
             out.first_byte_at = g->parts[0]->first_byte_at;
+            if (g->merger == nullptr) {
+              // One allocation, so each fragment's bytes are copied once.
+              size_t total = 0;
+              for (const std::optional<FvResult>& part : g->parts) {
+                total += part->data.size();
+              }
+              out.data.reserve(total);
+            }
             for (std::optional<FvResult>& part : g->parts) {
               if (g->merger != nullptr) {
                 const Status merged = g->merger->Consume(part->data.data(),

@@ -61,7 +61,9 @@ class Mmu {
   /// pointer. The append is a single streaming-copy pass per page span — no
   /// value-initializing resize of the destination first — which keeps the
   /// per-request materialization cost at one pass over the payload and, for
-  /// large spans, out of the private caches (DESIGN.md §8). On error the
+  /// large spans, out of the private caches (DESIGN.md §8). For plain-read
+  /// results, which nothing reads again; a region's operator input, read
+  /// back at once, is copied with `Read` so it stays in cache. On error the
   /// appended region is indeterminate; callers must discard `*out`.
   Status ReadInto(int client, uint64_t vaddr, uint64_t len,
                   ByteBuffer* out) const;

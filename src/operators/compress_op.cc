@@ -7,12 +7,13 @@ CompressOp::CompressOp(const Schema& input)
 
 Result<Batch> CompressOp::Process(Batch in) {
   Batch out = Batch::Empty(&output_schema_);
-  if (!in.data.empty()) {
-    const ByteBuffer compressed = LzCompress(in.data);
-    raw_bytes_ += in.data.size();
+  const uint64_t raw = in.size_bytes();
+  if (raw > 0) {
+    const ByteBuffer compressed = LzCompress(in.bytes(), raw);
+    raw_bytes_ += raw;
     compressed_bytes_ += compressed.size();
     out.data.resize(8);  // fvcheck:allow=hot-path-alloc pooled ByteBuffer
-    StoreLE32(out.data.data(), static_cast<uint32_t>(in.data.size()));
+    StoreLE32(out.data.data(), static_cast<uint32_t>(raw));
     StoreLE32(out.data.data() + 4, static_cast<uint32_t>(compressed.size()));
     out.data.insert(out.data.end(), compressed.begin(), compressed.end());
     out.num_rows = out.data.size();  // 1-byte rows

@@ -13,16 +13,26 @@ Result<OperatorPtr> CryptoOp::Create(const Schema& schema,
 }
 
 Result<Batch> CryptoOp::Process(Batch in) {
-  // XOR with the keystream in place; CTR encryption and decryption are the
-  // same transform.
-  ctr_.Apply(in.data.data(), in.data.size(), offset_);
-  offset_ += in.data.size();
-  Batch out = std::move(in);
+  // XOR with the keystream; CTR encryption and decryption are the same
+  // transform. Owned rows are rewritten in place. Borrowed rows are
+  // read-only, so they are XORed into a pooled buffer the output owns.
+  const uint64_t n = in.size_bytes();
+  Batch out = Batch::Empty(in.schema);
+  out.num_rows = in.num_rows;
+  if (in.borrowed()) {
+    // fvcheck:allow=hot-path-alloc pooled ByteBuffer
+    out.data.resize(n);
+    ctr_.Apply(in.bytes(), out.data.data(), n, offset_);
+  } else {
+    out.data = std::move(in.data);
+    ctr_.Apply(out.data.data(), n, offset_);
+  }
+  offset_ += n;
   // Rows and bytes pass through 1:1.
   stats_.rows_in += out.num_rows;
   stats_.rows_out += out.num_rows;
-  stats_.bytes_in += out.size_bytes();
-  stats_.bytes_out += out.size_bytes();
+  stats_.bytes_in += n;
+  stats_.bytes_out += n;
   return out;
 }
 

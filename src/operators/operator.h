@@ -2,6 +2,7 @@
 #define FARVIEW_OPERATORS_OPERATOR_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -68,6 +69,30 @@ class Operator {
   void AccountOut(const Batch& out) {
     stats_.rows_out += out.num_rows;
     stats_.bytes_out += out.size_bytes();
+  }
+
+  /// Subclass helper for filters: the rows of `in` (layout `schema`) for
+  /// which `keep(row bytes)` is true. Survivors are stored into an output
+  /// sized for the whole input, which is cut once at the end, so keeping a
+  /// row is one fixed-size copy.
+  template <typename Keep>
+  static Batch KeepRows(const Batch& in, const Schema* schema, Keep keep) {
+    Batch out = Batch::Empty(schema);
+    if (in.num_rows == 0) return out;
+    // fvcheck:allow=hot-path-alloc pooled ByteBuffer
+    out.data.resize(in.size_bytes());
+    const uint32_t tw = schema->tuple_width();
+    const uint8_t* row = in.bytes();
+    uint8_t* dst = out.data.data();
+    for (uint64_t r = 0; r < in.num_rows; ++r, row += tw) {
+      if (!keep(row)) continue;
+      std::memcpy(dst, row, tw);
+      dst += tw;
+    }
+    out.num_rows = static_cast<uint64_t>(dst - out.data.data()) / tw;
+    // fvcheck:allow=hot-path-alloc shrinks; never grows
+    out.data.resize(out.num_rows * tw);
+    return out;
   }
 
   OperatorStats stats_;

@@ -3,28 +3,6 @@
 #include <sstream>
 
 namespace farview {
-namespace {
-
-template <typename T>
-bool Compare(CompareOp op, T lhs, T rhs) {
-  switch (op) {
-    case CompareOp::kLt:
-      return lhs < rhs;
-    case CompareOp::kLe:
-      return lhs <= rhs;
-    case CompareOp::kGt:
-      return lhs > rhs;
-    case CompareOp::kGe:
-      return lhs >= rhs;
-    case CompareOp::kEq:
-      return lhs == rhs;
-    case CompareOp::kNe:
-      return lhs != rhs;
-  }
-  return false;
-}
-
-}  // namespace
 
 const char* CompareOpToString(CompareOp op) {
   switch (op) {
@@ -98,6 +76,19 @@ std::string Predicate::ToString(const Schema& schema) const {
     out << int_value_;
   }
   return out.str();
+}
+
+Result<CompiledPredicate> CompiledPredicate::Compile(
+    const PredicateList& preds, const Schema& schema) {
+  FV_RETURN_IF_ERROR(preds.Validate(schema));
+  CompiledPredicate compiled;
+  for (const Predicate& p : preds.predicates()) {
+    // fvcheck:allow=hot-path-alloc setup (operator construction)
+    compiled.terms_.push_back(Term{schema.offset(p.column()), p.op(),
+                                   p.is_real(), p.int_value(),
+                                   p.real_value()});
+  }
+  return compiled;
 }
 
 }  // namespace farview

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "table/schema.h"
 #include "table/table.h"
@@ -16,6 +17,27 @@ enum class CompareOp { kLt, kLe, kGt, kGe, kEq, kNe };
 
 /// Canonical name of a comparison operator (for plan/stat output).
 const char* CompareOpToString(CompareOp op);
+
+/// `lhs <op> rhs`: the one comparison both `Predicate::Eval` and the
+/// compiled selection terms use, so they agree on every value (NaN too).
+template <typename T>
+inline bool Compare(CompareOp op, T lhs, T rhs) {
+  switch (op) {
+    case CompareOp::kLt:
+      return lhs < rhs;
+    case CompareOp::kLe:
+      return lhs <= rhs;
+    case CompareOp::kGt:
+      return lhs > rhs;
+    case CompareOp::kGe:
+      return lhs >= rhs;
+    case CompareOp::kEq:
+      return lhs == rhs;
+    case CompareOp::kNe:
+      return lhs != rhs;
+  }
+  return false;
+}
 
 /// One column-vs-constant comparison. The paper's selection operators
 /// compare "the value of an attribute ... against a constant provided in
@@ -85,6 +107,43 @@ class PredicateList {
 
  private:
   std::vector<Predicate> preds_;
+};
+
+/// A conjunction resolved once against a row layout: each predicate becomes
+/// a (byte offset, op, constant) term, so a row is filtered with loads at
+/// fixed offsets, without a schema lookup or an out-of-line call per row —
+/// the software counterpart of the hardwired matching circuit (Section 5.3).
+class CompiledPredicate {
+ public:
+  /// Validates `preds` against `schema` and resolves their columns.
+  static Result<CompiledPredicate> Compile(const PredicateList& preds,
+                                           const Schema& schema);
+
+  /// True when the row at `row` (laid out per the compiled schema)
+  /// satisfies every term; true for an empty conjunction.
+  bool Eval(const uint8_t* row) const {
+    for (const Term& t : terms_) {
+      const uint8_t* p = row + t.offset;
+      const bool pass = t.is_real
+                            ? Compare(t.op, LoadDouble(p), t.real_value)
+                            : Compare(t.op, LoadLE64Signed(p), t.int_value);
+      if (!pass) return false;
+    }
+    return true;
+  }
+
+  size_t size() const { return terms_.size(); }
+
+ private:
+  struct Term {
+    uint32_t offset;
+    CompareOp op;
+    bool is_real;
+    int64_t int_value;
+    double real_value;
+  };
+
+  std::vector<Term> terms_;
 };
 
 }  // namespace farview

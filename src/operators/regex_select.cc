@@ -17,27 +17,16 @@ Result<OperatorPtr> RegexSelectOp::Create(const Schema& input, int col,
 }
 
 Result<Batch> RegexSelectOp::Process(Batch in) {
-  Batch out = Batch::Empty(&schema_);
-  const uint32_t tw = schema_.tuple_width();
   const uint32_t w = schema_.width(col_);
-  for (uint64_t r = 0; r < in.num_rows; ++r) {
-    const TupleView row = in.Row(r);
+  Batch out = KeepRows(in, &schema_, [this, w](const uint8_t* bytes) {
+    const TupleView row(&schema_, bytes);
     // Search mode scans the full fixed-width field (NUL padding cannot
     // produce spurious matches for text patterns); full-match mode (LIKE)
     // matches against the logical string, i.e. up to the NUL padding.
-    bool matched;
-    if (full_match_) {
-      matched = regex_.FullMatch(row.GetString(col_));
-    } else {
-      const std::string_view field(
-          reinterpret_cast<const char*>(row.ColumnData(col_)), w);
-      matched = regex_.Search(field);
-    }
-    if (matched) {
-      out.data.insert(out.data.end(), row.data(), row.data() + tw);
-      ++out.num_rows;
-    }
-  }
+    if (full_match_) return regex_.FullMatch(row.GetString(col_));
+    return regex_.Search(std::string_view(
+        reinterpret_cast<const char*>(row.ColumnData(col_)), w));
+  });
   Account(in, out);
   return out;
 }

@@ -4,20 +4,16 @@ namespace farview {
 
 Result<OperatorPtr> SelectionOp::Create(const Schema& input,
                                         PredicateList predicates) {
-  FV_RETURN_IF_ERROR(predicates.Validate(input));
-  return OperatorPtr(new SelectionOp(input, std::move(predicates)));
+  FV_ASSIGN_OR_RETURN(CompiledPredicate compiled,
+                      CompiledPredicate::Compile(predicates, input));
+  return OperatorPtr(
+      new SelectionOp(input, std::move(predicates), std::move(compiled)));
 }
 
 Result<Batch> SelectionOp::Process(Batch in) {
-  Batch out = Batch::Empty(&schema_);
-  const uint32_t tw = schema_.tuple_width();
-  for (uint64_t r = 0; r < in.num_rows; ++r) {
-    const TupleView row = in.Row(r);
-    if (predicates_.Eval(row)) {
-      out.data.insert(out.data.end(), row.data(), row.data() + tw);
-      ++out.num_rows;
-    }
-  }
+  Batch out = KeepRows(in, &schema_, [this](const uint8_t* row) {
+    return compiled_.Eval(row);
+  });
   Account(in, out);
   return out;
 }

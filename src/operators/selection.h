@@ -9,7 +9,8 @@ namespace farview {
 /// Predicate selection operator (Section 5.3): passes tuples satisfying a
 /// conjunction of column-vs-constant comparisons, dropping the rest. The
 /// hardware hardwires the predicate as a matching circuit; here the
-/// predicate list is fixed at construction accordingly.
+/// predicate list is fixed at construction accordingly, and compiled then
+/// into fixed-offset terms (`CompiledPredicate`).
 class SelectionOp : public Operator {
  public:
   /// Fails when a predicate references a missing or mistyped column.
@@ -25,11 +26,15 @@ class SelectionOp : public Operator {
   const PredicateList& predicates() const { return predicates_; }
 
  private:
-  SelectionOp(const Schema& input, PredicateList predicates)
-      : schema_(input), predicates_(std::move(predicates)) {}
+  SelectionOp(const Schema& input, PredicateList predicates,
+              CompiledPredicate compiled)
+      : schema_(input),
+        predicates_(std::move(predicates)),
+        compiled_(std::move(compiled)) {}
 
   Schema schema_;
   PredicateList predicates_;
+  CompiledPredicate compiled_;
 };
 
 }  // namespace farview

@@ -177,10 +177,11 @@ ByteBuffer ReferenceKeystream(const uint8_t key[16], const uint8_t nonce[16],
 
 TEST(AesCtrTest, MatchesPerBlockCipherAtAnyOffsetAndLength) {
   // Differential check of the multi-block (AES-NI) keystream against the
-  // per-block cipher: random keys and nonces, offsets up to 4 KiB that are
-  // mostly not block-aligned, lengths from 0 to 20 blocks. Every fourth
-  // trial puts the counter of the span's first block 2..8 below 2^64, so a
-  // batch of whole blocks crosses the counter wrap.
+  // per-block cipher, in place and out of place: random keys and nonces,
+  // offsets up to 4 KiB that are mostly not block-aligned, lengths from 0
+  // to 20 blocks. Every fourth trial puts the counter of the span's first
+  // block 2..8 below 2^64, so a batch of whole blocks crosses the counter
+  // wrap.
   Rng rng(29);
   for (int trial = 0; trial < 400; ++trial) {
     uint8_t key[16], nonce[16];
@@ -202,9 +203,16 @@ TEST(AesCtrTest, MatchesPerBlockCipherAtAnyOffsetAndLength) {
     const ByteBuffer ks = ReferenceKeystream(key, nonce, offset, len);
     for (uint64_t i = 0; i < len; ++i) expect[i] ^= ks[i];
 
-    AesCtr(key, nonce).Apply(data.data(), len, offset);
+    // Out of place into a separate buffer, then in place: both forms must
+    // give the reference, and the out-of-place one must not touch `in`.
+    const ByteBuffer in = data;
+    ByteBuffer out(len, 0);
+    const AesCtr ctr(key, nonce);
+    ctr.Apply(in.data(), out.data(), len, offset);
+    ctr.Apply(data.data(), len, offset);
     EXPECT_EQ(data, expect) << "trial " << trial << " offset " << offset
                             << " len " << len;
+    EXPECT_EQ(out, expect) << "trial " << trial << " out of place";
   }
 }
 

@@ -456,6 +456,38 @@ TEST(CrashTest, RawReadSpanningCrashAndRestartFails) {
   EXPECT_EQ(fx.node().stats().reliability().crash_failures, 1u);
 }
 
+// A write that reached the node before the crash is voided by it too: a
+// restart before its acknowledgment does not bring it back.
+TEST(CrashTest, WriteSpanningCrashAndRestartFails) {
+  const Table rows = MakeRows(1 * kMiB);
+  bench::FvFixture fx;
+  const FTable ft = fx.Upload("t", rows);
+  auto write = [&](std::optional<Result<SimTime>>* out) {
+    fx.client().TableWriteAsync(
+        ft, rows, [out](Result<SimTime> r) { out->emplace(std::move(r)); });
+  };
+
+  // Unfaulted, the 1 MiB write is acknowledged after the window below.
+  SimTime start = fx.engine().Now();
+  std::optional<Result<SimTime>> clean;
+  write(&clean);
+  fx.engine().Run();
+  ASSERT_TRUE(clean.has_value() && clean->ok());
+  ASSERT_GT(clean->value() - start, 40 * kMicrosecond);
+
+  start = fx.engine().Now();
+  std::optional<Result<SimTime>> wrote;
+  write(&wrote);
+  fx.engine().ScheduleAt(start + 10 * kMicrosecond,
+                         [&]() { fx.node().CrashNow(); });
+  fx.engine().ScheduleAt(start + 20 * kMicrosecond,
+                         [&]() { fx.node().RestartNow(); });
+  fx.engine().Run();
+  ASSERT_TRUE(wrote.has_value());
+  EXPECT_TRUE(wrote->status().IsUnavailable());
+  EXPECT_EQ(fx.node().stats().reliability().crash_failures, 1u);
+}
+
 // --- Client retry policy ----------------------------------------------------
 
 TEST(RetryTest, TimeoutExhaustsAttemptsAndCountsLateCompletions) {

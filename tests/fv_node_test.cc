@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -303,6 +304,116 @@ TEST_F(FvNodeTest, SmartAddressingProjection) {
   for (uint64_t row = 0; row < 2000; ++row) {
     EXPECT_EQ(out.value().GetInt64(row, 0), last_table_->GetInt64(row, 8));
     EXPECT_EQ(out.value().GetInt64(row, 2), last_table_->GetInt64(row, 10));
+  }
+}
+
+/// Pass-through operator recording each batch the region hands its
+/// pipeline.
+class BatchProbe : public Operator {
+ public:
+  struct Seen {
+    bool borrowed;
+    uint64_t rows;
+    ByteBuffer bytes;
+  };
+
+  BatchProbe(const Schema& schema, std::vector<Seen>* seen)
+      : schema_(schema), seen_(seen) {}
+
+  Result<Batch> Process(Batch in) override {
+    ByteBuffer bytes;
+    in.AppendTo(&bytes);
+    seen_->push_back(Seen{in.borrowed(), in.num_rows, std::move(bytes)});
+    return in;
+  }
+  Result<Batch> Flush() override { return Batch::Empty(&schema_); }
+  const Schema& output_schema() const override { return schema_; }
+  std::string name() const override { return "probe"; }
+  void Reset() override {}
+
+ private:
+  Schema schema_;
+  std::vector<Seen>* seen_;
+};
+
+// The region feeds its pipeline borrowed batches read in place from the
+// materialized stream. They must carry exactly the rows, and the batch
+// boundaries, of a StreamParser fed the same bursts: for tuple widths that
+// do not divide the 4 KiB stripe, for smart addressing, and with a short
+// final burst (no case's length is a whole number of stripes).
+TEST_F(FvNodeTest, BorrowedBatchesMatchStreamParserBatches) {
+  struct Case {
+    int cols;
+    uint64_t rows;
+    uint32_t sa_offset;  // smart addressing when sa_cols > 0
+    int sa_cols;
+  };
+  for (const Case& c : {Case{3, 1000, 0, 0}, Case{5, 999, 0, 0},
+                        Case{9, 777, 0, 0}, Case{17, 500, 0, 0},
+                        Case{17, 500, 8, 3}}) {
+    const uint32_t width = static_cast<uint32_t>(c.cols) * 8;
+    SCOPED_TRACE(std::to_string(width) + " B tuples" +
+                 (c.sa_cols > 0 ? ", smart addressing" : ""));
+    const FTable ft =
+        Upload(std::string("t").append(std::to_string(width))
+                   .append(c.sa_cols > 0 ? "sa" : ""),
+               c.rows, 1000, width, c.cols);
+    const Schema input =
+        Schema::DefaultWideRow(c.sa_cols > 0 ? c.sa_cols : c.cols);
+    std::vector<BatchProbe::Seen> seen;
+    Pipeline p(input);
+    p.Append(std::make_unique<BatchProbe>(input, &seen));
+    ASSERT_TRUE(client_.LoadPipeline(std::move(p)).ok());
+    FvRequest req = client_.ScanRequest(ft);
+    if (c.sa_cols > 0) {
+      req.smart_addressing = true;
+      req.sa_offset = c.sa_offset;
+      req.sa_access_bytes = input.tuple_width();
+    }
+    Result<FvResult> r = client_.FarviewRequest(req);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+    // The stream the region materialized, and the bursts its memory stack
+    // delivers for this request.
+    ByteBuffer stream;
+    for (uint64_t row = 0; row < c.rows; ++row) {
+      const uint8_t* at = last_table_->Row(row).data() + c.sa_offset;
+      stream.insert(stream.end(), at, at + input.tuple_width());
+    }
+    std::vector<uint64_t> bursts;
+    auto on_burst = [&bursts](uint64_t bytes, bool, SimTime) {
+      bursts.push_back(bytes);
+    };
+    if (c.sa_cols > 0) {
+      node_.memory_controller().ScatteredRead(0, ft.vaddr, c.rows,
+                                              input.tuple_width(), width,
+                                              on_burst);
+    } else {
+      node_.memory_controller().StreamRead(0, ft.vaddr, ft.SizeBytes(),
+                                           on_burst);
+    }
+    engine_.Run();
+    if (c.sa_cols == 0) {
+      // The range's last stripe is short (it may complete before others).
+      EXPECT_LT(*std::min_element(bursts.begin(), bursts.end()),
+                node_.config().BurstBytes());
+    }
+
+    StreamParser parser(&input);
+    ASSERT_EQ(seen.size(), bursts.size());
+    uint64_t pos = 0;
+    for (size_t i = 0; i < bursts.size(); ++i) {
+      const uint64_t n = std::min<uint64_t>(bursts[i], stream.size() - pos);
+      const Batch want = parser.Push(stream.data() + pos, n);
+      pos += n;
+      EXPECT_TRUE(seen[i].borrowed) << "burst " << i;
+      EXPECT_EQ(seen[i].rows, want.num_rows) << "burst " << i;
+      EXPECT_EQ(seen[i].bytes, want.data) << "burst " << i;
+    }
+    EXPECT_EQ(pos, stream.size());
+    EXPECT_EQ(parser.pending_bytes(), 0u);
+    EXPECT_EQ(r.value().data, stream);
+    EXPECT_EQ(r.value().rows, c.rows);
   }
 }
 

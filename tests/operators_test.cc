@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -707,6 +709,255 @@ TEST(PipelinePropertyTest, RandomQueriesMatchNaiveReference) {
     }
     EXPECT_EQ(out.value().data, expected) << "trial " << trial;
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Borrowed batches and compiled selection terms. fvbench's digest gate
+// cannot see a bug here (its references run these same operators), so
+// these tests are the check.
+// ---------------------------------------------------------------------------
+
+/// k INT64 in [0, 50), v INT64, d DOUBLE, s CHAR(16): 40 B rows, every
+/// operator kind has a column to work on. About a third of the strings
+/// embed "ab".
+Table MixedTable(uint64_t rows, uint64_t seed) {
+  Result<Schema> schema = Schema::Create({{"k", DataType::kInt64, 8},
+                                          {"v", DataType::kInt64, 8},
+                                          {"d", DataType::kDouble, 8},
+                                          {"s", DataType::kChar, 16}});
+  EXPECT_TRUE(schema.ok());
+  Table t(schema.value());
+  Rng rng(seed);
+  for (uint64_t r = 0; r < rows; ++r) {
+    uint8_t row[40];
+    StoreLE64Signed(row, rng.NextInRange(0, 49));
+    StoreLE64Signed(row + 8, rng.NextInRange(-1000, 1000));
+    StoreDouble(row + 16, rng.NextDouble() * 100.0);
+    for (int i = 0; i < 16; ++i) {
+      row[24 + i] = static_cast<uint8_t>('c' + rng.NextBelow(20));
+    }
+    if (rng.NextBernoulli(0.35)) {
+      const uint64_t at = rng.NextBelow(15);
+      row[24 + at] = 'a';
+      row[24 + at + 1] = 'b';
+    }
+    t.AppendRowBytes(row);
+  }
+  return t;
+}
+
+/// The bytes a batch carries, whichever form it has.
+ByteBuffer BatchBytes(const Batch& b) {
+  ByteBuffer out;
+  b.AppendTo(&out);
+  return out;
+}
+
+TEST(BorrowedBatchTest, BorrowReadsRowsInPlace) {
+  const Table t = MakeTable(3, 10, 100, 5);
+  const Batch b = Batch::Borrow(&t.schema(), t.data() + 24, 4);
+  EXPECT_TRUE(b.borrowed());
+  EXPECT_TRUE(b.data.empty());
+  EXPECT_EQ(b.bytes(), t.data() + 24);
+  EXPECT_EQ(b.size_bytes(), 4u * 24);
+  EXPECT_EQ(b.Row(2).data(), t.Row(3).data());
+  EXPECT_EQ(b.Row(3).GetInt64(1), t.GetInt64(4, 1));
+  EXPECT_FALSE(TableBatch(t, &t.schema()).borrowed());
+}
+
+// Every operator kind gives the same rows, batch by batch and at flush,
+// whether its input borrows the table's bytes or owns a copy of them, and
+// no operator writes through a borrowed batch (decrypt rewrites bytes, so it
+// must XOR into a buffer of its own).
+TEST(BorrowedBatchTest, EveryOperatorKindMatchesOwnedInput) {
+  const Table t = MixedTable(700, 21);
+  const Schema& s = t.schema();
+  const ByteBuffer original = t.bytes();
+  Table build(Schema::DefaultWideRow(2));
+  for (int64_t k = 0; k < 40; k += 2) {
+    uint8_t row[16];
+    StoreLE64Signed(row, k);
+    StoreLE64Signed(row + 8, k * 1000);
+    build.AppendRowBytes(row);
+  }
+  const uint8_t key[16] = {9, 8, 7, 6, 5};
+  const uint8_t nonce[16] = {1, 1, 2, 3, 5, 8};
+
+  const std::map<std::string,
+                 std::function<PipelineBuilder&(PipelineBuilder&)>>
+      kinds = {
+          {"select",
+           [](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.Select({Predicate::Int(0, CompareOp::kLt, 25),
+                              Predicate::Real(2, CompareOp::kGe, 30.0)});
+           }},
+          {"project",
+           [](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.Project({3, 0});
+           }},
+          {"regex",
+           [](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.RegexSelect(3, "ab");
+           }},
+          {"distinct",
+           [](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.Distinct({0});
+           }},
+          {"group_by",
+           [](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.GroupBy({0}, {AggSpec::Sum(1), AggSpec::Count()});
+           }},
+          {"join",
+           [&build](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.HashJoinSmall(0, build, 0);
+           }},
+          {"decrypt",
+           [&key, &nonce](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.Decrypt(key, nonce);
+           }},
+          {"compress",
+           [](PipelineBuilder& b) -> PipelineBuilder& {
+             return b.Compress();
+           }},
+          {"packer_only",
+           [](PipelineBuilder& b) -> PipelineBuilder& { return b; }},
+      };
+  for (const auto& [kind, add] : kinds) {
+    SCOPED_TRACE(kind);
+    PipelineBuilder borrowed_builder(s);
+    PipelineBuilder owned_builder(s);
+    Result<Pipeline> borrowed = add(borrowed_builder).Build();
+    Result<Pipeline> owned = add(owned_builder).Build();
+    ASSERT_TRUE(borrowed.ok() && owned.ok());
+    uint64_t row = 0;
+    uint64_t rows_out = 0;
+    for (const uint64_t n : {0, 1, 37, 100, 3, 259, 300}) {
+      ASSERT_LE(row + n, t.num_rows());
+      const uint8_t* at = t.data() + row * s.tuple_width();
+      Batch copy = Batch::Empty(&s);
+      copy.data.assign(at, at + n * s.tuple_width());
+      copy.num_rows = n;
+      Result<Batch> a = borrowed.value().Process(Batch::Borrow(&s, at, n));
+      Result<Batch> b = owned.value().Process(std::move(copy));
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a.value().num_rows, b.value().num_rows);
+      EXPECT_EQ(BatchBytes(a.value()), BatchBytes(b.value()));
+      rows_out += a.value().num_rows;
+      row += n;
+    }
+    ASSERT_EQ(row, t.num_rows());
+    Result<Batch> a = borrowed.value().Flush();
+    Result<Batch> b = owned.value().Flush();
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a.value().num_rows, b.value().num_rows);
+    EXPECT_EQ(BatchBytes(a.value()), BatchBytes(b.value()));
+    rows_out += a.value().num_rows;
+    EXPECT_GT(rows_out, 0u);
+    for (size_t i = 0; i < borrowed.value().num_operators(); ++i) {
+      const OperatorStats& x = borrowed.value().op(i).stats();
+      const OperatorStats& y = owned.value().op(i).stats();
+      EXPECT_EQ(x.rows_in, y.rows_in);
+      EXPECT_EQ(x.rows_out, y.rows_out);
+      EXPECT_EQ(x.bytes_in, y.bytes_in);
+      EXPECT_EQ(x.bytes_out, y.bytes_out);
+    }
+    EXPECT_EQ(t.bytes(), original);
+  }
+}
+
+// The compiled terms agree with per-row Predicate::Eval on random
+// conjunctions: all six ops, INT64, UINT64 (compared signed) and DOUBLE
+// columns at non-zero, unaligned offsets, NaN and signed zeros, small value
+// domains so that equality hits, and the empty conjunction.
+TEST(CompiledPredicateTest, MatchesPredicateEvalOnRandomConjunctions) {
+  constexpr CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
+                                CompareOp::kGt, CompareOp::kGe,
+                                CompareOp::kEq, CompareOp::kNe};
+  const double kReals[] = {-1.5, -0.0, 0.0, 0.5, 1.0,
+                           std::numeric_limits<double>::quiet_NaN()};
+  const uint64_t kUnsigned[] = {0, 1, 2, 1ull << 63, ~0ull};
+  Rng rng(20261019);
+  uint64_t matched = 0;
+  uint64_t evaluated = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // A leading CHAR column of 1..13 bytes puts every numeric column at a
+    // non-zero offset, usually not 8-byte aligned.
+    std::vector<Column> cols = {
+        {"pad", DataType::kChar, static_cast<uint32_t>(1 + rng.NextBelow(13))}};
+    const int numeric = 1 + static_cast<int>(rng.NextBelow(5));
+    for (int c = 0; c < numeric; ++c) {
+      const DataType types[] = {DataType::kInt64, DataType::kUInt64,
+                                DataType::kDouble};
+      cols.push_back({std::string("c").append(std::to_string(c)),
+                      types[rng.NextBelow(3)], 8});
+    }
+    Result<Schema> schema = Schema::Create(cols);
+    ASSERT_TRUE(schema.ok());
+    const Schema& s = schema.value();
+
+    std::vector<Predicate> preds;
+    const uint64_t terms = rng.NextBelow(5);  // 0 = the empty conjunction
+    for (uint64_t i = 0; i < terms; ++i) {
+      const int col = 1 + static_cast<int>(rng.NextBelow(
+                              static_cast<uint64_t>(numeric)));
+      const CompareOp op = kOps[rng.NextBelow(6)];
+      if (s.column(col).type == DataType::kDouble) {
+        preds.push_back(Predicate::Real(col, op, kReals[rng.NextBelow(6)]));
+      } else {
+        preds.push_back(Predicate::Int(col, op, rng.NextInRange(-2, 2)));
+      }
+    }
+    const PredicateList list(preds);
+    Result<CompiledPredicate> compiled = CompiledPredicate::Compile(list, s);
+    ASSERT_TRUE(compiled.ok());
+    ASSERT_EQ(compiled.value().size(), list.size());
+
+    ByteBuffer row(s.tuple_width(), 0);
+    for (int r = 0; r < 50; ++r) {
+      for (uint32_t i = 0; i < s.width(0); ++i) {
+        row[i] = static_cast<uint8_t>(rng.Next());
+      }
+      for (int c = 1; c <= numeric; ++c) {
+        uint8_t* p = row.data() + s.offset(c);
+        switch (s.column(c).type) {
+          case DataType::kDouble:
+            StoreDouble(p, kReals[rng.NextBelow(6)]);
+            break;
+          case DataType::kUInt64:
+            StoreLE64(p, kUnsigned[rng.NextBelow(5)]);
+            break;
+          default:
+            StoreLE64Signed(p, rng.NextInRange(-2, 2));
+            break;
+        }
+      }
+      const bool want = list.Eval(TupleView(&s, row.data()));
+      ASSERT_EQ(compiled.value().Eval(row.data()), want)
+          << "trial " << trial << " row " << r;
+      matched += want ? 1 : 0;
+      ++evaluated;
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(matched, evaluated / 20);
+  EXPECT_LT(matched, evaluated - evaluated / 20);
+}
+
+TEST(CompiledPredicateTest, CompileValidatesLikeTheList) {
+  const Schema s = Schema::DefaultWideRow(2);
+  EXPECT_FALSE(CompiledPredicate::Compile(
+                   PredicateList({Predicate::Real(0, CompareOp::kLt, 1.0)}), s)
+                   .ok());
+  EXPECT_FALSE(CompiledPredicate::Compile(
+                   PredicateList({Predicate::Int(2, CompareOp::kLt, 1)}), s)
+                   .ok());
+  Result<CompiledPredicate> empty =
+      CompiledPredicate::Compile(PredicateList(), s);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.value().size(), 0u);
+  const uint8_t row[16] = {};
+  EXPECT_TRUE(empty.value().Eval(row));
 }
 
 }  // namespace
