@@ -68,6 +68,26 @@ void BM_RegexSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_RegexSearch)->Arg(64)->Arg(1024);
 
+void BM_RegexSearchRows(benchmark::State& state) {
+  // fvbench offload_mix's regex region: 64 B string rows, half holding the
+  // needle, searched by RegexSelectOp's lockstep rows over a borrowed
+  // batch (the region's in-place stream).
+  TableGenerator gen(4);
+  Result<Table> t = gen.Strings(16384, 64, "xq", 0.5);
+  if (!t.ok()) return;
+  const Schema& schema = t.value().schema();
+  Result<Pipeline> p = PipelineBuilder(schema).RegexSelect(0, "xq").Build();
+  if (!p.ok()) return;
+  for (auto _ : state) {
+    Result<Batch> out = p.value().Process(
+        Batch::Borrow(&schema, t.value().data(), t.value().num_rows()));
+    benchmark::DoNotOptimize(out.ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(t.value().size_bytes()));
+}
+BENCHMARK(BM_RegexSearchRows);
+
 void BM_CuckooUpsert(benchmark::State& state) {
   CuckooTable table(4, 1 << 16, 8, 8);
   Rng rng(1);
@@ -79,6 +99,28 @@ void BM_CuckooUpsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CuckooUpsert);
+
+void BM_DistinctRequest(benchmark::State& state) {
+  // One region request of a DISTINCT pipeline on the default table
+  // (4 ways x 2^18 slots): a 64 KiB batch of 64 B rows over 32 keys, then
+  // the Reset that rearms the region for the next request, which clears
+  // the cuckoo table.
+  const Schema schema = Schema::DefaultWideRow();
+  TableGenerator gen(5);
+  Result<Table> t = gen.WithDistinct(schema, 1024, 0, 32, 100);
+  if (!t.ok()) return;
+  Result<Pipeline> p = PipelineBuilder(schema).Distinct({0}).Build();
+  if (!p.ok()) return;
+  for (auto _ : state) {
+    Result<Batch> out = p.value().Process(
+        Batch::Borrow(&schema, t.value().data(), t.value().num_rows()));
+    benchmark::DoNotOptimize(out.ok());
+    p.value().Reset();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(t.value().size_bytes()));
+}
+BENCHMARK(BM_DistinctRequest);
 
 void BM_LruTouch(benchmark::State& state) {
   LruShiftRegister lru(8, 8);

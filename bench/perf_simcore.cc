@@ -24,7 +24,10 @@
 //
 // Per workload the harness reports simulated events executed, wall time,
 // events/sec, ns/event, and — when the counting allocator hook is linked and
-// active (see common/alloc_counter.h) — heap allocations per event. Output
+// active (see common/alloc_counter.h) — heap allocations per event. A row
+// whose measured phase runs operator pipelines (fig12_multiclient) also
+// reports the input bytes they consumed and wall ns per input byte: its
+// ns/event is set by operator work per byte, not by the event core. Output
 // is a human-readable table on stdout plus a JSON report (default
 // BENCH_simcore.json, override with FV_BENCH_JSON; FV_BENCH_JSON=- skips the
 // file) consumed by scripts/bench_report.sh and the CI perf-smoke job.
@@ -54,12 +57,20 @@ struct Measurement {
   uint64_t allocs = 0;
   uint64_t alloc_bytes = 0;
   double wall_ns = 0;
+  /// Input bytes the measured phase's operator pipelines consumed; 0 for
+  /// rows without operators.
+  uint64_t operator_bytes = 0;
 
   double events_per_sec() const {
     return wall_ns > 0 ? static_cast<double>(events) * 1e9 / wall_ns : 0.0;
   }
   double ns_per_event() const {
     return events > 0 ? wall_ns / static_cast<double>(events) : 0.0;
+  }
+  double ns_per_byte() const {
+    return operator_bytes > 0
+               ? wall_ns / static_cast<double>(operator_bytes)
+               : 0.0;
   }
   double allocs_per_event() const {
     return events > 0
@@ -136,7 +147,7 @@ Measurement RunFig12Multiclient() {
   }
   fx.engine().Run();
 
-  return Measure("fig12_multiclient", fx.engine(), [&] {
+  Measurement m = Measure("fig12_multiclient", fx.engine(), [&] {
     int completed = 0;
     for (int i = 0; i < kClients; ++i) {
       clients[static_cast<size_t>(i)]->FarviewRequestAsync(
@@ -149,6 +160,8 @@ Measurement RunFig12Multiclient() {
     fx.engine().Run();
     FV_CHECK(completed == kClients);
   });
+  for (const FTable& ft : tables) m.operator_bytes += ft.SizeBytes();
+  return m;
 }
 
 /// ext_faults-style lossy reads: 2% loss, 8-packet credit window, retries
@@ -418,19 +431,27 @@ std::string JsonReport(const std::vector<Measurement>& ms) {
   out += alloc_counter::hook_active() ? "true" : "false";
   out += ",\n  \"workloads\": [\n";
   char buf[512];
+  char bytes[96];
   for (size_t i = 0; i < ms.size(); ++i) {
     const Measurement& m = ms[i];
+    bytes[0] = '\0';
+    if (m.operator_bytes > 0) {
+      std::snprintf(bytes, sizeof(bytes),
+                    ", \"bytes\": %llu, \"ns_per_byte\": %.3f",
+                    static_cast<unsigned long long>(m.operator_bytes),
+                    m.ns_per_byte());
+    }
     std::snprintf(
         buf, sizeof(buf),
         "    {\"name\": \"%s\", \"events\": %llu, \"wall_ns\": %.0f, "
         "\"events_per_sec\": %.0f, \"ns_per_event\": %.1f, "
         "\"allocs\": %llu, \"alloc_bytes\": %llu, \"allocs_per_event\": "
-        "%.3f}%s\n",
+        "%.3f%s}%s\n",
         m.name.c_str(), static_cast<unsigned long long>(m.events),
         m.wall_ns, m.events_per_sec(), m.ns_per_event(),
         static_cast<unsigned long long>(m.allocs),
         static_cast<unsigned long long>(m.alloc_bytes), m.allocs_per_event(),
-        i + 1 < ms.size() ? "," : "");
+        bytes, i + 1 < ms.size() ? "," : "");
     out += buf;
   }
   out += "  ]\n}\n";
@@ -490,13 +511,14 @@ void Run() {
   if (Selected("node_build")) ms.push_back(BestOf(reps, RunNodeBuild));
 
   std::printf("Simulator core performance (wall clock; machine-dependent)\n");
-  std::printf("%-20s %12s %10s %12s %10s %12s\n", "workload", "events",
-              "wall ms", "events/sec", "ns/event", "allocs/evt");
+  std::printf("%-20s %12s %10s %12s %10s %12s %8s\n", "workload", "events",
+              "wall ms", "events/sec", "ns/event", "allocs/evt", "ns/B");
   for (const Measurement& m : ms) {
-    std::printf("%-20s %12llu %10.1f %12.0f %10.1f %12.3f\n",
-                m.name.c_str(), static_cast<unsigned long long>(m.events),
-                m.wall_ns / 1e6,
+    std::printf("%-20s %12llu %10.1f %12.0f %10.1f %12.3f", m.name.c_str(),
+                static_cast<unsigned long long>(m.events), m.wall_ns / 1e6,
                 m.events_per_sec(), m.ns_per_event(), m.allocs_per_event());
+    if (m.operator_bytes > 0) std::printf(" %8.3f", m.ns_per_byte());
+    std::printf("\n");
   }
   if (!alloc_counter::hook_active()) {
     std::printf("(allocation hook inactive — allocs/evt not measured)\n");

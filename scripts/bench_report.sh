@@ -13,6 +13,9 @@
 #     a drop of more than FV_PERF_TOLERANCE (default 0.30 = 30%) below the
 #     committed baseline is reported loudly but does not fail the run. Rows
 #     that run no events (node_build) compare wall time the same way.
+#   - bytes and ns/B: ADVISORY. Rows whose measured phase runs operator
+#     pipelines (fig12_multiclient) also report the input bytes those
+#     consumed and wall ns per input byte; they are printed, never gated.
 #
 # Usage: bench_report.sh <build_dir> [out_json]
 #   build_dir: a Release build containing bench/perf_simcore
@@ -56,7 +59,7 @@ for name in cur:
 print(f"\nperf vs committed baseline (ev/s tolerance: -{tol:.0%}, warning "
       f"only; allocs/event and event counts gate hard):")
 print(f"{'workload':<20} {'baseline ev/s':>14} {'current ev/s':>14} "
-      f"{'ratio':>7} {'allocs/ev':>10}")
+      f"{'ratio':>7} {'allocs/ev':>10} {'op bytes':>10} {'ns/B':>7}")
 for name, b in base.items():
     c = cur.get(name)
     if c is None:
@@ -76,8 +79,11 @@ for name, b in base.items():
     flag = ""
     if ratio < 1.0 - tol:
         flag = "  << SLOWDOWN (warning, not gated)"
+    per_byte = ""
+    if c.get("bytes", 0) > 0:
+        per_byte = f" {c['bytes']:>10,} {c['ns_per_byte']:>7.3f}"
     print(f"{name:<20} {base_col} {cur_col} {ratio:>6.2f}x "
-          f"{c['allocs_per_event']:>10.3f}{flag}")
+          f"{c['allocs_per_event']:>10.3f}{per_byte}{flag}")
     if c["events"] != b["events"]:
         print(f"FAIL: {name}: event count changed: "
               f"{b['events']} -> {c['events']} "

@@ -50,20 +50,25 @@ void StreamBypass(MemoryController* memctl, NetworkStack* net,
 /// requests wait in the owning queue pair's submission queue at the node.
 /// Request execution follows Figure 3:
 ///
-///   memory stack ──bursts──▶ reorder ──▶ pipe (datapath @16 GB/s/pipe)
-///        ▲                                   │ operators (functional)
-///   read requests                            ▼
-///        └──────────── region ──────▶ network stack TxStream ──▶ client
+///   memory stack ──bursts──▶ pipe (datapath @16 GB/s/pipe)
+///        ▲   (completion order)   │ operators (functional, over the
+///   read requests                 ▼  stream in address order)
+///        └──────── region ──────▶ network stack TxStream ──▶ client
 ///
 /// Timing: bursts queue on the shared DRAM channel servers (striped), then
 /// on the region's private datapath server (rate = 16 GB/s × pipes), then
-/// the produced payload queues on the shared egress link. Functionally the
-/// request's input is copied once, at the start, out of the MMU into one
-/// contiguous stream buffer; each burst that clears the datapath hands the
-/// pipeline a borrowed batch (`Batch::Borrow`) of the whole tuples
-/// completed so far, read in place from that buffer — in stream order,
-/// which the reorder step guarantees (the hardware's inter-stack queues do
-/// the same).
+/// the produced payload queues on the shared egress link. Bursts clear the
+/// datapath in channel completion order, which need not be address order:
+/// a range's short last stripe can complete before a full one. There is no
+/// reorder step. Functionally the request's input is copied once, at the
+/// start, out of the MMU into one contiguous stream buffer in address
+/// order. Each burst that clears the datapath advances a byte prefix of
+/// that stream by the burst's byte count and hands the pipeline a borrowed
+/// batch (`Batch::Borrow`) of the whole tuples the prefix now completes,
+/// read in place. So operators see the rows, and emit output bytes, in
+/// address order, while the size of each batch (and of each egress push)
+/// follows completion order. A tuple split across two bursts waits in the
+/// stream for the burst that completes it.
 ///
 /// The region stamps each request's `RequestContext` as it moves through the
 /// stacks (region-start, first-memory-beat, operator-done, egress-finished,
@@ -122,9 +127,9 @@ class DynamicRegion {
  private:
   struct ExecState;
 
-  /// A burst of `bytes` cleared the datapath: run the functional pipeline
-  /// over the tuples it completed and push output to the network; finish
-  /// after the last.
+  /// A burst of `bytes` cleared the datapath: advance the stream prefix by
+  /// `bytes`, run the functional pipeline over the tuples that completes
+  /// and push output to the network; finish after the last.
   void OnBurstProcessed(std::shared_ptr<ExecState> st, uint64_t bytes);
 
   void FinishStream(std::shared_ptr<ExecState> st);

@@ -26,9 +26,13 @@ CuckooTable::CuckooTable(int num_ways, uint64_t slots_per_way,
       << "slots_per_way must be a power of two, got " << slots_per_way_;
   FV_CHECK(key_width_ > 0);
   const uint64_t total = static_cast<uint64_t>(num_ways_) * slots_per_way_;
-  occupied_.assign(total, false);
-  keys_.assign(total * key_width_, 0);
-  payloads_.assign(total * PayloadStride(), 0);
+  occupied_.assign(CeilDiv(total, 64), 0);
+  dirty_.assign(CeilDiv(occupied_.size(), 64), 0);
+  // Default-initialized (ByteBuffer's resize does not zero): a slot's bytes
+  // are written by the insert that occupies it before anything reads them,
+  // so the storage of slots a query never touches costs no page faults.
+  keys_.resize(total * key_width_);
+  payloads_.resize(total * PayloadStride());
   pending_key_.reserve(key_width_);
   pending_payload_.reserve(PayloadStride());
   evicted_key_.reserve(key_width_);
@@ -52,7 +56,7 @@ bool CuckooTable::KeyEquals(const uint8_t* a, const uint8_t* b) const {
 uint8_t* CuckooTable::Lookup(const uint8_t* key) {
   for (int w = 0; w < num_ways_; ++w) {
     const uint64_t idx = SlotIndex(w, HashWay(key, w));
-    if (occupied_[idx] && KeyEquals(SlotKey(idx), key)) {
+    if (Occupied(idx) && KeyEquals(SlotKey(idx), key)) {
       return SlotPayload(idx);
     }
   }
@@ -89,8 +93,8 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
       const int try_way = (way + w) % num_ways_;
       const uint64_t idx = SlotIndex(try_way, HashWay(pending_key_.data(),
                                                       try_way));
-      if (!occupied_[idx]) {
-        occupied_[idx] = true;
+      if (!Occupied(idx)) {
+        MarkOccupied(idx);
         std::memcpy(SlotKey(idx), pending_key_.data(), key_width_);
         std::memcpy(SlotPayload(idx), pending_payload_.data(),
                     PayloadStride());
@@ -138,10 +142,15 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
 void CuckooTable::Clear() {
   // Key/payload bytes of unoccupied slots are never read (every probe
   // checks `occupied_` first, and inserts overwrite both arrays), so only
-  // the occupancy bits need resetting. This keeps Clear proportional to the
-  // bitmap, not to the BRAM image — regions Clear a full-size table between
-  // queries that may have touched a handful of slots.
-  std::fill(occupied_.begin(), occupied_.end(), false);
+  // the occupancy bits need resetting, and only the words the summary
+  // names hold any. Regions Clear a full-size table between queries that
+  // may have touched a handful of slots.
+  for (size_t d = 0; d < dirty_.size(); ++d) {
+    for (uint64_t bits = dirty_[d]; bits != 0; bits &= bits - 1) {
+      occupied_[d * 64 + std::countr_zero(bits)] = 0;
+    }
+    dirty_[d] = 0;
+  }
   overflow_keys_.clear();
   overflow_payloads_.clear();
   size_ = 0;

@@ -1,6 +1,8 @@
 #ifndef FARVIEW_HASH_CUCKOO_TABLE_H_
 #define FARVIEW_HASH_CUCKOO_TABLE_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +26,12 @@ namespace farview {
 ///
 /// Keys are fixed-width byte strings (one or more packed columns); each slot
 /// carries `payload_width` bytes of aggregation state.
+///
+/// A region reuses one table from query to query (`Clear`), as the hardware
+/// reuses its BRAM, so the table pays only for the slots a query touches:
+/// key and payload storage is never zero-filled (no probe reads a slot's
+/// bytes before an insert writes them), and `Clear` zeroes only the
+/// occupancy words that inserts set, found through a dirty summary.
 class CuckooTable {
  public:
   /// Outcome of an upsert.
@@ -34,7 +42,8 @@ class CuckooTable {
   };
 
   /// `slots_per_way` must be a power of two. Total capacity is
-  /// `num_ways * slots_per_way` entries.
+  /// `num_ways * slots_per_way` entries. Allocates the occupancy bitmap and
+  /// its summary (zeroed) and the key and payload storage (not zeroed).
   CuckooTable(int num_ways, uint64_t slots_per_way, uint32_t key_width,
               uint32_t payload_width);
 
@@ -53,21 +62,23 @@ class CuckooTable {
   /// overflow entries; within a way, slot order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (int w = 0; w < num_ways_; ++w) {
-      for (uint64_t s = 0; s < slots_per_way_; ++s) {
-        const uint64_t idx = SlotIndex(w, s);
-        if (occupied_[idx]) {
-          fn(SlotKey(idx), SlotPayload(idx));
-        }
+    // Slot indices run way by way, so ascending index is way-then-slot
+    // order.
+    for (size_t word = 0; word < occupied_.size(); ++word) {
+      for (uint64_t bits = occupied_[word]; bits != 0; bits &= bits - 1) {
+        const uint64_t idx = word * 64 + std::countr_zero(bits);
+        fn(SlotKey(idx), SlotPayload(idx));
       }
     }
-    for (size_t i = 0; i < overflow_keys_.size(); ++i) {
+    for (uint64_t i = 0; i < overflow_size(); ++i) {
       fn(overflow_keys_.data() + i * key_width_,
          overflow_payloads_.data() + i * PayloadStride());
     }
   }
 
-  /// Clears all entries (region reuse between queries).
+  /// Clears all entries (region reuse between queries). Costs the
+  /// occupancy words written since the last Clear plus one pass over the
+  /// summary (a 4 × 2^18-slot table's summary is 256 words).
   void Clear();
 
   int num_ways() const { return num_ways_; }
@@ -94,6 +105,14 @@ class CuckooTable {
 
  private:
   uint64_t HashWay(const uint8_t* key, int way) const;
+  bool Occupied(uint64_t idx) const {
+    return ((occupied_[idx / 64] >> (idx % 64)) & 1) != 0;
+  }
+  /// Sets slot `idx`'s occupancy bit and marks its word dirty.
+  void MarkOccupied(uint64_t idx) {
+    occupied_[idx / 64] |= uint64_t{1} << (idx % 64);
+    dirty_[idx / 4096] |= uint64_t{1} << (idx / 64 % 64);
+  }
   uint64_t SlotIndex(int way, uint64_t slot) const {
     return static_cast<uint64_t>(way) * slots_per_way_ + slot;
   }
@@ -120,7 +139,13 @@ class CuckooTable {
   uint32_t payload_width_;
   uint64_t slot_mask_;
 
-  std::vector<bool> occupied_;
+  /// One occupancy bit per slot, 64 slots per word. Only Clear resets
+  /// bits (a kick replaces an occupant; the slot stays occupied).
+  std::vector<uint64_t> occupied_;
+  /// One bit per `occupied_` word that an insert has set since the last
+  /// Clear: Clear's work list.
+  std::vector<uint64_t> dirty_;
+  /// Slot storage, read only where `occupied_` says an insert wrote it.
   ByteBuffer keys_;
   ByteBuffer payloads_;
 

@@ -41,7 +41,9 @@ class MemoryController {
   /// Streams a sequential read of `len` bytes starting at `vaddr`: the range
   /// is cut at stripe boundaries and each piece queues on its channel. The
   /// first burst additionally pays the MMU translation latency; sequential
-  /// bursts pay no row-activation penalty (streams keep rows open).
+  /// bursts pay no row-activation penalty (streams keep rows open). Bursts
+  /// are delivered as their channels complete them, so a short last piece
+  /// may arrive before a full one.
   void StreamRead(int flow, uint64_t vaddr, uint64_t len, OnBurst on_burst);
 
   /// Streams a sequential write (same cost model as reads at this fidelity;

@@ -177,7 +177,10 @@ void DistinctOp::ExtractKey(const TupleView& row, uint8_t* out) const {
 }
 
 Result<Batch> DistinctOp::Process(Batch in) {
+  // At most one new key per input row: the output is sized for that and
+  // each key is written straight into it, then cut once.
   Batch out = Batch::Empty(&output_schema_);
+  uint8_t* dst = SizeOutput(&out, in.num_rows);
   uint8_t* key = key_scratch_.data();
   for (uint64_t r = 0; r < in.num_rows; ++r) {
     const TupleView row = in.Row(r);
@@ -189,9 +192,10 @@ Result<Batch> DistinctOp::Process(Batch in) {
     // lookup the upsert would otherwise do after an insert.
     const CuckooTable::UpsertResult res = table_->Upsert(key, nullptr);
     if (res == CuckooTable::UpsertResult::kFound) continue;
-    out.data.insert(out.data.end(), key, key + key_width_);
-    ++out.num_rows;
+    std::memcpy(dst, key, key_width_);
+    dst += key_width_;
   }
+  CutOutput(&out, dst);
   Account(in, out);
   return out;
 }

@@ -87,7 +87,11 @@ HashJoinOp::HashJoinOp(Schema probe, int probe_key_col, Schema build_payload,
       table_(std::move(table)) {}
 
 Result<Batch> HashJoinOp::Process(Batch in) {
+  // A build key is stored once, so a probe row joins at most one build
+  // row: the output is sized for one joined row per input row, written in
+  // place, then cut once.
   Batch out = Batch::Empty(&output_schema_);
+  uint8_t* dst = SizeOutput(&out, in.num_rows);
   const uint32_t probe_width = probe_schema_.tuple_width();
   const uint32_t payload_width = build_payload_schema_.tuple_width();
   for (uint64_t r = 0; r < in.num_rows; ++r) {
@@ -95,10 +99,11 @@ Result<Batch> HashJoinOp::Process(Batch in) {
     const uint8_t* key = row.ColumnData(probe_key_col_);
     const uint8_t* payload = table_->Lookup(key);
     if (payload == nullptr) continue;  // inner join: drop non-matching rows
-    out.data.insert(out.data.end(), row.data(), row.data() + probe_width);
-    out.data.insert(out.data.end(), payload, payload + payload_width);
-    ++out.num_rows;
+    std::memcpy(dst, row.data(), probe_width);
+    std::memcpy(dst + probe_width, payload, payload_width);
+    dst += probe_width + payload_width;
   }
+  CutOutput(&out, dst);
   Account(in, out);
   return out;
 }

@@ -71,27 +71,40 @@ class Operator {
     stats_.bytes_out += out.size_bytes();
   }
 
+  /// Subclass helpers for operators that emit at most one row per input
+  /// row (filters, DISTINCT, the one-match join). `SizeOutput` sizes `out`
+  /// for `max_rows` rows of its schema and returns where the first goes,
+  /// so each output row is written once, with a fixed-size copy, instead
+  /// of growing the buffer row by row; `CutOutput` then cuts `out` to the
+  /// rows written before `end`.
+  static uint8_t* SizeOutput(Batch* out, uint64_t max_rows) {
+    // fvcheck:allow=hot-path-alloc pooled ByteBuffer
+    out->data.resize(max_rows * out->schema->tuple_width());
+    return out->data.data();
+  }
+  static void CutOutput(Batch* out, const uint8_t* end) {
+    const uint32_t tw = out->schema->tuple_width();
+    out->num_rows = static_cast<uint64_t>(end - out->data.data()) / tw;
+    // fvcheck:allow=hot-path-alloc shrinks; never grows
+    out->data.resize(out->num_rows * tw);
+  }
+
   /// Subclass helper for filters: the rows of `in` (layout `schema`) for
-  /// which `keep(row bytes)` is true. Survivors are stored into an output
-  /// sized for the whole input, which is cut once at the end, so keeping a
-  /// row is one fixed-size copy.
+  /// which `keep(row bytes)` is true, stored through SizeOutput and
+  /// CutOutput.
   template <typename Keep>
   static Batch KeepRows(const Batch& in, const Schema* schema, Keep keep) {
     Batch out = Batch::Empty(schema);
     if (in.num_rows == 0) return out;
-    // fvcheck:allow=hot-path-alloc pooled ByteBuffer
-    out.data.resize(in.size_bytes());
     const uint32_t tw = schema->tuple_width();
     const uint8_t* row = in.bytes();
-    uint8_t* dst = out.data.data();
+    uint8_t* dst = SizeOutput(&out, in.num_rows);
     for (uint64_t r = 0; r < in.num_rows; ++r, row += tw) {
       if (!keep(row)) continue;
       std::memcpy(dst, row, tw);
       dst += tw;
     }
-    out.num_rows = static_cast<uint64_t>(dst - out.data.data()) / tw;
-    // fvcheck:allow=hot-path-alloc shrinks; never grows
-    out.data.resize(out.num_rows * tw);
+    CutOutput(&out, dst);
     return out;
   }
 

@@ -11,7 +11,10 @@ namespace farview {
 /// Regular-expression selection operator (Section 5.3): "data is retrieved
 /// from the remote node only when it matches the given regular expression."
 /// Matching uses the DFA engine — one step per input byte regardless of
-/// pattern complexity, like the parallel hardware engines of [42].
+/// pattern complexity, like the parallel hardware engines of [42]. Search
+/// mode runs a batch's fields through the search DFA `Regex::kLanes` rows
+/// at a time (`Regex::SearchLanes`), as several engines side by side
+/// would, and stores the survivors through `Operator::SizeOutput`.
 class RegexSelectOp : public Operator {
  public:
   /// Selects rows whose CHAR column `col` contains a match of `pattern`
@@ -36,6 +39,10 @@ class RegexSelectOp : public Operator {
         col_(col),
         regex_(std::move(regex)),
         full_match_(full_match) {}
+
+  /// Search mode: the rows of `in` whose whole fixed-width field contains
+  /// a match.
+  Batch SearchRows(const Batch& in) const;
 
   Schema schema_;
   int col_;

@@ -1,7 +1,10 @@
 #include "regex/regex.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
+
+#include "common/logging.h"
 
 namespace farview {
 namespace {
@@ -399,12 +402,44 @@ Result<Regex> Regex::Compile(const std::string& pattern) {
   Regex re;
   re.pattern_ = pattern;
   FV_ASSIGN_OR_RETURN(re.search_dfa_, build(/*search=*/true));
+  // A search that has matched stays matched: make every accepting row
+  // absorbing. Search exits at the first accepting state anyway, so this
+  // changes no result and no state count; it lets SearchLanes skip the
+  // per-byte accept test.
+  Dfa& sd = re.search_dfa_;
+  for (int id = 0; id < sd.num_states(); ++id) {
+    if (sd.accept[static_cast<size_t>(id)] == 0) continue;
+    const int32_t self = id * Dfa::kAlphabet;
+    std::fill_n(sd.next.begin() + self, Dfa::kAlphabet, self);
+  }
   FV_ASSIGN_OR_RETURN(re.full_dfa_, build(/*search=*/false));
   return re;
 }
 
 bool Regex::Search(std::string_view text) const {
   return Run(search_dfa_, text, /*early_accept=*/true);
+}
+
+uint32_t Regex::SearchLanes(const uint8_t* first, size_t stride, size_t len,
+                            int n) const {
+  FV_CHECK(n >= 0 && n <= kLanes);
+  if (n == 0) return 0;
+  // Lanes past `n` re-read field 0; their results are masked off below.
+  const uint8_t* field[kLanes];
+  for (int i = 0; i < kLanes; ++i) {
+    field[i] = first + (i < n ? static_cast<size_t>(i) * stride : 0);
+  }
+  const int32_t* next = search_dfa_.next.data();
+  int32_t state[kLanes] = {};
+  for (size_t b = 0; b < len; ++b) {
+    for (int i = 0; i < kLanes; ++i) state[i] = next[state[i] + field[i][b]];
+  }
+  uint32_t hits = 0;
+  for (int i = 0; i < n; ++i) {
+    const uint32_t id = static_cast<uint32_t>(state[i]) / Dfa::kAlphabet;
+    hits |= static_cast<uint32_t>(search_dfa_.accept[id]) << i;
+  }
+  return hits;
 }
 
 bool Regex::FullMatch(std::string_view text) const {

@@ -2,6 +2,7 @@
 #define FARVIEW_REGEX_REGEX_H_
 
 #include <bitset>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,8 +21,12 @@ namespace farview {
 /// exactly one byte per step regardless of pattern complexity — the property
 /// behind "performance ... does not depend on the complexity of the regular
 /// expression". Each DFA is one flat transition table, so a step is one
-/// load. The CPU baselines use the same engine functionally but are charged
-/// per-byte software costs by the cost model.
+/// load. The search DFA's accepting states are absorbing (every byte leads
+/// back to the same state), so a search that has matched stays matched:
+/// `SearchLanes` runs several fields through the table at once and tests
+/// acceptance only after the last byte, the way the hardware engines run
+/// parallel matchers side by side. The CPU baselines use the same engine
+/// functionally but are charged per-byte software costs by the cost model.
 ///
 /// Supported syntax: literals, '.', character classes `[a-z]` / `[^...]`,
 /// escapes (`\d \w \s \D \W \S` and escaped metacharacters), grouping
@@ -44,6 +49,17 @@ class Regex {
   /// exits early on the first hit.
   bool Search(std::string_view text) const;
 
+  /// Fields `SearchLanes` matches at once.
+  static constexpr int kLanes = 8;
+
+  /// Lockstep search over `n` (0 to kLanes) fields of `len` bytes each,
+  /// field i at `first + i * stride`: every byte step advances all of them
+  /// through the search DFA, so their load chains overlap, and none tests
+  /// acceptance before the end. Bit i of the result is
+  /// `Search(field i)`; `Search` stays the single-text reference.
+  uint32_t SearchLanes(const uint8_t* first, size_t stride, size_t len,
+                       int n) const;
+
   /// Anchored match: true when the entire `text` matches.
   bool FullMatch(std::string_view text) const;
 
@@ -60,7 +76,9 @@ class Regex {
   /// A DFA as one flat transition table. A state is named by its
   /// premultiplied offset `id * kAlphabet`, so one step is the single load
   /// `next[state + byte]`; kDead marks a missing transition (reject). State
-  /// 0 is the start state.
+  /// 0 is the start state. The search DFA has no kDead entry (every byte
+  /// may start a new match attempt) and its accepting rows point back at
+  /// themselves.
   struct Dfa {
     static constexpr int32_t kAlphabet = 256;
     std::vector<int32_t> next;    ///< num_states() × kAlphabet targets

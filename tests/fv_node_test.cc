@@ -9,10 +9,12 @@
 #include <optional>
 #include <string>
 
+#include "baseline/engines.h"
 #include "fv/client.h"
 #include "fv/farview_node.h"
 #include "crypto/aes_ctr.h"
 #include "fv/resource_model.h"
+#include "operators/grouping.h"
 #include "table/generator.h"
 
 namespace farview {
@@ -415,6 +417,65 @@ TEST_F(FvNodeTest, BorrowedBatchesMatchStreamParserBatches) {
     EXPECT_EQ(r.value().data, stream);
     EXPECT_EQ(r.value().rows, c.rows);
   }
+}
+
+// Bursts clear the datapath in channel completion order, and the region
+// does not reorder them: each advances a byte prefix of the stream, which
+// is in address order. With 24 B tuples the range's short last stripe
+// completes before a full one, and most stripes end mid-tuple.
+// Every batch must still be whole tuples, the batches must concatenate to
+// the stream in address order, and an order-sensitive pipeline (DISTINCT
+// emits keys in first-seen order) must return what the CPU oracle
+// returns.
+TEST_F(FvNodeTest, OutOfOrderStripesKeepStreamOrderAndWholeTuples) {
+  constexpr int kCols = 3;
+  constexpr uint64_t kRows = 1000;
+  const FTable ft = Upload("t24", kRows, 1000, 24, kCols);
+  const Schema input = Schema::DefaultWideRow(kCols);
+  ASSERT_EQ(input.tuple_width(), 24u);
+
+  // The precondition: the short last stripe is not the last burst.
+  std::vector<uint64_t> bursts;
+  node_.memory_controller().StreamRead(
+      0, ft.vaddr, ft.SizeBytes(),
+      [&bursts](uint64_t bytes, bool, SimTime) { bursts.push_back(bytes); });
+  engine_.Run();
+  ASSERT_GE(bursts.size(), 2u);
+  const uint64_t stripe = node_.config().BurstBytes();
+  ASSERT_NE(ft.SizeBytes() % stripe, 0u);
+  const auto short_at = std::find(bursts.begin(), bursts.end(),
+                                  ft.SizeBytes() % stripe);
+  ASSERT_NE(short_at, bursts.end());
+  ASSERT_LT(short_at - bursts.begin(),
+            static_cast<std::ptrdiff_t>(bursts.size()) - 1)
+      << "the short stripe arrived last; the case needs it earlier";
+
+  std::vector<BatchProbe::Seen> seen;
+  Pipeline p(input);
+  p.Append(std::make_unique<BatchProbe>(input, &seen));
+  Result<OperatorPtr> distinct = DistinctOp::Create(input, {0});
+  ASSERT_TRUE(distinct.ok());
+  p.Append(std::move(distinct).value());
+  ASSERT_TRUE(client_.LoadPipeline(std::move(p)).ok());
+  Result<FvResult> r = client_.FarviewRequest(client_.ScanRequest(ft));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  ByteBuffer streamed;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].bytes.size(), seen[i].rows * input.tuple_width())
+        << "batch " << i;
+    streamed.insert(streamed.end(), seen[i].bytes.begin(),
+                    seen[i].bytes.end());
+  }
+  EXPECT_EQ(streamed, last_table_->bytes());
+
+  const LocalEngine cpu;
+  Result<BaselineResult> oracle =
+      cpu.Execute(*last_table_, QuerySpec::Distinct({0}));
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(r.value().rows, oracle.value().rows);
+  EXPECT_EQ(r.value().data, oracle.value().data);
+  EXPECT_GT(oracle.value().rows, 100u);
 }
 
 // ---------------------------------------------------------------------------

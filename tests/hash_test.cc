@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -172,6 +175,70 @@ TEST(CuckooTest, ClearEmptiesEverything) {
   uint8_t key[8];
   MakeKey(1, key);
   EXPECT_EQ(t.Lookup(key), nullptr);
+}
+
+// A region reuses one table across queries. After Clear, the table must
+// behave exactly like a new one: same lookups (the previous query's keys
+// gone), sizes, kick count, overflow and ForEach order. At 0.95 fill the
+// kick chains run long and some entries overflow, so every slot the first
+// query dirtied is in play.
+TEST(CuckooTest, ClearThenReuseMatchesAFreshTable) {
+  // 16 Ki slots: 256 occupancy words, so the dirty summary spans 4 words.
+  constexpr int kWays = 4;
+  constexpr uint64_t kSlots = 4096;
+  auto key_of = [](uint64_t v) {
+    std::array<uint8_t, 8> key;
+    MakeKey(v, key.data());
+    return key;
+  };
+  for (const double fill : {0.05, 0.95}) {
+    SCOPED_TRACE("fill " + std::to_string(fill));
+    const uint64_t n = static_cast<uint64_t>(fill * kWays * kSlots);
+    // Key i of a query is base + i * 7919; the two queries' bases keep
+    // their key sets disjoint.
+    auto insert_all = [&](CuckooTable* t, uint64_t base) {
+      for (uint64_t i = 0; i < n; ++i) {
+        uint8_t* payload = nullptr;
+        t->Upsert(key_of(base + i * 7919).data(), &payload);
+        StoreLE64(payload, (base + i) * 3);
+      }
+    };
+    auto entries = [](const CuckooTable& t) {
+      std::vector<std::pair<uint64_t, uint64_t>> out;
+      t.ForEach([&out](const uint8_t* k, const uint8_t* p) {
+        out.emplace_back(LoadLE64(k), LoadLE64(p));
+      });
+      return out;
+    };
+    constexpr uint64_t kFirst = 17;
+    constexpr uint64_t kSecond = kFirst + (1ull << 40);
+
+    CuckooTable reused(kWays, kSlots, 8, 8);
+    insert_all(&reused, kFirst);
+    reused.Clear();
+    insert_all(&reused, kSecond);
+    CuckooTable fresh(kWays, kSlots, 8, 8);
+    insert_all(&fresh, kSecond);
+
+    EXPECT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(reused.overflow_size(), fresh.overflow_size());
+    EXPECT_EQ(reused.total_kicks(), fresh.total_kicks());
+    if (fill > 0.9) {
+      EXPECT_GT(fresh.overflow_size(), 0u);
+      EXPECT_GT(fresh.total_kicks(), 0u);
+    }
+    EXPECT_EQ(entries(reused), entries(fresh));
+    for (uint64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(reused.Lookup(key_of(kFirst + i * 7919).data()), nullptr)
+          << "stale key " << i;
+      const auto key = key_of(kSecond + i * 7919);
+      const uint8_t* a = reused.Lookup(key.data());
+      const uint8_t* b = fresh.Lookup(key.data());
+      ASSERT_NE(a, nullptr) << i;
+      ASSERT_NE(b, nullptr) << i;
+      EXPECT_EQ(LoadLE64(a), LoadLE64(b));
+    }
+  }
 }
 
 TEST(CuckooTest, WideKeysAndPayloads) {

@@ -1,13 +1,15 @@
-// Operator data-path allocation contract (ISSUE 6; DESIGN.md §8a): after a
-// warm-up pass, streaming batches through a GroupBy + hash-join pipeline
-// performs ZERO heap allocations per batch. Operator scratch (key scratch,
-// group queues, join emit buffers, packer output) lives in ByteBuffers whose
-// blocks recycle through ByteBlockPool's size classes, so the steady state
-// is pure pointer pops at the allocator boundary. The counting operator-new
-// hook (same object as bench/perf_simcore) observes every hidden allocation
-// — container growth, std::function fallbacks, shared_ptr control blocks —
-// which is what makes this pin trustworthy.
+// Operator data-path allocation contract (DESIGN.md §8a): after a warm-up
+// pass, streaming batches through a GroupBy + hash-join pipeline, a regex
+// selection or a DISTINCT performs ZERO heap allocations per batch.
+// Operator scratch (key scratch, group queues, operator outputs, packer
+// output) lives in ByteBuffers whose blocks recycle through ByteBlockPool's
+// size classes, so the steady state is pure pointer pops at the allocator
+// boundary. The counting operator-new hook (same object as
+// bench/perf_simcore) observes every hidden allocation — container growth,
+// std::function fallbacks, shared_ptr control blocks — which is what makes
+// this pin trustworthy.
 
+#include <algorithm>
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,62 @@ TEST(OperatorAllocTest, GroupByJoinPipelineZeroAllocsPerBatchAfterWarmup) {
                         << " allocs = "
                         << static_cast<double>(allocs) / kMeasuredBatches
                         << "/batch)";
+}
+
+/// Allocations over `kMeasured` requests of `pipeline` over `table`, after
+/// two warm-up requests. A request is what a region runs: the table fed as
+/// borrowed batches of the rows each 4 KiB burst completes, then Flush,
+/// then the Reset that rearms the region for the next request.
+uint64_t SteadyStateAllocs(Pipeline* pipeline, const Table& table) {
+  const Schema& schema = pipeline->input_schema();
+  const uint64_t tw = schema.tuple_width();
+  auto request = [&]() {
+    uint64_t row = 0;
+    for (uint64_t end = 4096; row < table.num_rows(); end += 4096) {
+      const uint64_t rows = std::min(end / tw, table.num_rows()) - row;
+      Result<Batch> out = pipeline->Process(
+          Batch::Borrow(&schema, table.data() + row * tw, rows));
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      row += rows;
+    }
+    Result<Batch> flushed = pipeline->Flush();
+    ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+    pipeline->Reset();
+  };
+  request();
+  request();
+  constexpr int kMeasured = 50;
+  const uint64_t allocs0 = alloc_counter::allocations();
+  for (int i = 0; i < kMeasured; ++i) request();
+  return alloc_counter::allocations() - allocs0;
+}
+
+TEST(OperatorAllocTest, RegexPipelineZeroAllocsPerBatchAfterWarmup) {
+  if (!alloc_counter::hook_active()) {
+    GTEST_SKIP() << "counting operator new hook not active in this binary";
+  }
+  TableGenerator gen(8);
+  Result<Table> t = gen.Strings(2000, 64, "xq", 0.5);
+  ASSERT_TRUE(t.ok());
+  Result<Pipeline> p =
+      PipelineBuilder(t.value().schema()).RegexSelect(0, "xq").Build();
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(SteadyStateAllocs(&p.value(), t.value()), 0u);
+}
+
+TEST(OperatorAllocTest, DistinctPipelineZeroAllocsPerBatchAfterWarmup) {
+  if (!alloc_counter::hook_active()) {
+    GTEST_SKIP() << "counting operator new hook not active in this binary";
+  }
+  // A default-size table (4 ways x 2^18 slots), cleared by every Reset.
+  TableGenerator gen(9);
+  Result<Table> t =
+      gen.WithDistinct(Schema::DefaultWideRow(), 2000, 0, 500, 100);
+  ASSERT_TRUE(t.ok());
+  Result<Pipeline> p =
+      PipelineBuilder(t.value().schema()).Distinct({0}).Build();
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(SteadyStateAllocs(&p.value(), t.value()), 0u);
 }
 
 }  // namespace

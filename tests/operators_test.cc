@@ -255,6 +255,46 @@ TEST(RegexSelectTest, FiltersByPattern) {
   EXPECT_GT(expected, 200u);
 }
 
+// Search mode runs a batch's fields through the DFA Regex::kLanes rows at
+// a time. It must keep exactly the rows whose field single-stream Search
+// matches, for any row count (full and partial lane groups), with the
+// CHAR column at a non-zero offset inside a wider row.
+TEST(RegexSelectTest, LockstepRowsKeepExactlyTheSearchMatches) {
+  Rng rng(11);
+  for (int trial = 0; trial < 60; ++trial) {
+    const uint32_t width = 1 + static_cast<uint32_t>(rng.NextBelow(130));
+    Result<Schema> s = Schema::Create({{"k", DataType::kInt64, 8},
+                                       {"s", DataType::kChar, width},
+                                       {"v", DataType::kInt64, 8}});
+    ASSERT_TRUE(s.ok());
+    const char* const kPatterns[] = {"a*", "xq", "x[qy]+z?"};
+    const char* pattern = kPatterns[trial % 3];
+    Result<OperatorPtr> op = RegexSelectOp::Create(s.value(), 1, pattern);
+    ASSERT_TRUE(op.ok());
+    const Regex& re = static_cast<RegexSelectOp*>(op.value().get())->regex();
+    const uint64_t rows = rng.NextBelow(41);
+    const uint32_t tw = s.value().tuple_width();
+    ByteBuffer bytes(rows * tw);
+    for (uint8_t& b : bytes) {
+      b = static_cast<uint8_t>("axqyz"[rng.NextBelow(5)]);
+    }
+    ByteBuffer want;
+    for (uint64_t r = 0; r < rows; ++r) {
+      const uint8_t* row = bytes.data() + r * tw;
+      if (re.Search(std::string_view(reinterpret_cast<const char*>(row + 8),
+                                     width))) {
+        want.insert(want.end(), row, row + tw);
+      }
+    }
+    Result<Batch> out = op.value()->Process(
+        Batch::Borrow(&s.value(), bytes.data(), rows));
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.value().num_rows, want.size() / tw) << pattern;
+    EXPECT_EQ(out.value().data, want)
+        << pattern << ", width " << width << ", " << rows << " rows";
+  }
+}
+
 TEST(RegexSelectTest, RejectsNonCharColumn) {
   EXPECT_FALSE(
       RegexSelectOp::Create(Schema::DefaultWideRow(1), 0, "a").ok());

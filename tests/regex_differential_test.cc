@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <regex>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 #include "regex/regex.h"
@@ -114,6 +118,61 @@ TEST_P(RegexDifferentialTest, AgreesWithStdRegex) {
     }
   }
   EXPECT_GT(compared, 1000);
+}
+
+/// Random field bytes: mostly the patterns' alphabet, so fields match,
+/// with any byte (NUL padding included) now and then.
+void FillField(Rng* rng, uint8_t* at, size_t len) {
+  const char* kChars = "abcxyz";
+  for (size_t i = 0; i < len; ++i) {
+    at[i] = rng->NextBernoulli(0.1)
+                ? static_cast<uint8_t>(rng->NextBelow(256))
+                : static_cast<uint8_t>(kChars[rng->NextBelow(6)]);
+  }
+}
+
+// The lockstep matcher (`SearchLanes`, Regex::kLanes fields per byte step,
+// no per-byte accept test) must agree field by field with single-stream
+// `Search`: random supported patterns plus fixed ones whose start state
+// accepts, field widths 0-130, 0-40 rows taken kLanes at a time, row
+// strides from the field width up and fields at non-zero offsets.
+TEST_P(RegexDifferentialTest, LockstepLanesAgreeWithSearch) {
+  Rng rng(GetParam() + 1000);
+  const std::vector<std::string> fixed = {"a*", "", "(x|)", "y?z*",
+                                          "xq", "a(b|c)*a"};
+  uint64_t matched = 0;
+  uint64_t unmatched = 0;
+  for (size_t trial = 0; trial < 40; ++trial) {
+    const std::string pattern =
+        trial < fixed.size() ? fixed[trial] : RandomPattern(&rng, 2);
+    Result<Regex> re = Regex::Compile(pattern);
+    ASSERT_TRUE(re.ok()) << pattern << ": " << re.status().ToString();
+    const size_t width = rng.NextBelow(131);
+    const size_t offset = rng.NextBelow(17);
+    const size_t stride = offset + width + rng.NextBelow(17);
+    const uint64_t rows = rng.NextBelow(41);
+    std::vector<uint8_t> buf(rows * stride + 1);
+    FillField(&rng, buf.data(), buf.size());
+    for (uint64_t r = 0; r < rows; r += Regex::kLanes) {
+      const int n =
+          static_cast<int>(std::min<uint64_t>(Regex::kLanes, rows - r));
+      const uint8_t* first = buf.data() + r * stride + offset;
+      const uint32_t hits = re.value().SearchLanes(first, stride, width, n);
+      EXPECT_EQ(hits >> n, 0u) << pattern;
+      for (int i = 0; i < n; ++i) {
+        const std::string_view field(
+            reinterpret_cast<const char*>(first + i * stride), width);
+        const bool want = re.value().Search(field);
+        EXPECT_EQ(((hits >> i) & 1) != 0, want)
+            << "pattern='" << pattern << "' width=" << width
+            << " stride=" << stride << " offset=" << offset
+            << " row=" << r + static_cast<uint64_t>(i);
+        ++(want ? matched : unmatched);
+      }
+    }
+  }
+  EXPECT_GT(matched, 50u);
+  EXPECT_GT(unmatched, 50u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegexDifferentialTest,
