@@ -24,7 +24,7 @@ fv_add_bench(ablate_striping)
 fv_add_bench(ablate_vector)
 fv_add_bench(micro_primitives benchmark::benchmark)
 fv_add_bench(ext_join)
-fv_add_bench(ext_buffer_pool fv_storage fv_sql)
+fv_add_bench(ext_buffer_pool fv_storage)
 fv_add_bench(ext_elasticity)
 fv_add_bench(ext_optimizer fv_optimizer)
 fv_add_bench(ext_compression fv_compress)

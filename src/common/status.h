@@ -67,9 +67,9 @@ class [[nodiscard]] Status {
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
-  /// Admission-control rejection: the server is healthy but is shedding
-  /// load (DESIGN.md §15). Distinct from `Unavailable` (down / faulted) so
-  /// circuit breakers never count shed load toward trip thresholds.
+  /// Admission-control rejection of a `RegionScheduler` job: the node is
+  /// healthy but is shedding load (DESIGN.md §15). Distinct from
+  /// `Unavailable` (down / faulted), which callers retry or fail over.
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
@@ -116,8 +116,8 @@ class [[nodiscard]] Status {
   }
 
   /// Server-suggested retry delay in simulated picoseconds; 0 when the
-  /// status carries no hint. Clients treat the hint as a floor on their
-  /// own backoff (`RetryPolicy::BackoffForAttempt`), never a ceiling.
+  /// status carries no hint. Only `RegionScheduler` sheds produce one
+  /// (DESIGN.md §15); its callers resubmit no sooner than the hint.
   int64_t retry_after_ps() const { return retry_after_ps_; }
 
   /// Renders "Code: message" for logs and test failure output.

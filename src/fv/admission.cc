@@ -29,7 +29,7 @@ Status AdmissionController::Admit(int tenant_id, SloClass slo) {
   // already too deep for its SLO.
   if (ewma_ > config_.ShedDelayFor(slo)) {
     const SimTime hint = OverloadRetryAfter();
-    stats_->RecordShed(slo, /*overload=*/true, hint);
+    stats_->RecordAdmissionShed(slo, /*overload=*/true, hint);
     return Status::ResourceExhausted(
                "node overloaded (queue delay " +
                std::to_string(ToMicros(ewma_)) + " us over " +
@@ -39,7 +39,7 @@ Status AdmissionController::Admit(int tenant_id, SloClass slo) {
   Bucket& b = BucketFor(tenant_id);
   if (b.tokens < 1.0) {
     const SimTime hint = BucketRetryAfter(b);
-    stats_->RecordShed(slo, /*overload=*/false, hint);
+    stats_->RecordAdmissionShed(slo, /*overload=*/false, hint);
     return Status::ResourceExhausted("tenant " + std::to_string(tenant_id) +
                                      " over admission rate")
         .WithRetryAfter(hint);
@@ -51,7 +51,7 @@ Status AdmissionController::Admit(int tenant_id, SloClass slo) {
 
 Status AdmissionController::ShedTenantQueueFull(int tenant_id, SloClass slo) {
   const SimTime hint = OverloadRetryAfter();
-  stats_->RecordShed(slo, /*overload=*/false, hint);
+  stats_->RecordAdmissionShed(slo, /*overload=*/false, hint);
   return Status::ResourceExhausted(
              "tenant " + std::to_string(tenant_id) +
              " backlog at cap (" +

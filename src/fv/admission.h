@@ -12,23 +12,23 @@
 
 namespace farview {
 
-/// Per-tenant admission control in front of `FarviewNode` admission
-/// (DESIGN.md §15). Two deterministic mechanisms, both driven purely off
-/// the engine clock so the simulation stays bit-reproducible:
+/// Per-tenant admission control of a node's `RegionScheduler`, which owns
+/// it and is its only caller (DESIGN.md §15). Two deterministic
+/// mechanisms, both driven purely off the engine clock so the simulation
+/// stays bit-reproducible:
 ///
 ///  - a token bucket per tenant (`AdmissionConfig::tenant_rate_per_sec`
 ///    refill, `tenant_burst` capacity), refilled lazily at each admission
 ///    check — no refill events, no timers;
-///  - a node-wide queue-delay shed threshold: an integer EWMA of observed
-///    `RequestContext::QueueWait()` values, compared against the SLO
-///    class's threshold (`ShedDelayFor`) — batch traffic is shed first,
-///    latency-sensitive traffic only under deeper overload.
+///  - a queue-delay shed threshold: an integer EWMA of the scheduler's
+///    observed `RequestContext::QueueWait()` values, compared against the
+///    SLO class's threshold (`ShedDelayFor`) — batch traffic is shed
+///    first, latency-sensitive traffic only under deeper overload.
 ///
 /// Rejections are typed `ResourceExhausted` (never `Unavailable`: a
-/// shedding node is healthy, and circuit breakers must not trip on shed
-/// load) and carry a retry-after hint — time until a token accrues for
-/// bucket sheds, current backlog delay for overload sheds — that
-/// `RetryPolicy` uses as a floor on its backoff.
+/// shedding node is healthy) and carry a retry-after hint — time until a
+/// token accrues for bucket sheds, current backlog delay for overload
+/// sheds — before which the scheduler's caller should not resubmit.
 ///
 /// With `AdmissionConfig::enabled == false` (the default) `Admit` returns
 /// OK without touching any state, so seed workloads are byte-identical.

@@ -22,7 +22,6 @@ struct FarviewClient::ReliableCall {
 
 FailureKind ClassifyFailure(const Status& s) {
   if (s.IsUnavailable() || s.IsDeadlineExceeded()) return FailureKind::kHealth;
-  if (s.IsResourceExhausted()) return FailureKind::kShed;
   return FailureKind::kRequest;
 }
 
@@ -145,10 +144,6 @@ void FarviewClient::SubmitAsync(Verb verb, const FvRequest& request,
     IssueWithRetries(verb, request, std::move(done));
     return;
   }
-  if (GateBlocked()) {
-    done(GateError());
-    return;
-  }
   Post(verb, request, std::move(done));
 }
 
@@ -159,16 +154,6 @@ void FarviewClient::Post(Verb verb, const FvRequest& request,
   } else {
     node_->FarviewRequest(qp_->qp_id, request, std::move(done));
   }
-}
-
-bool FarviewClient::GateBlocked() {
-  if (!gate_ || gate_()) return false;
-  node_->stats().RecordFastFail();
-  return true;
-}
-
-Status FarviewClient::GateError() {
-  return Status::Unavailable("node circuit open (fast-fail)");
 }
 
 void FarviewClient::IssueWithRetries(
@@ -188,11 +173,13 @@ void FarviewClient::StartReliableAttempt(std::shared_ptr<ReliableCall> call) {
                    Status::FailedPrecondition("not connected"));
     return;
   }
-  if (GateBlocked()) {
+  if (gate_ && !gate_()) {
     // Known-dead node: settle the whole call now instead of burning the
     // remaining timeout/backoff schedule — the router above (if any) fails
     // over to a live replica immediately (DESIGN.md §12).
-    FinishReliable(std::move(call), GateError());
+    node_->stats().RecordFastFail();
+    FinishReliable(std::move(call),
+                   Status::Unavailable("node circuit open (fast-fail)"));
     return;
   }
   const RetryPolicy& rp = node_->config().retry;
@@ -209,11 +196,8 @@ void FarviewClient::StartReliableAttempt(std::shared_ptr<ReliableCall> call) {
       FinishReliable(call, std::move(res));
       return;
     }
-    const Status s = res.status();
-    // Sheds retry too: the node is healthy, and its retry-after hint floors
-    // the backoff below.
-    if (ClassifyFailure(s) != FailureKind::kRequest) {
-      HandleAttemptFailure(call, s);
+    if (ClassifyFailure(res.status()) == FailureKind::kHealth) {
+      HandleAttemptFailure(call, res.status());
     } else {
       FinishReliable(call, std::move(res));  // not retryable
     }
@@ -248,11 +232,8 @@ void FarviewClient::HandleAttemptFailure(std::shared_ptr<ReliableCall> call,
     return;
   }
   // Capped exponential backoff: base * 2^(retry-1), clamped to the cap
-  // (overflow-safe — the policy clamps before each doubling). A shedding
-  // server's retry-after hint floors the backoff (DESIGN.md §15): retrying
-  // sooner than the server asked would only be shed again.
-  SimTime backoff = rp.BackoffForAttempt(call->attempts_done);
-  if (error.retry_after_ps() > backoff) backoff = error.retry_after_ps();
+  // (overflow-safe — the policy clamps before each doubling).
+  const SimTime backoff = rp.BackoffForAttempt(call->attempts_done);
   node_->stats().RecordRetry();
   node_->engine()->ScheduleAfter(backoff, [this, call]() {
     if (call->settled) return;

@@ -27,16 +27,13 @@ struct FTable {
   uint64_t SizeBytes() const { return num_rows * schema.tuple_width(); }
 };
 
-/// How the client layers treat a failed attempt (DESIGN.md §7, §12, §15):
-/// the one classification behind "retry?", "penalize the replica?" and
-/// "rotate to another replica?".
+/// How the client layers treat a failed attempt (DESIGN.md §7, §12): the
+/// one classification behind "retry?", "penalize the replica?" and "fail
+/// over to another replica?".
 enum class FailureKind {
   /// `Unavailable` / `DeadlineExceeded`: the node may be dead. Retried,
   /// recorded on the replica's circuit breaker, failed over.
   kHealth,
-  /// `ResourceExhausted`: the node is healthy but shedding load. Retried
-  /// no sooner than its retry-after hint; never trips a breaker.
-  kShed,
   /// Anything else (bad request, MMU error): the request's own fault.
   /// Reported as is, never retried, never penalizes a replica.
   kRequest,
@@ -169,11 +166,9 @@ class FarviewClient {
 
   /// When `FarviewConfig::retry.enabled`, both async verbs run under the
   /// reliability layer (DESIGN.md §7): each attempt carries a completion
-  /// timeout; `Unavailable`/`DeadlineExceeded`/`ResourceExhausted`
-  /// attempts retry with capped exponential backoff up to `max_attempts`
-  /// (a shed's retry-after hint floors the backoff, DESIGN.md §15); and
-  /// when the region is faulted the call degrades to a raw read
-  /// (`FvResult::degraded_raw`).
+  /// timeout; `Unavailable`/`DeadlineExceeded` attempts retry with capped
+  /// exponential backoff up to `max_attempts`; and when the region is
+  /// faulted the call degrades to a raw read (`FvResult::degraded_raw`).
   /// With the policy disabled (the default) they issue exactly one attempt,
   /// event-identical to the pre-reliability client.
   void FarviewRequestAsync(const FvRequest& request,
@@ -196,13 +191,16 @@ class FarviewClient {
   /// Builds the standard request for a full scan of `table`.
   static FvRequest ScanRequest(const FTable& table, bool vectorized = false);
 
-  /// Installs a health gate consulted before every data-path attempt
-  /// (DESIGN.md §12). When the gate returns false the node is known-dead
-  /// (its circuit breaker is Open) and the call settles *immediately* with
-  /// `Unavailable` — no completion timeout is armed and no backoff schedule
-  /// is burned, so a replicated client can fail over at once. The gate must
-  /// be deterministic and must not schedule events. Unset (the default),
-  /// behavior is byte-identical to the ungated client.
+  /// Installs a health gate consulted before every attempt of a call under
+  /// the retry policy (DESIGN.md §12). When the gate returns false the node
+  /// is known-dead (its circuit breaker is Open) and the call settles
+  /// *immediately* with `Unavailable` — no completion timeout is armed and
+  /// no backoff schedule is burned, so a replicated client can fail over
+  /// at once. With the policy disabled the call's one attempt is not
+  /// gated: the router admitted the replica through its breaker at that
+  /// same instant. The gate must be deterministic and must not schedule
+  /// events. Unset (the default), behavior is byte-identical to the
+  /// ungated client.
   void SetHealthGate(std::function<bool()> gate) { gate_ = std::move(gate); }
 
  private:
@@ -225,11 +223,6 @@ class FarviewClient {
   /// Settles the call and invokes the user callback exactly once.
   void FinishReliable(std::shared_ptr<ReliableCall> call,
                       Result<FvResult> res);
-  /// True when the health gate says the node is known-dead; counts the
-  /// fast-fail on the node's stats.
-  bool GateBlocked();
-  /// The status fast-failed calls settle with.
-  static Status GateError();
   /// Body of the convenience queries: load `pipeline`, then scan `table`
   /// through it.
   Result<FvResult> LoadAndScan(Result<Pipeline> pipeline, const FTable& table,

@@ -161,8 +161,6 @@ Status FarviewCluster::ReplayControlEntry(FarviewNode* node,
     }
     case LogEntry::Kind::kFree:
       return node->mmu().Free(entry.client_id, entry.vaddr);
-    case LogEntry::Kind::kShare:
-      return node->mmu().Share(entry.client_id, entry.vaddr);
     case LogEntry::Kind::kWrite:
       break;
   }

@@ -43,15 +43,15 @@ struct ClusterConfig {
 /// one simulation engine, plus the replication log that keeps them
 /// convergent across crashes (DESIGN.md §12).
 ///
-/// Every state-changing client operation (alloc/free/share/write) appends
-/// one epoch-numbered entry to the log before it is applied. Replicas that
-/// are in rotation apply the entry immediately; replicas that are down or
+/// Every state-changing client operation (alloc/free/write) appends one
+/// epoch-numbered entry to the log before it is applied. Replicas that are
+/// in rotation apply the entry immediately; replicas that are down or
 /// resyncing miss it and the miss is recorded. Epoch fencing follows: a
 /// replica is routed reads only while `InSync`, i.e. it has applied every
 /// epoch — a restarted node can never serve pre-crash bytes.
 ///
 /// Crash recovery runs when a crashed replica restarts: missed control
-/// entries (alloc/free/share) are replayed in log order, missed write
+/// entries (alloc/free) are replayed in log order, missed write
 /// ranges are copied from a surviving in-sync replica by a rate-limited
 /// `ResyncScheduler` stream, and registered rejoin hooks (pipeline reloads)
 /// run; passes repeat until no new entry was missed, then the replica
@@ -68,7 +68,7 @@ class FarviewCluster {
 
   /// One epoch-numbered replication-log entry.
   struct LogEntry {
-    enum class Kind { kAlloc, kFree, kShare, kWrite };
+    enum class Kind { kAlloc, kFree, kWrite };
     Kind kind = Kind::kWrite;
     int client_id = 0;
     /// For kAlloc this is the address the survivors agreed on (replay

@@ -7,9 +7,7 @@
 namespace farview {
 
 FarviewNode::FarviewNode(sim::Engine* engine, const FarviewConfig& config)
-    : engine_(engine),
-      config_(config),
-      admission_(engine, config.admission, &stats_) {
+    : engine_(engine), config_(config) {
   FV_CHECK(engine_ != nullptr);
   FV_CHECK(config_.submission_queue_depth >= 1)
       << "submission_queue_depth must be at least 1";
@@ -104,19 +102,22 @@ void FarviewNode::FailQueuedForRegion(int region_id) {
   }
 }
 
-Result<QPair*> FarviewNode::Connect(int client_id) {
-  if (down_) return Status::Unavailable("node down");
-  int region = -1;
+int FarviewNode::TakeFreeRegion() {
   for (size_t r = 0; r < region_taken_.size(); ++r) {
     if (!region_taken_[r]) {
-      region = static_cast<int>(r);
-      break;
+      region_taken_[r] = true;
+      return static_cast<int>(r);
     }
   }
+  return -1;
+}
+
+Result<QPair*> FarviewNode::Connect(int client_id) {
+  if (down_) return Status::Unavailable("node down");
+  const int region = TakeFreeRegion();
   if (region < 0) {
     return Status::Unavailable("all dynamic regions are assigned");
   }
-  region_taken_[static_cast<size_t>(region)] = true;
   auto qp = std::make_unique<QPair>();
   qp->qp_id = next_qp_id_++;
   qp->client_id = client_id;
@@ -144,9 +145,7 @@ Status FarviewNode::Disconnect(int qp_id) {
   if (it == qpairs_.end()) {
     return Status::NotFound("unknown queue pair");
   }
-  if (it->second->region_id >= 0) {
-    region_taken_[static_cast<size_t>(it->second->region_id)] = false;
-  }
+  if (it->second->region_id >= 0) ReleaseRegion(it->second->region_id);
   auto qit = qp_queues_.find(qp_id);
   if (qit != qp_queues_.end()) {
     // Waiting requests never reached a region; fail them. The executing
@@ -430,19 +429,6 @@ void FarviewNode::OnArrival(RequestContextPtr ctx) {
     FailSoon(engine_, std::move(ctx), Status::Unavailable("connection closed"));
     return;
   }
-  // Admission control in front of the submission queue (DESIGN.md §15):
-  // token-bucket/overload sheds reject with a typed `ResourceExhausted`
-  // carrying a retry-after hint, never `Unavailable` (a shedding node is
-  // healthy; circuit breakers must not trip on shed load). Inert while
-  // `AdmissionConfig::enabled` is false.
-  if (admission_.enabled()) {
-    Status verdict = admission_.Admit(ctx->client_id, ctx->slo);
-    if (!verdict.ok()) {
-      stats_.RecordRejection(ctx->qp_id);
-      FailSoon(engine_, std::move(ctx), std::move(verdict));
-      return;
-    }
-  }
   SubmissionQueue& q = it->second;
   if (!q.CanAccept()) {
     stats_.RecordRejection(ctx->qp_id);
@@ -479,7 +465,6 @@ void FarviewNode::MaybeDispatch(int qp_id) {
   // completion callback and LoadPipeline both re-enter here).
   if (r->busy() || r->reconfiguring()) return;
   RequestContextPtr ctx = it->second.PopForDispatch();
-  admission_.ObserveQueueWait(engine_->Now() - ctx->ingress_done);
   auto on_result = [this, ctx](Result<FvResult> res) {
     FinishRequest(ctx, std::move(res));
   };

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fv/admission.h"
 #include "fv/dynamic_region.h"
 #include "fv/fv_config.h"
 #include "fv/node_stats.h"
@@ -41,7 +40,8 @@ namespace farview {
 /// `NodeStats`. Dedicated connections admit region verbs through a bounded
 /// per-queue-pair `SubmissionQueue` (`FarviewConfig::submission_queue_depth`
 /// outstanding; FIFO drain as the region frees; `Unavailable` beyond the
-/// cap).
+/// cap). Each owns its region, so admission control never sheds them: it
+/// gates only `RegionScheduler` jobs (DESIGN.md §15).
 class FarviewNode {
  public:
   FarviewNode(sim::Engine* engine, const FarviewConfig& config);
@@ -153,11 +153,6 @@ class FarviewNode {
   NodeStats& stats() { return stats_; }
   const NodeStats& stats() const { return stats_; }
 
-  /// Per-tenant admission controller (DESIGN.md §15). Inert while
-  /// `AdmissionConfig::enabled` is false; the region scheduler consults it
-  /// for shared connections, `OnArrival` for dedicated ones.
-  AdmissionController& admission() { return admission_; }
-
   /// Submission queue of a dedicated connection (nullptr when unknown or
   /// shared). For tests and introspection.
   const SubmissionQueue* submission_queue(int qp_id) const;
@@ -167,8 +162,18 @@ class FarviewNode {
   std::string StatsReport();
 
  private:
-  // The scheduler's jobs share the request lifecycle below.
+  // The scheduler claims the free regions and its jobs share the request
+  // lifecycle below.
   friend class RegionScheduler;
+
+  /// Marks the lowest free region taken and returns its id; -1 when every
+  /// region is taken (by a dedicated connection or the scheduler).
+  int TakeFreeRegion();
+
+  /// Hands a taken region back.
+  void ReleaseRegion(int region_id) {
+    region_taken_[static_cast<size_t>(region_id)] = false;
+  }
 
   // --- Request lifecycle (DESIGN.md §6b) ----------------------------------
 
@@ -231,7 +236,6 @@ class FarviewNode {
   /// Ingress link (client→node data for writes); separate from egress.
   std::unique_ptr<sim::Server> ingress_;
   NodeStats stats_;
-  AdmissionController admission_;
   std::vector<std::unique_ptr<DynamicRegion>> regions_;
   std::vector<bool> region_taken_;
   std::map<int, std::unique_ptr<QPair>> qpairs_;

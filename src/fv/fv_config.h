@@ -67,9 +67,7 @@ struct RetryPolicy {
   SimTime completion_timeout = 250 * kMicrosecond;
 
   /// Total attempts (first try + retries). Retryable failures are
-  /// `Unavailable`, `DeadlineExceeded` and `ResourceExhausted` (shed load;
-  /// its retry-after hint floors the backoff); other codes fail
-  /// immediately.
+  /// `Unavailable` and `DeadlineExceeded`; other codes fail immediately.
   int max_attempts = 4;
 
   /// Backoff before retry k (1-based) is `min(backoff_base * 2^(k-1),
@@ -104,13 +102,13 @@ struct RetryPolicy {
   bool raw_read_fallback = true;
 };
 
-/// Per-tenant admission control and SLO-aware fair scheduling
-/// (DESIGN.md §15): deterministic token buckets per tenant, a node-wide
-/// queue-delay shed threshold fed by `RequestContext::QueueWait()`, and
-/// deficit-weighted round-robin drain of the region scheduler. Disabled by
-/// default — the node then admits exactly like the pre-admission node and
-/// the region scheduler drains strict FIFO, preserving byte-identity of
-/// every seed bench golden.
+/// Per-tenant admission control and SLO-aware fair scheduling of a node's
+/// `RegionScheduler` (DESIGN.md §15): deterministic token buckets per
+/// tenant, a queue-delay shed threshold fed by the scheduler's observed
+/// `RequestContext::QueueWait()`, and deficit-weighted round-robin drain.
+/// Dedicated connections are never gated. Disabled by default — the
+/// scheduler then admits every job under its queue cap and drains strict
+/// FIFO, preserving byte-identity of every seed bench golden.
 struct AdmissionConfig {
   /// Master switch; when false no bucket is consulted, no request is shed,
   /// and the scheduler drains FIFO.
@@ -129,9 +127,10 @@ struct AdmissionConfig {
   /// its cap is shed even with tokens left (backlog bound).
   int tenant_queue_cap = 64;
 
-  /// Node-wide queue-delay shed thresholds, compared against the EWMA of
-  /// observed `RequestContext::QueueWait()`. Batch requests are shed first
-  /// (lower threshold); latency-sensitive ones only under deeper overload.
+  /// Queue-delay shed thresholds, compared against the EWMA of the
+  /// scheduler's observed `RequestContext::QueueWait()`. Batch jobs are
+  /// shed first (lower threshold); latency-sensitive ones only under
+  /// deeper overload.
   SimTime shed_delay_batch = 150 * kMicrosecond;
   SimTime shed_delay_latency = 600 * kMicrosecond;
 

@@ -115,7 +115,8 @@ void NodeStats::RecordAdmitted(SloClass slo) {
   }
 }
 
-void NodeStats::RecordShed(SloClass slo, bool overload, SimTime retry_after) {
+void NodeStats::RecordAdmissionShed(SloClass slo, bool overload,
+                                    SimTime retry_after) {
   if (overload) {
     if (slo == SloClass::kBatch) {
       ++admission_.shed_overload_batch;
@@ -132,7 +133,7 @@ void NodeStats::RecordShed(SloClass slo, bool overload, SimTime retry_after) {
   // log2 bucket of the hint in whole microseconds; <1 µs shares bucket 0.
   int bucket = 0;
   for (SimTime us = retry_after / kMicrosecond; us > 1 &&
-       bucket + 1 < AdmissionStats::kShedDelayBuckets;
+       bucket + 1 < AdmissionStats::kRetryAfterBuckets;
        us /= 2) {
     ++bucket;
   }

@@ -213,8 +213,8 @@ class NodeStats {
     /// in microseconds: bucket i counts hints in [2^i, 2^(i+1)) µs; bucket
     /// 0 also takes sub-microsecond hints and the last bucket everything
     /// larger.
-    static constexpr int kShedDelayBuckets = 8;
-    uint64_t shed_delay_hist[kShedDelayBuckets] = {};
+    static constexpr int kRetryAfterBuckets = 8;
+    uint64_t shed_delay_hist[kRetryAfterBuckets] = {};
 
     /// Fairness high-water mark: the deepest per-tenant backlog the region
     /// scheduler ever held (bounded by AdmissionConfig::tenant_queue_cap
@@ -327,7 +327,7 @@ class NodeStats {
   /// Counts a shed request: `overload` distinguishes queue-delay overload
   /// sheds from token-bucket/tenant-cap sheds; `retry_after` is the hint
   /// attached to the rejection (folded into the shed-delay histogram).
-  void RecordShed(SloClass slo, bool overload, SimTime retry_after);
+  void RecordAdmissionShed(SloClass slo, bool overload, SimTime retry_after);
 
   /// Counts a job bounced by the node-wide scheduler queue cap.
   void RecordSchedulerOverflow() { ++admission_.scheduler_overflows; }

@@ -5,23 +5,30 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "fv/admission.h"
 
 namespace farview {
 
 RegionScheduler::RegionScheduler(FarviewNode* node)
-    : node_(node), alive_(std::make_shared<bool>(true)) {
-  FV_CHECK(node_ != nullptr);
-  for (int r = 0; r < node_->num_regions(); ++r) {
+    : node_(node),
+      admission_(node->engine(), node->config().admission, &node->stats()),
+      alive_(std::make_shared<bool>(true)) {
+  // A region a dedicated connection holds stays its own: that region's
+  // completions re-enter the connection's submission queue, never Dispatch.
+  for (int r = node_->TakeFreeRegion(); r >= 0; r = node_->TakeFreeRegion()) {
     regions_.push_back(RegionSlot{&node_->region(r), "", false});
   }
-  FV_CHECK(!regions_.empty());
+  FV_CHECK(!regions_.empty()) << "no free region for the scheduler";
   node_->AddDownObserver([alive = alive_, this](bool down) {
     if (*alive && down) FlushOnCrash();
   });
 }
 
-RegionScheduler::~RegionScheduler() { *alive_ = false; }
+RegionScheduler::~RegionScheduler() {
+  *alive_ = false;
+  for (const RegionSlot& slot : regions_) {
+    node_->ReleaseRegion(slot.region->region_id());
+  }
+}
 
 void RegionScheduler::FlushOnCrash() {
   NodeStats& stats = node_->stats();
@@ -72,12 +79,11 @@ void RegionScheduler::OnArrival(Job job) {
   }
   const int tenant_id = job.ctx->client_id;
   TenantQueue& tenant = tenants_[tenant_id];
-  AdmissionController& admission = node_->admission();
-  if (admission.enabled()) {
+  if (admission_.enabled()) {
     Status verdict =
         tenant.jobs.size() >= static_cast<size_t>(cfg.admission.tenant_queue_cap)
-            ? admission.ShedTenantQueueFull(tenant_id, job.ctx->slo)
-            : admission.Admit(tenant_id, job.ctx->slo);
+            ? admission_.ShedTenantQueueFull(tenant_id, job.ctx->slo)
+            : admission_.Admit(tenant_id, job.ctx->slo);
     if (!verdict.ok()) {
       stats.RecordRejection(job.ctx->qp_id);
       FailSoon(node_->engine(), std::move(job.ctx), std::move(verdict));
@@ -87,7 +93,7 @@ void RegionScheduler::OnArrival(Job job) {
   job.seq = next_seq_++;
   tenant.jobs.push_back(std::move(job));
   ++total_waiting_;
-  if (admission.enabled()) {
+  if (admission_.enabled()) {
     stats.RecordTenantBacklog(tenant.jobs.size());
     if (!tenant.active) {
       tenant.active = true;
@@ -146,7 +152,7 @@ size_t RegionScheduler::PreferredFreeSlot(const std::string& pipeline_key) {
 }
 
 void RegionScheduler::Dispatch() {
-  if (node_->config().admission.enabled) {
+  if (admission_.enabled()) {
     DispatchFair();
   } else {
     DispatchFifo();
@@ -258,8 +264,7 @@ void RegionScheduler::RunOn(size_t slot_index, Job job) {
   RegionSlot& slot = regions_[slot_index];
   FV_CHECK(!slot.busy);
   slot.busy = true;
-  node_->admission().ObserveQueueWait(node_->engine()->Now() -
-                                      job.ctx->ingress_done);
+  admission_.ObserveQueueWait(node_->engine()->Now() - job.ctx->ingress_done);
   const bool cached =
       !slot.loaded_key.empty() && slot.loaded_key == job.pipeline_key;
 

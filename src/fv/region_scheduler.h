@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "fv/admission.h"
 #include "fv/farview_node.h"
 #include "fv/request_context.h"
 
@@ -20,8 +21,12 @@ namespace farview {
 ///
 /// Instead of binding one connection to one dynamic region for its
 /// lifetime, shared connections (FarviewNode::ConnectShared) submit jobs to
-/// the scheduler, which multiplexes all regions:
+/// the scheduler, which multiplexes the regions no dedicated connection
+/// holds:
 ///
+///  - it is the node's only admission point (DESIGN.md §15): it owns the
+///    `AdmissionController`, built from `FarviewConfig::admission`, and
+///    nothing else on the node sheds load;
 ///  - waiting jobs live in bounded per-tenant queues (keyed by client id;
 ///    DESIGN.md §15) under a node-wide cap
 ///    (`FarviewConfig::scheduler_queue_cap`) — overflow is rejected with a
@@ -50,7 +55,9 @@ namespace farview {
 /// rule.
 class RegionScheduler {
  public:
-  /// The scheduler takes over all currently-unassigned regions of `node`.
+  /// The scheduler claims every region of `node` no dedicated connection
+  /// holds (at least one must be free); a later `FarviewNode::Connect`
+  /// finds them taken. The destructor hands them back.
   explicit RegionScheduler(FarviewNode* node);
   ~RegionScheduler();
 
@@ -148,6 +155,9 @@ class RegionScheduler {
   void FlushOnCrash();
 
   FarviewNode* node_;
+  /// Per-tenant token buckets and the queue-delay shed signal; inert while
+  /// `AdmissionConfig::enabled` is false.
+  AdmissionController admission_;
   std::vector<RegionSlot> regions_;
   /// Bounded per-tenant backlogs, keyed by client id (map: deterministic
   /// iteration in tenant order).

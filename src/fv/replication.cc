@@ -64,22 +64,6 @@ void CircuitBreaker::RecordSuccess(bool probe) {
   consecutive_failures_ = 0;
 }
 
-void CircuitBreaker::RecordShed(bool probe) {
-  // Shed load is a liveness proof, not a health verdict: the replica
-  // answered, it just refused the work. Settle a probe slot exactly like a
-  // probe success (same staleness rules as RecordSuccess), but leave the
-  // Closed-state consecutive-failure count untouched either way — sheds
-  // interleaved with real failures must neither trip nor mask them.
-  if (state_ == State::kHalfOpen) {
-    if (!probe) return;
-    if (++probe_successes_ >= policy_.probe_successes) {
-      state_ = State::kClosed;
-      stats_->RecordCircuitClose();
-      consecutive_failures_ = 0;
-    }
-  }
-}
-
 void CircuitBreaker::RecordFailure(bool probe) {
   if (state_ == State::kHalfOpen) {
     // Same staleness rule as RecordSuccess: only a failed *probe* proves

@@ -16,8 +16,10 @@ namespace farview {
 
 /// Parameters of the per-replica circuit breaker (DESIGN.md §12). The
 /// breaker is the client-side health tracker of one replica: it sits on top
-/// of the PR 2 `RetryPolicy` and decides whether routing a request at that
-/// replica is worth attempting at all.
+/// of the client's `RetryPolicy` (DESIGN.md §7) and decides whether routing
+/// a request at that replica is worth attempting at all. It sees only
+/// health failures and request errors: admission never sheds a replica's
+/// dedicated connection (DESIGN.md §15).
 struct CircuitBreakerPolicy {
   /// Consecutive routed failures that trip a Closed breaker to Open.
   int failure_threshold = 3;
@@ -85,14 +87,6 @@ class CircuitBreaker {
   /// Half-Open forever.
   void RecordSuccess(bool probe = false);
   void RecordFailure(bool probe = false);
-
-  /// Outcome of a routed request the replica *shed* (`ResourceExhausted`,
-  /// DESIGN.md §15). A shedding replica is healthy, not dead: the shed
-  /// carries no health signal, so it never counts toward the trip
-  /// threshold and never resets the consecutive-failure count — but a shed
-  /// probe must still settle its slot as a success (the replica answered)
-  /// or the slot would leak and wedge the breaker Half-Open forever.
-  void RecordShed(bool probe = false);
 
   /// Trips the breaker immediately — the router observed the replica crash,
   /// so waiting for `failure_threshold` timeouts is pointless.

@@ -70,11 +70,6 @@ struct ShardedClient::RoutedCall {
   /// True while the current hop occupies a Half-Open probe slot of its
   /// replica's breaker; the hop's outcome must settle that slot.
   bool probe_hop = false;
-  /// Last `ResourceExhausted` seen while rotating (DESIGN.md §15). When the
-  /// rotation exhausts, the call settles with this typed status (retry-after
-  /// hint intact) instead of the generic fast-fail, so the caller's backoff
-  /// can honor the server's hint.
-  Status shed_error;
   std::function<void(Result<FvResult>)> done;
 };
 
@@ -350,29 +345,6 @@ Status ShardedClient::FreeTableMem(FTable* table) {
   return Status::OK();
 }
 
-Result<TableEntry> ShardedClient::ShareTable(const FTable& table) {
-  if (!connected()) return Status::FailedPrecondition("not connected");
-  FV_ASSIGN_OR_RETURN(const ShardedTable* st, Lookup(table));
-  std::optional<TableEntry> first;
-  for (const Fragment& frag : st->fragments) {
-    FarviewCluster::LogEntry entry;
-    entry.kind = FarviewCluster::LogEntry::Kind::kShare;
-    entry.vaddr = frag.local.vaddr;
-    const Status shared = ApplyLogged(
-        frag.shard, entry, "share",
-        [&](FarviewClient& replica, uint64_t) -> Status {
-          FV_ASSIGN_OR_RETURN(TableEntry e, replica.ShareTable(frag.local));
-          if (!first.has_value()) first = std::move(e);
-          return Status::OK();
-        });
-    if (!shared.ok()) return shared;
-  }
-  first->virtual_address = table.vaddr;
-  first->num_rows = table.num_rows;
-  first->size_bytes = table.SizeBytes();
-  return *std::move(first);
-}
-
 // --- Writes: scattered over shards, mirrored over replicas -------------------
 
 void ShardedClient::TableWriteAsync(
@@ -590,16 +562,9 @@ void ShardedClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
   const int r = PickReplica(call->shard, call->tried_mask, call->verb, &probe);
   if (r < 0) {
     // Fast-fail: every replica is fenced, tripped, or already tried.
-    // Counted on replica 0's stats (the shard-level sink). When at least
-    // one replica shed the call, report that typed status instead — the
-    // pool is healthy but saturated, and the retry-after hint must survive
-    // to the caller's backoff (DESIGN.md §15).
+    // Counted on replica 0's stats (the shard-level sink).
     cluster.node(0).stats().RecordFastFail();
     auto cb = std::move(call->done);
-    if (!call->shed_error.ok()) {
-      cb(std::move(call->shed_error));
-      return;
-    }
     cb(Status::Unavailable("no in-sync replica available (fast-fail)"));
     return;
   }
@@ -622,34 +587,20 @@ void ShardedClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
       cb(std::move(res));
       return;
     }
-    switch (ClassifyFailure(res.status())) {
-      case FailureKind::kShed:
-        // The replica is healthy, just refusing work — no breaker penalty,
-        // no failover count. Rotate to another replica that may have
-        // headroom; remember the typed status so an exhausted rotation
-        // reports the shed (with its retry-after hint) rather than a
-        // generic fast-fail.
-        replica_breaker.RecordShed(probe_hop);
-        call->shed_error = res.status();
-        IssueRouted(call);
-        return;
-      case FailureKind::kRequest: {
-        // Not a health signal (bad request, schema mismatch): report it,
-        // don't penalize the replica. A probe hop still settles its slot
-        // as a success — the replica answered, the error is the request's
-        // fault — otherwise the slot would leak and a breaker whose every
-        // probe drew a bad request would wedge Half-Open forever.
-        if (probe_hop) replica_breaker.RecordSuccess(/*probe=*/true);
-        auto cb = std::move(call->done);
-        cb(std::move(res));
-        return;
-      }
-      case FailureKind::kHealth:
-        replica_breaker.RecordFailure(probe_hop);
-        pool_->shard(call->shard).node(r).stats().RecordFailover();
-        IssueRouted(call);
-        return;
+    if (ClassifyFailure(res.status()) == FailureKind::kHealth) {
+      replica_breaker.RecordFailure(probe_hop);
+      pool_->shard(call->shard).node(r).stats().RecordFailover();
+      IssueRouted(call);
+      return;
     }
+    // Not a health signal (bad request, schema mismatch): report it, don't
+    // penalize the replica. A probe hop still settles its slot as a success
+    // — the replica answered, the error is the request's fault — otherwise
+    // the slot would leak and a breaker whose every probe drew a bad
+    // request would wedge Half-Open forever.
+    if (probe_hop) replica_breaker.RecordSuccess(/*probe=*/true);
+    auto cb = std::move(call->done);
+    cb(std::move(res));
   };
   StateOf(call->shard).Replica(r).SubmitAsync(call->verb, call->request,
                                                   std::move(on_done));

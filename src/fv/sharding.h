@@ -105,12 +105,12 @@ using PipelineFactory = std::function<Result<Pipeline>()>;
 ///  - reads and operator calls go to the next in-sync replica in
 ///    round-robin order whose breaker admits them; a health failure
 ///    (`Unavailable`, `DeadlineExceeded`) records on the breaker and fails
-///    over; a shed (`ResourceExhausted`) rotates without penalty; when no
-///    replica is left the call settles at once (fast-fail);
+///    over, any other error is the request's own and is reported as is;
+///    when no replica is left the call settles at once (fast-fail);
 ///  - writes are mirrored (primary first, then the other in-rotation
-///    replicas) and alloc/free/share are applied on every in-rotation
-///    replica, each logged in the shard's replication log so crashed
-///    replicas converge on rejoin;
+///    replicas) and alloc/free are applied on every in-rotation replica,
+///    each logged in the shard's replication log so crashed replicas
+///    converge on rejoin;
 ///  - a loaded pipeline is versioned per replica and reloaded on rejoin; a
 ///    replica behind the current version serves reads only.
 ///
@@ -173,10 +173,6 @@ class ShardedClient {
   /// reallocated to a different table) — a stale handle must never free
   /// another table's memory.
   Status FreeTableMem(FTable* table);
-
-  /// Shares every fragment; returns a catalog entry carrying the global
-  /// vaddr. Same remap guard as `FreeTableMem`.
-  Result<TableEntry> ShareTable(const FTable& table);
 
   // --- Data path -----------------------------------------------------------
 

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -231,68 +232,6 @@ TEST(ClusterTest, CircuitBreakerLifecycle) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(stats.reliability().circuit_closes, 1u);
   EXPECT_TRUE(breaker.AllowRequest());
-}
-
-TEST(ClusterTest, ShedLoadNeverTripsTheBreaker) {
-  // Regression (DESIGN.md §15): a replica shedding load with
-  // `ResourceExhausted` is healthy, not dead. Sheds must neither count
-  // toward the trip threshold nor mask real failures between them.
-  sim::Engine engine;
-  NodeStats stats;
-  CircuitBreakerPolicy policy;
-  CircuitBreaker breaker(&engine, policy, TestSeed(), &stats);
-
-  // Any volume of shed load leaves the breaker Closed...
-  for (int i = 0; i < 100; ++i) breaker.RecordShed();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(stats.reliability().circuit_opens, 0u);
-
-  // ...and sheds interleaved with real failures do not reset the
-  // consecutive-failure count the way a success would: the threshold-th
-  // failure still trips.
-  for (int i = 0; i < policy.failure_threshold - 1; ++i) {
-    breaker.RecordFailure();
-    breaker.RecordShed();
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(stats.reliability().circuit_opens, 1u);
-}
-
-TEST(ClusterTest, ShedProbeSettlesItsHalfOpenSlot) {
-  // A Half-Open probe answered with a shed proves liveness: it must settle
-  // the probe slot like a success (else the slot leaks and the breaker
-  // wedges Half-Open), while stale non-probe sheds stay ignored.
-  sim::Engine engine;
-  NodeStats stats;
-  CircuitBreakerPolicy policy;
-  CircuitBreaker breaker(&engine, policy, TestSeed(), &stats);
-
-  for (int i = 0; i < policy.failure_threshold; ++i) breaker.RecordFailure();
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  engine.ScheduleAt(policy.open_duration + policy.open_jitter, []() {});
-  engine.Run();
-
-  // Stale sheds (routed pre-trip, landing now) must not advance the
-  // episode.
-  bool probe = false;
-  ASSERT_TRUE(breaker.AllowRequest(&probe));
-  ASSERT_TRUE(probe);
-  breaker.RecordShed(/*probe=*/false);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_EQ(stats.reliability().circuit_closes, 0u);
-
-  // Shed probes close the breaker exactly like successful ones.
-  breaker.RecordShed(/*probe=*/true);
-  for (int i = 1; i < policy.probe_successes; ++i) {
-    probe = false;
-    ASSERT_TRUE(breaker.AllowRequest(&probe));
-    ASSERT_TRUE(probe);
-    breaker.RecordShed(/*probe=*/true);
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(stats.reliability().circuit_closes, 1u);
 }
 
 TEST(ClusterTest, StaleCompletionsDoNotSettleHalfOpenProbes) {
@@ -668,6 +607,139 @@ TEST(ClusterTest, RequestErrorWriteDoesNotFenceReplicas) {
   FTable again = AllocOnly(client, rows, "again");
   ASSERT_TRUE(client.TableWrite(again, rows).ok());
   EXPECT_TRUE(client.TableRead(again).ok());
+}
+
+// Write failover (DESIGN.md §12): a mirrored write's primary hop moves to
+// the next replica when the primary dies under it, every candidate dying
+// aborts the epoch, and a mirror hop lost to a crash is repaired by resync.
+// Crashes are positioned on the write's own timeline: it reaches a node
+// `fv_request_latency` after it is posted, and its 128 KiB payload takes
+// several microseconds more before the node acknowledges it.
+
+TEST(ClusterTest, PrimaryCrashBeforeItsAckFailsTheWriteOverToTheSecondary) {
+  sim::Engine engine;
+  ShardedPool pool(&engine, TestConfig(2));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table v1 = MakeRows(128 * kKiB, 7);
+  const Table v2 = MakeRows(128 * kKiB, 8);
+  FTable ft = AllocOnly(client, v1);
+  ASSERT_TRUE(client.TableWrite(ft, v1).ok());
+
+  const uint64_t acked_before = cluster.node(0).stats().completed_count();
+  const SimTime arrived =
+      engine.Now() + cluster.node(0).config().net.fv_request_latency;
+  std::optional<Result<SimTime>> wrote;
+  client.TableWriteAsync(ft, v2, [&](Result<SimTime> w) { wrote.emplace(w); });
+  engine.ScheduleAt(arrived + 1 * kNanosecond, [&]() {
+    EXPECT_EQ(cluster.node(0).stats().completed_count(), acked_before)
+        << "the primary acked before the crash";
+    cluster.node(0).CrashNow();
+  });
+  engine.ScheduleAt(arrived + 1 * kMillisecond,
+                    [&]() { cluster.node(0).RestartNow(); });
+  engine.Run();
+
+  ASSERT_TRUE(wrote.has_value());
+  EXPECT_TRUE(wrote->ok()) << wrote->status().ToString();
+  EXPECT_EQ(cluster.node(0).stats().reliability().failovers, 1u);
+  EXPECT_TRUE(cluster.InSync(0)) << "crashed primary never rejoined";
+  EXPECT_TRUE(cluster.InSync(1));
+  EXPECT_EQ(cluster.node(0).stats().reliability().resync_bytes,
+            v2.size_bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 0, 1, ft), v2.bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 1, 1, ft), v2.bytes());
+}
+
+TEST(ClusterTest, WriteLosingEveryReplicaAbortsItsEpoch) {
+  sim::Engine engine;
+  ShardedPool pool(&engine, TestConfig(2));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table v1 = MakeRows(128 * kKiB, 7);
+  const Table v2 = MakeRows(128 * kKiB, 8);
+  FTable ft = AllocOnly(client, v1);
+  ASSERT_TRUE(client.TableWrite(ft, v1).ok());
+
+  // Both replicas die while the primary hop is in flight: the primary's
+  // ack is voided, and the failover hop finds the secondary down.
+  const SimTime arrived =
+      engine.Now() + cluster.node(0).config().net.fv_request_latency;
+  std::optional<Result<SimTime>> wrote;
+  client.TableWriteAsync(ft, v2, [&](Result<SimTime> w) { wrote.emplace(w); });
+  engine.ScheduleAt(arrived + 1 * kNanosecond, [&]() {
+    cluster.node(0).CrashNow();
+    cluster.node(1).CrashNow();
+  });
+  engine.ScheduleAt(arrived + 1 * kMillisecond, [&]() {
+    ASSERT_TRUE(wrote.has_value());
+    cluster.node(0).RestartNow();
+  });
+  // With replica 1 still down there is no resync source: only an aborted
+  // epoch lets replica 0 rejoin instead of parking.
+  engine.ScheduleAt(arrived + 2 * kMillisecond, [&]() {
+    EXPECT_TRUE(cluster.InSync(0)) << "replica 0 parked on an aborted epoch";
+    cluster.node(1).RestartNow();
+  });
+  engine.Run();
+
+  ASSERT_TRUE(wrote.has_value());
+  ASSERT_FALSE(wrote->ok());
+  // The first health error (the primary's voided ack) is the one reported.
+  EXPECT_TRUE(wrote->status().IsUnavailable());
+  EXPECT_NE(wrote->status().ToString().find("crashed during execution"),
+            std::string::npos)
+      << wrote->status().ToString();
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_TRUE(cluster.InSync(r)) << "replica " << r << " never rejoined";
+    EXPECT_EQ(cluster.applied_epoch(r), cluster.epoch());
+    EXPECT_EQ(cluster.node(r).stats().reliability().resync_bytes, 0u)
+        << "replica " << r << " resynced an aborted write";
+  }
+}
+
+TEST(ClusterTest, SecondaryCrashDuringTheMirrorHopStillAcksAndResyncs) {
+  sim::Engine engine;
+  ShardedPool pool(&engine, TestConfig(2));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table v1 = MakeRows(128 * kKiB, 7);
+  const Table v2 = MakeRows(128 * kKiB, 8);
+  FTable ft = AllocOnly(client, v1);
+
+  // Unfaulted, the mirror hop starts at the primary's ack, about halfway
+  // through the write; three quarters of the way in it is in flight.
+  SimTime start = engine.Now();
+  Result<SimTime> clean = client.TableWrite(ft, v1);
+  ASSERT_TRUE(clean.ok());
+  const SimTime mirror_in_flight = (clean.value() - start) * 3 / 4;
+
+  const uint64_t primary_acks = cluster.node(0).stats().completed_count();
+  const uint64_t mirror_acks = cluster.node(1).stats().completed_count();
+  start = engine.Now();
+  std::optional<Result<SimTime>> wrote;
+  client.TableWriteAsync(ft, v2, [&](Result<SimTime> w) { wrote.emplace(w); });
+  engine.ScheduleAt(start + mirror_in_flight, [&]() {
+    EXPECT_EQ(cluster.node(0).stats().completed_count(), primary_acks + 1)
+        << "the primary hop has not acked yet";
+    EXPECT_EQ(cluster.node(1).stats().completed_count(), mirror_acks)
+        << "the mirror hop already acked";
+    cluster.node(1).CrashNow();
+  });
+  engine.ScheduleAt(start + 1 * kMillisecond,
+                    [&]() { cluster.node(1).RestartNow(); });
+  engine.Run();
+
+  ASSERT_TRUE(wrote.has_value());
+  EXPECT_TRUE(wrote->ok()) << wrote->status().ToString();
+  EXPECT_TRUE(cluster.InSync(1)) << "crashed secondary never rejoined";
+  EXPECT_EQ(cluster.node(1).stats().reliability().resync_bytes,
+            v2.size_bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 1, 1, ft), v2.bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 0, 1, ft), v2.bytes());
 }
 
 TEST(ClusterTest, RepeatedCrashMidResyncStillConverges) {

@@ -488,6 +488,37 @@ TEST(CrashTest, WriteSpanningCrashAndRestartFails) {
   EXPECT_EQ(fx.node().stats().reliability().crash_failures, 1u);
 }
 
+// A down node refuses a write as it is posted, before the functional write
+// (DESIGN.md §6b): the caller learns at once, and the old bytes survive.
+TEST(CrashTest, WritePostedToADownNodeFailsAtOnceAndLandsNothing) {
+  const Table old_rows = MakeRows(64 * kKiB);
+  Result<Table> new_rows =
+      TableGenerator(8).Uniform(old_rows.schema(), old_rows.num_rows(), 100);
+  ASSERT_TRUE(new_rows.ok());
+  ASSERT_NE(new_rows.value().bytes(), old_rows.bytes());
+  bench::FvFixture fx;
+  const FTable ft = fx.Upload("t", old_rows);
+
+  fx.node().CrashNow();
+  const SimTime posted = fx.engine().Now();
+  std::optional<Result<SimTime>> wrote;
+  SimTime settled = -1;
+  fx.client().TableWriteAsync(ft, new_rows.value(), [&](Result<SimTime> r) {
+    settled = fx.engine().Now();
+    wrote.emplace(std::move(r));
+  });
+  fx.engine().Run();
+  ASSERT_TRUE(wrote.has_value());
+  EXPECT_TRUE(wrote->status().IsUnavailable());
+  EXPECT_EQ(settled, posted) << "the refusal crossed the network";
+  EXPECT_EQ(fx.node().stats().reliability().crash_failures, 1u);
+
+  fx.node().RestartNow();
+  Result<FvResult> read = fx.client().TableRead(ft);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().data, old_rows.bytes());
+}
+
 // --- Client retry policy ----------------------------------------------------
 
 TEST(RetryTest, TimeoutExhaustsAttemptsAndCountsLateCompletions) {

@@ -961,7 +961,7 @@ TEST(NodeStatsCounterTableTest, EachSectionIsGatedOnItsRows) {
   EXPECT_EQ(ExpectSectionGatedOnRows("admission",
                                      NodeStats::AdmissionStats::kCounters,
                                      &NodeStats::admission),
-            7u + NodeStats::AdmissionStats::kShedDelayBuckets + 1u);
+            7u + NodeStats::AdmissionStats::kRetryAfterBuckets + 1u);
 }
 
 }  // namespace

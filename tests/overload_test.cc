@@ -14,9 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "benchlib/experiment.h"
 #include "common/rng.h"
 #include "fv/admission.h"
 #include "fv/region_scheduler.h"
+#include "fv/sharding.h"
 #include "table/generator.h"
 
 namespace farview {
@@ -128,7 +130,7 @@ TEST_F(AdmissionTest, ShedDelayHistogramAndReportSection) {
     EXPECT_TRUE(ac.Admit(1, SloClass::kBatch).IsResourceExhausted());
   }
   uint64_t hist_total = 0;
-  for (int b = 0; b < NodeStats::AdmissionStats::kShedDelayBuckets; ++b) {
+  for (int b = 0; b < NodeStats::AdmissionStats::kRetryAfterBuckets; ++b) {
     hist_total += stats_.admission().shed_delay_hist[b];
   }
   EXPECT_EQ(hist_total, 5u);
@@ -361,6 +363,53 @@ TEST(OverloadSchedulerTest, FairDrainIsWorkConservingAndStarvationFree) {
     EXPECT_LT(fair.victim_worst, fifo.victim_worst)
         << "weighting the latency class no longer helps (seed " << seed
         << ")";
+  }
+}
+
+// The scheduler is the node's only admission point (DESIGN.md §15): with a
+// one-token bucket, reads over a dedicated connection to a bare node and
+// routed reads over a replicated pool are never shed, and no admission
+// counter moves.
+TEST(AdmissionScopeTest, DedicatedAndPoolReadsAreNeverShed) {
+  FarviewConfig cfg;
+  cfg.dram.channel_capacity = 32 * kMiB;
+  cfg.admission.enabled = true;
+  cfg.admission.tenant_burst = 1;
+  cfg.admission.tenant_rate_per_sec = 1;
+  Result<Table> rows =
+      TableGenerator(1).Uniform(Schema::DefaultWideRow(), 1024, 100);
+  ASSERT_TRUE(rows.ok());
+
+  bench::FvFixture fx(cfg);
+  const FTable bare_table = fx.Upload("t", rows.value());
+  for (int i = 0; i < 10; ++i) {
+    Result<FvResult> read = fx.client().TableRead(bare_table);
+    EXPECT_TRUE(read.ok()) << "bare read " << i << ": "
+                           << read.status().ToString();
+  }
+  EXPECT_FALSE(fx.node().stats().admission().AnyNonZero());
+
+  ShardedConfig sc;
+  sc.cluster.node = cfg;
+  sc.cluster.num_replicas = 2;
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  FTable pool_table;
+  pool_table.name = "t";
+  pool_table.schema = rows.value().schema();
+  pool_table.num_rows = rows.value().num_rows();
+  ASSERT_TRUE(client.AllocTableMem(&pool_table).ok());
+  ASSERT_TRUE(client.TableWrite(pool_table, rows.value()).ok());
+  for (int i = 0; i < 10; ++i) {
+    Result<FvResult> read = client.TableRead(pool_table);
+    EXPECT_TRUE(read.ok()) << "pool read " << i << ": "
+                           << read.status().ToString();
+  }
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_FALSE(pool.shard(0).node(r).stats().admission().AnyNonZero())
+        << "replica " << r;
   }
 }
 

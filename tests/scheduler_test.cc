@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "fv/client.h"
 #include "fv/region_scheduler.h"
 #include "table/generator.h"
 
@@ -70,6 +71,41 @@ TEST_F(SchedulerTest, SharedConnectionCannotUseDirectPath) {
                         });
   engine_.Run();
   EXPECT_TRUE(failed);
+}
+
+TEST_F(SchedulerTest, LeavesADedicatedConnectionItsRegion) {
+  // The fixture's scheduler hands both regions back when it goes; rebuilt
+  // after a dedicated client took region 0, it claims region 1 only. A
+  // region shared with the scheduler would starve the client: its read
+  // would queue behind a job whose completion only the scheduler sees.
+  scheduler_.reset();
+  FarviewClient dedicated(node_.get(), /*client_id=*/2);
+  ASSERT_TRUE(dedicated.OpenConnection().ok());
+  ASSERT_EQ(dedicated.qp()->region_id, 0);
+  scheduler_ = std::make_unique<RegionScheduler>(node_.get());
+  EXPECT_EQ(scheduler_->num_regions(), 1);
+  EXPECT_TRUE(node_->Connect(/*client_id=*/3).status().IsUnavailable());
+
+  std::optional<Result<FvResult>> job, read;
+  const SimTime t0 = engine_.Now();
+  scheduler_->Submit(1, owner_qp_->qp_id, "select<50", SelectFactory(50),
+                     ScanRequest(),
+                     [&](Result<FvResult> r) { job.emplace(std::move(r)); });
+  engine_.ScheduleAt(
+      t0 + node_->config().region_reconfig_time + 10 * kMicrosecond, [&]() {
+        EXPECT_TRUE(node_->region(1).busy()) << "job not running on region 1";
+        node_->TableRead(
+            dedicated.qp()->qp_id, vaddr_, table_->size_bytes(),
+            [&](Result<FvResult> r) { read.emplace(std::move(r)); });
+      });
+  engine_.Run();
+
+  ASSERT_TRUE(job.has_value());
+  EXPECT_TRUE(job->ok()) << job->status().ToString();
+  ASSERT_TRUE(read.has_value()) << "the dedicated read never settled";
+  EXPECT_TRUE(read->ok()) << read->status().ToString();
+  EXPECT_TRUE(node_->region(1).HasPipeline());
+  EXPECT_FALSE(node_->region(0).HasPipeline());
 }
 
 TEST_F(SchedulerTest, MoreClientsThanRegionsAllComplete) {
