@@ -5,7 +5,10 @@
 // (seeded Bernoulli loss on egress data packets, selective-repeat
 // retransmission after a timeout) and the client retry policy enabled, so
 // it pays real retransmit timeouts and, past the knee, whole-attempt
-// timeouts with capped-backoff retries. The baselines stay analytic:
+// timeouts with capped-backoff retries. The retry policy runs in the pool
+// client, so the node is a one-shard, one-replica pool whose circuit
+// breaker never trips within a point (ext_failover measures the breaker;
+// this ablation measures the retry policy alone). The baselines stay analytic:
 // `RnicModel::ExpectedLossPenalty` charges the expected number of
 // per-packet retransmissions on the same wire. Latency is measured at the
 // client callback (settle time), never from the drained engine clock —
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "benchlib/experiment.h"
+#include "fv/sharding.h"
 #include "net/rnic_model.h"
 #include "table/generator.h"
 
@@ -35,35 +39,47 @@ struct FvPoint {
 };
 
 /// Runs `kRequestsPerPoint` sequential 1 MiB reads through a faulted node
-/// and reports client-observed goodput/latency plus reliability counters.
+/// (a 1x1 pool) and reports client-observed goodput/latency plus
+/// reliability counters.
 /// `credit_window` shrinks the flow-control window: at the default 64 the
 /// window absorbs retransmit holds and FV rides through loss; at 8 each
 /// held slot throttles the stream, attempts cross the completion timeout,
 /// and the client's retries amplify the load (the knee in EXPERIMENTS.md).
 FvPoint RunFv(const Table& rows, double loss_rate, int credit_window) {
-  FarviewConfig cfg;
+  ShardedConfig sc;
+  FarviewConfig& cfg = sc.cluster.node;
   cfg.net.credit_window_packets = credit_window;
   cfg.net.faults.enabled = loss_rate > 0;
   cfg.net.faults.seed = kFaultSeed;
   cfg.net.faults.packet_loss_rate = loss_rate;
   cfg.retry.enabled = true;
-  bench::FvFixture fx(cfg);
-  const FTable ft = fx.Upload("t", rows);
+  sc.cluster.breaker.failure_threshold = kRequestsPerPoint + 1;
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  FarviewNode& node = pool.shard(0).node(0);
+  ShardedClient client(&pool, /*client_id=*/1);
+  FV_CHECK(client.OpenConnection().ok());
+  FTable ft;
+  ft.name = "t";
+  ft.schema = rows.schema();
+  ft.num_rows = rows.num_rows();
+  FV_CHECK(client.AllocTableMem(&ft).ok());
+  FV_CHECK(client.TableWrite(ft, rows).ok());
 
   FvPoint point;
   uint64_t delivered = 0;
   SimTime busy = 0;
   for (int i = 0; i < kRequestsPerPoint; ++i) {
-    const SimTime issued = fx.engine().Now();
+    const SimTime issued = engine.Now();
     SimTime settled = 0;
     uint64_t bytes = 0;
     bool ok = false;
-    fx.client().TableReadAsync(ft, [&](Result<FvResult> r) {
-      settled = fx.engine().Now();
+    client.TableReadAsync(ft, [&](Result<FvResult> r) {
+      settled = engine.Now();
       ok = r.ok();
       if (r.ok()) bytes = r.value().bytes_on_wire;
     });
-    fx.engine().Run();
+    engine.Run();
     busy += settled - issued;
     if (ok) {
       delivered += bytes;
@@ -74,8 +90,8 @@ FvPoint RunFv(const Table& rows, double loss_rate, int credit_window) {
   point.goodput_gbps = busy > 0 ? AchievedGBps(delivered, busy) : 0.0;
   point.mean_latency_us = ToMicros(busy) / kRequestsPerPoint;
   point.retransmits =
-      static_cast<double>(fx.node().network().fault_counters().retransmits);
-  const NodeStats::ReliabilityStats& rel = fx.node().stats().reliability();
+      static_cast<double>(node.network().fault_counters().retransmits);
+  const NodeStats::ReliabilityStats& rel = node.stats().reliability();
   point.timeouts = static_cast<double>(rel.timeouts);
   point.retries = static_cast<double>(rel.retries);
   return point;

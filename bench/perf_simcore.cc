@@ -165,26 +165,38 @@ Measurement RunFig12Multiclient() {
 }
 
 /// ext_faults-style lossy reads: 2% loss, 8-packet credit window, retries
-/// enabled — the timer/retry-heavy regime.
+/// enabled — the timer/retry-heavy regime. Like ext_faults, a one-shard,
+/// one-replica pool whose breaker never trips.
 Measurement RunExtFaults() {
   constexpr uint64_t kBytes = 1 * kMiB;
-  FarviewConfig cfg;
+  constexpr int kReads = 12;
+  ShardedConfig sc;
+  FarviewConfig& cfg = sc.cluster.node;
   cfg.net.credit_window_packets = 8;
   cfg.net.faults.enabled = true;
   cfg.net.faults.seed = 42;
   cfg.net.faults.packet_loss_rate = 2e-2;
   cfg.retry.enabled = true;
-  bench::FvFixture fx(cfg);
+  sc.cluster.breaker.failure_threshold = kReads + 1;
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  ShardedClient client(&pool, /*client_id=*/1);
+  FV_CHECK(client.OpenConnection().ok());
   TableGenerator gen(kBytes);
   Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), kBytes / 64, 100);
   FV_CHECK(t.ok()) << t.status().message();
-  const FTable ft = fx.Upload("t", t.value());
-  return Measure("ext_faults", fx.engine(), [&] {
-    for (int i = 0; i < 12; ++i) {
+  FTable ft;
+  ft.name = "t";
+  ft.schema = t.value().schema();
+  ft.num_rows = t.value().num_rows();
+  FV_CHECK(client.AllocTableMem(&ft).ok());
+  FV_CHECK(client.TableWrite(ft, t.value()).ok());
+  return Measure("ext_faults", engine, [&] {
+    for (int i = 0; i < kReads; ++i) {
       bool settled = false;
-      fx.client().TableReadAsync(ft,
-                                 [&settled](Result<FvResult>) { settled = true; });
-      fx.engine().Run();
+      client.TableReadAsync(ft,
+                            [&settled](Result<FvResult>) { settled = true; });
+      engine.Run();
       FV_CHECK(settled);
     }
   });

@@ -66,10 +66,6 @@ void AdmissionController::ObserveQueueWait(SimTime wait) {
   ewma_ += (wait - ewma_) / 8;
 }
 
-double AdmissionController::TokensNow(int tenant_id) {
-  return BucketFor(tenant_id).tokens;
-}
-
 AdmissionController::Bucket& AdmissionController::BucketFor(int tenant_id) {
   auto [it, inserted] = buckets_.try_emplace(
       tenant_id, Bucket{config_.tenant_burst, engine_->Now()});

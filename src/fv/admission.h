@@ -61,9 +61,6 @@ class AdmissionController {
   /// Current queue-delay EWMA (test introspection).
   SimTime queue_delay_ewma() const { return ewma_; }
 
-  /// Tokens `tenant_id` holds after a refill to now (test introspection).
-  double TokensNow(int tenant_id);
-
  private:
   /// Lazily-refilled per-tenant bucket state.
   struct Bucket {

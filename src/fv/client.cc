@@ -1,29 +1,10 @@
 #include "fv/client.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace farview {
-
-/// One client-side reliable call: the retry loop's state, shared by the
-/// attempt-completion, timeout and backoff events. `token` names the live
-/// attempt — an event carrying a stale token belongs to an attempt the
-/// client already abandoned and must not settle the call (DESIGN.md §7).
-struct FarviewClient::ReliableCall {
-  Verb verb = Verb::kFarview;
-  FvRequest request;
-  int attempts_done = 0;   ///< attempts issued so far (1-based after start)
-  uint64_t token = 0;      ///< bumped whenever the live attempt changes
-  bool settled = false;    ///< user callback already invoked
-  std::function<void(Result<FvResult>)> done;
-};
-
-FailureKind ClassifyFailure(const Status& s) {
-  if (s.IsUnavailable() || s.IsDeadlineExceeded()) return FailureKind::kHealth;
-  return FailureKind::kRequest;
-}
 
 FarviewClient::FarviewClient(FarviewNode* node, int client_id)
     : node_(node), client_id_(client_id) {
@@ -35,6 +16,11 @@ FarviewClient::~FarviewClient() { CloseConnection(); }
 Status FarviewClient::OpenConnection() {
   if (qp_ != nullptr) {
     return Status::FailedPrecondition("connection already open");
+  }
+  if (node_->config().retry.enabled) {
+    return Status::InvalidArgument(
+        "a bare node client is single-shot: the retry policy runs in the "
+        "pool client (a one-shard, one-replica ShardedPool)");
   }
   FV_ASSIGN_OR_RETURN(qp_, node_->Connect(client_id_));
   return Status::OK();
@@ -52,14 +38,19 @@ Status FarviewClient::AllocTableMem(FTable* table) {
   if (table->name.empty() || table->num_rows == 0) {
     return Status::InvalidArgument("table needs a name and a row count");
   }
-  FV_ASSIGN_OR_RETURN(table->vaddr,
-                      node_->AllocTableMem(*qp_, table->SizeBytes()));
+  // Refuse a taken name before the node allocates: memory allocated for a
+  // table the catalog then rejects would never be freed.
+  if (catalog_.Contains(table->name)) {
+    return Status::AlreadyExists("table already registered: " + table->name);
+  }
   TableEntry entry;
+  FV_ASSIGN_OR_RETURN(entry.virtual_address,
+                      node_->AllocTableMem(*qp_, table->SizeBytes()));
   entry.name = table->name;
   entry.schema = table->schema;
-  entry.virtual_address = table->vaddr;
   entry.num_rows = table->num_rows;
   entry.size_bytes = table->SizeBytes();
+  table->vaddr = entry.virtual_address;
   return catalog_.Register(std::move(entry));
 }
 
@@ -129,134 +120,15 @@ Result<FvResult> FarviewClient::FarviewRequest(const FvRequest& request) {
 
 void FarviewClient::FarviewRequestAsync(
     const FvRequest& request, std::function<void(Result<FvResult>)> done) {
-  SubmitAsync(Verb::kFarview, request, std::move(done));
+  FV_CHECK(qp_ != nullptr) << "not connected";
+  node_->FarviewRequest(qp_->qp_id, request, std::move(done));
 }
 
 void FarviewClient::TableReadAsync(const FTable& table,
                                    std::function<void(Result<FvResult>)> done) {
-  SubmitAsync(Verb::kRead, ScanRequest(table), std::move(done));
-}
-
-void FarviewClient::SubmitAsync(Verb verb, const FvRequest& request,
-                                std::function<void(Result<FvResult>)> done) {
   FV_CHECK(qp_ != nullptr) << "not connected";
-  if (node_->config().retry.enabled) {
-    IssueWithRetries(verb, request, std::move(done));
-    return;
-  }
-  Post(verb, request, std::move(done));
-}
-
-void FarviewClient::Post(Verb verb, const FvRequest& request,
-                         std::function<void(Result<FvResult>)> done) {
-  if (verb == Verb::kRead) {
-    node_->TableRead(qp_->qp_id, request.vaddr, request.len, std::move(done));
-  } else {
-    node_->FarviewRequest(qp_->qp_id, request, std::move(done));
-  }
-}
-
-void FarviewClient::IssueWithRetries(
-    Verb verb, const FvRequest& request,
-    std::function<void(Result<FvResult>)> done) {
-  auto call = std::make_shared<ReliableCall>();
-  call->verb = verb;
-  call->request = request;
-  call->done = std::move(done);
-  StartReliableAttempt(std::move(call));
-}
-
-void FarviewClient::StartReliableAttempt(std::shared_ptr<ReliableCall> call) {
-  if (qp_ == nullptr) {
-    // Connection closed between attempts (disconnect during backoff).
-    FinishReliable(std::move(call),
-                   Status::FailedPrecondition("not connected"));
-    return;
-  }
-  if (gate_ && !gate_()) {
-    // Known-dead node: settle the whole call now instead of burning the
-    // remaining timeout/backoff schedule — the router above (if any) fails
-    // over to a live replica immediately (DESIGN.md §12).
-    node_->stats().RecordFastFail();
-    FinishReliable(std::move(call),
-                   Status::Unavailable("node circuit open (fast-fail)"));
-    return;
-  }
-  const RetryPolicy& rp = node_->config().retry;
-  ++call->attempts_done;
-  const uint64_t token = ++call->token;
-  auto on_result = [this, call, token](Result<FvResult> res) {
-    if (call->settled || token != call->token) {
-      // The client already gave up on this attempt; the node's work still
-      // completed (or failed) and the result is dropped here.
-      node_->stats().RecordLateCompletion();
-      return;
-    }
-    if (res.ok()) {
-      FinishReliable(call, std::move(res));
-      return;
-    }
-    if (ClassifyFailure(res.status()) == FailureKind::kHealth) {
-      HandleAttemptFailure(call, res.status());
-    } else {
-      FinishReliable(call, std::move(res));  // not retryable
-    }
-  };
-  Post(call->verb, call->request, std::move(on_result));
-  // The attempt's completion timeout. A resolved attempt (either way) bumps
-  // the token, turning this event into a no-op.
-  node_->engine()->ScheduleAfter(
-      rp.completion_timeout, [this, call, token]() {
-        if (call->settled || token != call->token) return;
-        node_->stats().RecordTimeout();
-        HandleAttemptFailure(
-            call, Status::DeadlineExceeded(
-                      "no completion within the attempt deadline"));
-      });
-}
-
-void FarviewClient::HandleAttemptFailure(std::shared_ptr<ReliableCall> call,
-                                         const Status& error) {
-  ++call->token;  // invalidate the attempt's remaining pending events
-  const RetryPolicy& rp = node_->config().retry;
-  // Graceful degradation: when the region itself is faulted, retrying into
-  // it cannot succeed until it heals — serve base-table bytes raw instead
-  // (the RNIC path needs no region).
-  if (rp.raw_read_fallback && qp_ != nullptr && qp_->region_id >= 0 &&
-      node_->region(qp_->region_id).faulted()) {
-    FallbackRawRead(std::move(call));
-    return;
-  }
-  if (call->attempts_done >= rp.max_attempts) {
-    FinishReliable(std::move(call), error);
-    return;
-  }
-  // Capped exponential backoff: base * 2^(retry-1), clamped to the cap
-  // (overflow-safe — the policy clamps before each doubling).
-  const SimTime backoff = rp.BackoffForAttempt(call->attempts_done);
-  node_->stats().RecordRetry();
-  node_->engine()->ScheduleAfter(backoff, [this, call]() {
-    if (call->settled) return;
-    StartReliableAttempt(call);
-  });
-}
-
-void FarviewClient::FallbackRawRead(std::shared_ptr<ReliableCall> call) {
-  node_->stats().RecordFallback();
-  node_->RawRead(qp_->qp_id, call->request.vaddr, call->request.len,
-                 [this, call](Result<FvResult> res) {
-                   if (call->settled) return;
-                   if (res.ok()) res.value().degraded_raw = true;
-                   FinishReliable(call, std::move(res));
-                 });
-}
-
-void FarviewClient::FinishReliable(std::shared_ptr<ReliableCall> call,
-                                   Result<FvResult> res) {
-  ++call->token;  // no event of this call may act after settlement
-  call->settled = true;
-  auto done = std::move(call->done);
-  done(std::move(res));
+  node_->TableRead(qp_->qp_id, table.vaddr, table.SizeBytes(),
+                   std::move(done));
 }
 
 void FarviewClient::LoadPipelineAsync(Pipeline pipeline,

@@ -2,7 +2,6 @@
 #define FARVIEW_FV_CLIENT_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,21 +26,6 @@ struct FTable {
   uint64_t SizeBytes() const { return num_rows * schema.tuple_width(); }
 };
 
-/// How the client layers treat a failed attempt (DESIGN.md §7, §12): the
-/// one classification behind "retry?", "penalize the replica?" and "fail
-/// over to another replica?".
-enum class FailureKind {
-  /// `Unavailable` / `DeadlineExceeded`: the node may be dead. Retried,
-  /// recorded on the replica's circuit breaker, failed over.
-  kHealth,
-  /// Anything else (bad request, MMU error): the request's own fault.
-  /// Reported as is, never retried, never penalizes a replica.
-  kRequest,
-};
-
-/// Classifies a non-OK status.
-FailureKind ClassifyFailure(const Status& s);
-
 /// Synchronous form of an async call: posts it through `post` with a
 /// callback capturing the outcome, then drives `engine` until it settles
 /// (not at all when it settled synchronously). Only valid when no other
@@ -55,11 +39,16 @@ T AwaitSync(sim::Engine* engine, Post&& post) {
   return std::move(*out);
 }
 
-/// A compute-node client of a Farview node, implementing the paper's
+/// A single-shot client of one Farview node, implementing the paper's
 /// programmatic interface (Section 4.2):
 ///
 ///   openConnection / allocTableMem / freeTableMem / tableRead /
 ///   tableWrite / farviewRequest / fvSelect ...
+///
+/// Every verb is one attempt on one queue pair. Timeouts, retries, raw-read
+/// degradation and failover (DESIGN.md §7, §12) belong to the pool client,
+/// `ShardedClient`; a bare node that wants them is a one-shard,
+/// one-replica `ShardedPool`.
 ///
 /// Methods come in two flavors:
 ///  - asynchronous (`...Async`), for experiments with concurrent clients;
@@ -79,7 +68,9 @@ class FarviewClient {
   FarviewClient(const FarviewClient&) = delete;
   FarviewClient& operator=(const FarviewClient&) = delete;
 
-  /// Establishes the connection; a dynamic region is assigned.
+  /// Establishes the connection; a dynamic region is assigned. Refuses a
+  /// node whose config enables `retry`: that policy runs only in the pool
+  /// client, so accepting it here would silently ignore it.
   Status OpenConnection();
 
   /// Releases the connection and its region.
@@ -97,7 +88,9 @@ class FarviewClient {
   // --- Memory management --------------------------------------------------
 
   /// Allocates Farview memory for `table->SizeBytes()` bytes and registers
-  /// the table in the local catalog. Requires name, schema and num_rows.
+  /// the table in the local catalog. Requires name, schema and num_rows. A
+  /// name the catalog already holds fails with `AlreadyExists` before any
+  /// memory is allocated; on failure `*table` is left untouched.
   Status AllocTableMem(FTable* table);
 
   /// Frees the table's memory and drops it from the catalog.
@@ -164,24 +157,12 @@ class FarviewClient {
 
   // --- Asynchronous forms (for concurrent-client experiments) -------------
 
-  /// When `FarviewConfig::retry.enabled`, both async verbs run under the
-  /// reliability layer (DESIGN.md §7): each attempt carries a completion
-  /// timeout; `Unavailable`/`DeadlineExceeded` attempts retry with capped
-  /// exponential backoff up to `max_attempts`; and when the region is
-  /// faulted the call degrades to a raw read (`FvResult::degraded_raw`).
-  /// With the policy disabled (the default) they issue exactly one attempt,
-  /// event-identical to the pre-reliability client.
+  /// One attempt each; `done` runs once with the node's outcome.
   void FarviewRequestAsync(const FvRequest& request,
                            std::function<void(Result<FvResult>)> done);
   void TableReadAsync(const FTable& table,
                       std::function<void(Result<FvResult>)> done);
   void LoadPipelineAsync(Pipeline pipeline, std::function<void(Status)> done);
-
-  /// The entry point both async verbs share: `Verb::kRead` reads
-  /// [`request.vaddr`, `+ request.len`) raw, `Verb::kFarview` runs the
-  /// loaded pipeline over it.
-  void SubmitAsync(Verb verb, const FvRequest& request,
-                   std::function<void(Result<FvResult>)> done);
 
   /// Async form of `TableWrite`. The rows are copied into memory before
   /// the call returns; the completion carries the write's ack time.
@@ -191,38 +172,7 @@ class FarviewClient {
   /// Builds the standard request for a full scan of `table`.
   static FvRequest ScanRequest(const FTable& table, bool vectorized = false);
 
-  /// Installs a health gate consulted before every attempt of a call under
-  /// the retry policy (DESIGN.md §12). When the gate returns false the node
-  /// is known-dead (its circuit breaker is Open) and the call settles
-  /// *immediately* with `Unavailable` — no completion timeout is armed and
-  /// no backoff schedule is burned, so a replicated client can fail over
-  /// at once. With the policy disabled the call's one attempt is not
-  /// gated: the router admitted the replica through its breaker at that
-  /// same instant. The gate must be deterministic and must not schedule
-  /// events. Unset (the default), behavior is byte-identical to the
-  /// ungated client.
-  void SetHealthGate(std::function<bool()> gate) { gate_ = std::move(gate); }
-
  private:
-  /// State of one call under the retry policy (defined in client.cc).
-  struct ReliableCall;
-
-  /// Posts one attempt of `verb` to the node.
-  void Post(Verb verb, const FvRequest& request,
-            std::function<void(Result<FvResult>)> done);
-  /// Entry: allocates the call state and issues the first attempt.
-  void IssueWithRetries(Verb verb, const FvRequest& request,
-                        std::function<void(Result<FvResult>)> done);
-  /// Issues one attempt plus its completion-timeout event.
-  void StartReliableAttempt(std::shared_ptr<ReliableCall> call);
-  /// A retryable failure (or timeout): backoff-retry, degrade, or give up.
-  void HandleAttemptFailure(std::shared_ptr<ReliableCall> call,
-                            const Status& error);
-  /// Degraded raw-read path for a call whose region is faulted.
-  void FallbackRawRead(std::shared_ptr<ReliableCall> call);
-  /// Settles the call and invokes the user callback exactly once.
-  void FinishReliable(std::shared_ptr<ReliableCall> call,
-                      Result<FvResult> res);
   /// Body of the convenience queries: load `pipeline`, then scan `table`
   /// through it.
   Result<FvResult> LoadAndScan(Result<Pipeline> pipeline, const FTable& table,
@@ -232,8 +182,6 @@ class FarviewClient {
   int client_id_;
   QPair* qp_ = nullptr;
   Catalog catalog_;
-  /// Optional known-dead gate (empty = always allow).
-  std::function<bool()> gate_;
 };
 
 }  // namespace farview

@@ -14,10 +14,11 @@ namespace farview {
 
 /// Configuration of a replicated Farview pool (DESIGN.md §12).
 struct ClusterConfig {
-  /// Template for every replica node (memory, network, regions, retry
-  /// policy). The fault schedule inside `node.faults` / `node.net.faults`
-  /// is applied to `faulted_replica` only — the surviving replicas run
-  /// fault-free, which is what makes failover observable.
+  /// Template for every replica node (memory, network, regions) and the
+  /// retry policy the pool client runs against each replica. The fault
+  /// schedule inside `node.faults` / `node.net.faults` is applied to
+  /// `faulted_replica` only — the surviving replicas run fault-free, which
+  /// is what makes failover observable.
   FarviewConfig node;
 
   /// Pool size. 1 disables replication entirely: no mirroring hop, no

@@ -53,12 +53,13 @@ struct FvFaultConfig {
 };
 
 /// Client-side reliability policy (DESIGN.md §7): completion timeouts with
-/// capped exponential backoff, and graceful degradation to raw reads.
-/// Disabled by default — `FarviewClient` then posts verbs exactly like the
-/// pre-reliability client, preserving byte-identity.
+/// capped exponential backoff, and graceful degradation to raw reads. Run
+/// by the pool client's routed calls (`ShardedClient`), per replica tried;
+/// a bare node's `FarviewClient` is single-shot and refuses a node that
+/// enables it. Disabled by default, preserving byte-identity.
 struct RetryPolicy {
-  /// Master switch; when false the client issues each verb exactly once
-  /// and never arms a timeout.
+  /// Master switch; when false a routed call issues each verb exactly once
+  /// per replica and never arms a timeout.
   bool enabled = false;
 
   /// Client-side completion deadline per attempt. An attempt that has not
@@ -164,7 +165,7 @@ struct FarviewConfig {
   /// Node/region-level fault injection (disabled by default).
   FvFaultConfig faults;
 
-  /// Client-side timeout/retry/degradation policy (disabled by default).
+  /// Pool-client timeout/retry/degradation policy (disabled by default).
   RetryPolicy retry;
 
   /// Per-tenant admission control + fair scheduling (disabled by default).

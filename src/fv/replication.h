@@ -16,8 +16,8 @@ namespace farview {
 
 /// Parameters of the per-replica circuit breaker (DESIGN.md §12). The
 /// breaker is the client-side health tracker of one replica: it sits on top
-/// of the client's `RetryPolicy` (DESIGN.md §7) and decides whether routing
-/// a request at that replica is worth attempting at all. It sees only
+/// of the pool client's `RetryPolicy` (DESIGN.md §7) and decides whether
+/// routing a request at that replica is worth attempting at all. It sees only
 /// health failures and request errors: admission never sheds a replica's
 /// dedicated connection (DESIGN.md §15).
 struct CircuitBreakerPolicy {
@@ -72,10 +72,11 @@ class CircuitBreaker {
   /// settle or double-count the probe episode.
   bool AllowRequest(bool* is_probe = nullptr);
 
-  /// Attempt-side check for `FarviewClient::SetHealthGate`: true while the
+  /// Attempt-side check of the pool client's attempt loop: true while the
   /// breaker is Open and the reopen instant has not passed. Unlike
-  /// `AllowRequest` this consumes nothing — in-flight reliable calls use it
-  /// to fast-fail their remaining attempts (DESIGN.md §12).
+  /// `AllowRequest` this consumes nothing — a routed call asks it before
+  /// each retry on the replica and, when it blocks, ends the hop at once
+  /// instead of burning its remaining attempts (DESIGN.md §7, §12).
   bool BlocksAttempts() const;
 
   /// Outcome of a routed request. `probe` must echo the `is_probe` flag the

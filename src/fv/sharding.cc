@@ -12,6 +12,15 @@
 namespace farview {
 namespace {
 
+/// The one failure classification behind "retry?", "penalize the
+/// replica?" and "fail over?" (DESIGN.md §7, §12): `Unavailable` and
+/// `DeadlineExceeded` mean the replica may be dead (retried, recorded on
+/// its breaker, failed over); any other error is the request's own
+/// (reported as is, never retried, never penalizes a replica).
+bool IsHealthFailure(const Status& s) {
+  return s.IsUnavailable() || s.IsDeadlineExceeded();
+}
+
 /// Golden-ratio mix keeping per-shard breaker jitter streams independent;
 /// shard 0 keeps the template seed unchanged (the 1-shard identity pin).
 constexpr uint64_t kShardSeedMix = 0x9E3779B97F4A7C15ull;
@@ -60,31 +69,72 @@ ShardedPool::ShardedPool(sim::Engine* engine, const ShardedConfig& config)
   }
 }
 
-/// One routed (read / operator) call, re-issued across a shard's replicas
-/// on failover until a replica answers or none is left.
+/// One routed call (DESIGN.md §7, §12). `token` names the live attempt:
+/// completion, timeout, backoff and fallback events carry the token they
+/// were issued under, and one whose token is stale belongs to an attempt
+/// the call already abandoned.
 struct ShardedClient::RoutedCall {
   int shard = 0;
   Verb verb = Verb::kRead;
   FvRequest request;
   uint64_t tried_mask = 0;
+  int replica = 0;   ///< replica of the current hop
+  int attempts = 0;  ///< attempts issued on the current hop
   /// True while the current hop occupies a Half-Open probe slot of its
   /// replica's breaker; the hop's outcome must settle that slot.
   bool probe_hop = false;
+  uint64_t token = 0;
+  /// Liveness flag of the connection the call was issued on.
+  std::shared_ptr<bool> alive;
   std::function<void(Result<FvResult>)> done;
+
+  /// Settles the caller; every event of the call still pending goes stale.
+  void Settle(Result<FvResult> res) {
+    ++token;
+    auto cb = std::move(done);
+    cb(std::move(res));
+  }
+
+  /// Whether the event issued under `event_token` may act: its token is
+  /// still live and the connection open. The first live event to find the
+  /// connection closed settles the caller instead, touching no routing
+  /// state (it is gone).
+  bool Live(uint64_t event_token) {
+    if (event_token != token) return false;
+    if (*alive) return true;
+    Settle(Status::FailedPrecondition("connection closed mid-call"));
+    return false;
+  }
 };
 
-/// One mirrored write: primary hop, then parallel mirror hops.
+/// One mirrored write: primary hop, then parallel mirror hops. Holds what
+/// its hops need by value: the shard map it was issued from may be cleared
+/// by `CloseConnection` before they complete.
 struct ShardedClient::MirroredWrite {
   int shard = 0;
-  const FTable* local = nullptr;  ///< shard-map handle of the fragment
-  const Table* rows = nullptr;    ///< caller keeps it alive until completion
+  FarviewCluster* cluster = nullptr;
+  uint64_t vaddr = 0;           ///< shard-local address of the fragment
+  const Table* rows = nullptr;  ///< caller keeps it alive until completion
   uint64_t epoch = 0;
   std::vector<int> targets;  ///< in-rotation replicas at issue, index order
   size_t primary_pos = 0;    ///< current primary candidate within `targets`
   /// Mirror-hop countdown; `error` holds the first primary-hop error,
   /// reported only if every candidate primary fails.
   FanIn fan;
+  /// Liveness flag of the connection the write was issued on.
+  std::shared_ptr<bool> alive;
   std::function<void(Result<SimTime>)> done;
+
+  /// Settles the caller with `res`, or `FailedPrecondition` once the
+  /// connection has closed.
+  void Settle(Result<SimTime> res) {
+    auto cb = std::move(done);
+    if (*alive) {
+      cb(std::move(res));
+    } else {
+      cb(Status::FailedPrecondition("connection closed mid-write"));
+    }
+  }
 };
 
 struct ShardedClient::Gather {
@@ -103,13 +153,11 @@ ShardedClient::~ShardedClient() { CloseConnection(); }
 
 Status ShardedClient::OpenConnection() {
   if (connected()) return Status::FailedPrecondition("already connected");
-  // Build into a local vector and commit only on full success: a partial
-  // shards_ would make connected() true while data-path methods index it
-  // past its end.
-  std::vector<Shard> shards(static_cast<size_t>(pool_->num_shards()));
+  alive_ = std::make_shared<bool>(true);
+  shards_.resize(static_cast<size_t>(pool_->num_shards()));
   for (int s = 0; s < pool_->num_shards(); ++s) {
     FarviewCluster& cluster = pool_->shard(s);
-    Shard& sh = shards[static_cast<size_t>(s)];
+    Shard& sh = StateOf(s);
     const int n = cluster.num_replicas();
     sh.loaded_version.assign(static_cast<size_t>(n), 0);
     for (int r = 0; r < n; ++r) {
@@ -121,17 +169,16 @@ Status ShardedClient::OpenConnection() {
       sh.breakers.push_back(std::make_unique<CircuitBreaker>(
           cluster.engine(), cluster.config().breaker, seed,
           &cluster.node(r).stats()));
-      auto client =
-          std::make_unique<FarviewClient>(&cluster.node(r), client_id_);
-      FV_RETURN_IF_ERROR(client->OpenConnection());
-      client->SetHealthGate([breaker = sh.breakers.back().get()]() {
-        return !breaker->BlocksAttempts();
-      });
-      sh.replicas.push_back(std::move(client));
+      Result<QPair*> qp = cluster.node(r).Connect(client_id_);
+      if (!qp.ok()) {
+        // Nothing stays connected: a partial routing state would make
+        // connected() true while data-path methods index past its end.
+        CloseConnection();
+        return qp.status();
+      }
+      sh.qps.push_back(qp.value());
     }
   }
-  shards_ = std::move(shards);
-  alive_ = std::make_shared<bool>(true);
   for (int s = 0; s < pool_->num_shards(); ++s) {
     FarviewCluster& cluster = pool_->shard(s);
     for (int r = 0; r < cluster.num_replicas(); ++r) {
@@ -156,7 +203,14 @@ void ShardedClient::CloseConnection() {
   if (!connected()) return;
   *alive_ = false;
   for (int s = 0; s < pool_->num_shards(); ++s) {
-    pool_->shard(s).RemoveRejoinHook(StateOf(s).rejoin_hook);
+    FarviewCluster& cluster = pool_->shard(s);
+    const Shard& sh = StateOf(s);
+    cluster.RemoveRejoinHook(sh.rejoin_hook);
+    for (size_t r = 0; r < sh.qps.size(); ++r) {
+      const Status closed =
+          cluster.node(static_cast<int>(r)).Disconnect(sh.qps[r]->qp_id);
+      FV_CHECK(closed.ok()) << closed.ToString();
+    }
   }
   shards_.clear();
   tables_.clear();
@@ -172,7 +226,7 @@ NodeStats& ShardedClient::ShardStats(int shard) {
 
 Status ShardedClient::ApplyLogged(
     int shard, FarviewCluster::LogEntry entry, const char* what,
-    const std::function<Status(FarviewClient&, uint64_t epoch)>& apply) {
+    const std::function<Status(int replica, uint64_t epoch)>& apply) {
   FarviewCluster& cluster = pool_->shard(shard);
   entry.client_id = client_id_;
   const uint64_t epoch = cluster.AppendEntry(entry);
@@ -182,7 +236,7 @@ Status ShardedClient::ApplyLogged(
       cluster.MarkMissed(r, epoch);
       continue;
     }
-    const Status s = apply(StateOf(shard).Replica(r), epoch);
+    const Status s = apply(r, epoch);
     if (!s.ok()) {
       // Control ops are synchronous and deterministic, so the failure is
       // not replica health: abort the epoch before reporting it, or a
@@ -206,16 +260,18 @@ Status ShardedClient::AllocOnShard(int shard, FTable* local) {
   FarviewCluster::LogEntry entry;
   entry.kind = FarviewCluster::LogEntry::Kind::kAlloc;
   entry.bytes = local->SizeBytes();
+  FarviewCluster& cluster = pool_->shard(shard);
+  const Shard& sh = StateOf(shard);
   std::optional<uint64_t> vaddr;
   const Status allocated = ApplyLogged(
-      shard, entry, "allocation",
-      [&](FarviewClient& replica, uint64_t epoch) -> Status {
-        FTable replica_table = *local;
-        FV_RETURN_IF_ERROR(replica.AllocTableMem(&replica_table));
+      shard, entry, "allocation", [&](int r, uint64_t epoch) -> Status {
+        FV_ASSIGN_OR_RETURN(
+            const uint64_t at,
+            cluster.node(r).AllocTableMem(sh.Qp(r), entry.bytes));
         if (!vaddr.has_value()) {
-          vaddr = replica_table.vaddr;
-          pool_->shard(shard).SetEntryVaddr(epoch, *vaddr);
-        } else if (replica_table.vaddr != *vaddr) {
+          vaddr = at;
+          cluster.SetEntryVaddr(epoch, at);
+        } else if (at != *vaddr) {
           return Status::Internal("replica allocators diverged");
         }
         return Status::OK();
@@ -228,11 +284,11 @@ Status ShardedClient::FreeOnShard(int shard, const FTable& local) {
   FarviewCluster::LogEntry entry;
   entry.kind = FarviewCluster::LogEntry::Kind::kFree;
   entry.vaddr = local.vaddr;
-  return ApplyLogged(shard, entry, "free",
-                     [&](FarviewClient& replica, uint64_t) {
-                       FTable replica_table = local;
-                       return replica.FreeTableMem(&replica_table);
-                     });
+  FarviewCluster& cluster = pool_->shard(shard);
+  const Shard& sh = StateOf(shard);
+  return ApplyLogged(shard, entry, "free", [&](int r, uint64_t) {
+    return cluster.node(r).FreeTableMem(sh.Qp(r), local.vaddr);
+  });
 }
 
 Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
@@ -420,8 +476,10 @@ void ShardedClient::MirrorWrite(int shard, const FTable& local,
   auto mw =
       std::allocate_shared<MirroredWrite>(PooledAllocator<MirroredWrite>());
   mw->shard = shard;
-  mw->local = &local;
+  mw->cluster = &cluster;
+  mw->vaddr = local.vaddr;
   mw->rows = &rows;
+  mw->alive = alive_;
   mw->done = std::move(done);
   FarviewCluster::LogEntry entry;
   entry.kind = FarviewCluster::LogEntry::Kind::kWrite;
@@ -441,39 +499,37 @@ void ShardedClient::MirrorWrite(int shard, const FTable& local,
     // (otherwise a lone restarted replica would wait forever for a resync
     // source holding bytes that never existed).
     cluster.AbortEntry(mw->epoch);
-    auto cb = std::move(mw->done);
-    cb(Status::Unavailable("no in-rotation replica for mirrored write"));
+    mw->Settle(
+        Status::Unavailable("no in-rotation replica for mirrored write"));
     return;
   }
   TryPrimaryWrite(std::move(mw));
 }
 
 void ShardedClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
-  FarviewCluster& cluster = pool_->shard(mw->shard);
-  if (mw->primary_pos >= mw->targets.size()) {
-    // Every candidate primary failed: no replica holds the bytes, so the
-    // epoch must not be resynced.
+  FarviewCluster& cluster = *mw->cluster;
+  if (mw->primary_pos >= mw->targets.size() || !*mw->alive) {
+    // Every candidate primary failed (`fan.error` holds the first
+    // failure), or the connection closed before the next could be tried:
+    // no replica holds the bytes, so the epoch must not be resynced.
     cluster.AbortEntry(mw->epoch);
-    auto cb = std::move(mw->done);
-    cb(mw->fan.error.ok()
-           ? Status::Unavailable("mirrored write failed on every replica")
-           : mw->fan.error);
+    mw->Settle(mw->fan.error);
     return;
   }
   const int primary = mw->targets[mw->primary_pos];
-  StateOf(mw->shard).Replica(primary).TableWriteAsync(
-      *mw->local, *mw->rows, [this, mw, primary](Result<SimTime> res) {
-        FarviewCluster& c = pool_->shard(mw->shard);
+  cluster.node(primary).TableWrite(
+      StateOf(mw->shard).Qp(primary).qp_id, mw->vaddr, mw->rows->data(),
+      mw->rows->size_bytes(), [this, mw, primary](Result<SimTime> res) {
+        FarviewCluster& c = *mw->cluster;
         if (!res.ok()) {
-          if (ClassifyFailure(res.status()) != FailureKind::kHealth) {
+          if (!IsHealthFailure(res.status())) {
             // Not a health signal (e.g. an MMU error on a stale vaddr):
             // the same request would fail on every replica, so fencing
             // the primary — and then each candidate in turn — would empty
             // the rotation over one bad write. No bytes landed anywhere;
             // abort the epoch and report the error to the caller.
             c.AbortEntry(mw->epoch);
-            auto cb = std::move(mw->done);
-            cb(res.status());
+            mw->Settle(res.status());
             return;
           }
           // The primary died under the write: record the failover and try
@@ -487,34 +543,41 @@ void ShardedClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
         }
         c.MarkApplied(primary, mw->epoch);
         mw->fan.last_ack = res.value();
+        if (!*mw->alive) {
+          // No mirror hop can be posted on a closed connection: the other
+          // targets miss the epoch and resync it from the primary.
+          for (size_t i = mw->primary_pos + 1; i < mw->targets.size(); ++i) {
+            c.MarkMissed(mw->targets[i], mw->epoch);
+          }
+          mw->Settle(mw->fan.last_ack);
+          return;
+        }
         // Primary acked: forward to the remaining live replicas in
         // parallel (the primary->secondary mirror hop).
         mw->fan.pending = mw->targets.size() - mw->primary_pos - 1;
         if (mw->fan.pending == 0) {
-          auto cb = std::move(mw->done);
-          cb(mw->fan.last_ack);
+          mw->Settle(mw->fan.last_ack);
           return;
         }
+        const Shard& sh = StateOf(mw->shard);
         for (size_t i = mw->primary_pos + 1; i < mw->targets.size(); ++i) {
           const int secondary = mw->targets[i];
-          StateOf(mw->shard).Replica(secondary).TableWriteAsync(
-              *mw->local, *mw->rows,
-              [this, mw, secondary](Result<SimTime> mirror) {
-                FarviewCluster& mc = pool_->shard(mw->shard);
+          c.node(secondary).TableWrite(
+              sh.Qp(secondary).qp_id, mw->vaddr, mw->rows->data(),
+              mw->rows->size_bytes(), [mw, secondary](Result<SimTime> mirror) {
                 // A missed mirror converges via resync; the write still
                 // committed on the primary. No error classification here —
                 // whatever the cause, the primary holds bytes the secondary
                 // lacks, and resync from the primary is the repair either
                 // way. The fan-in's error is therefore never reported.
                 if (mirror.ok()) {
-                  mc.MarkApplied(secondary, mw->epoch);
+                  mw->cluster->MarkApplied(secondary, mw->epoch);
                 } else {
-                  mc.MarkMissed(secondary, mw->epoch);
+                  mw->cluster->MarkMissed(secondary, mw->epoch);
                 }
                 if (mw->fan.Arrive(mirror.status(),
                                    mirror.ok() ? mirror.value() : 0)) {
-                  auto cb = std::move(mw->done);
-                  cb(mw->fan.last_ack);
+                  mw->Settle(mw->fan.last_ack);
                 }
               });
         }
@@ -529,6 +592,7 @@ void ShardedClient::Route(int shard, Verb verb, const FvRequest& request,
   call->shard = shard;
   call->verb = verb;
   call->request = request;
+  call->alive = alive_;
   call->done = std::move(done);
   IssueRouted(std::move(call));
 }
@@ -564,46 +628,134 @@ void ShardedClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
     // Fast-fail: every replica is fenced, tripped, or already tried.
     // Counted on replica 0's stats (the shard-level sink).
     cluster.node(0).stats().RecordFastFail();
-    auto cb = std::move(call->done);
-    cb(Status::Unavailable("no in-sync replica available (fast-fail)"));
+    call->Settle(
+        Status::Unavailable("no in-sync replica available (fast-fail)"));
     return;
   }
   call->tried_mask |= uint64_t{1} << r;
+  call->replica = r;
+  call->attempts = 0;
   call->probe_hop = probe;
   cluster.node(r).stats().RecordClusterRequest();
-  auto on_done = [this, call, r](Result<FvResult> res) {
-    CircuitBreaker& replica_breaker = breaker(call->shard, r);
-    // Read before any re-route: a failover hop overwrites `probe_hop`.
-    const bool probe_hop = call->probe_hop;
-    if (res.ok()) {
-      replica_breaker.RecordSuccess(probe_hop);
-      const uint64_t bytes = res.value().data.size();
-      if (call->verb == Verb::kRead) {
-        ShardStats(call->shard).RecordFragmentRead(bytes);
-      } else {
-        ShardStats(call->shard).RecordFragmentOffload(bytes);
-      }
-      auto cb = std::move(call->done);
-      cb(std::move(res));
+  StartAttempt(std::move(call));
+}
+
+void ShardedClient::StartAttempt(std::shared_ptr<RoutedCall> call) {
+  const int r = call->replica;
+  FarviewNode& node = pool_->shard(call->shard).node(r);
+  const RetryPolicy& rp = node.config().retry;
+  // A hop's first attempt follows the breaker's admission at this instant,
+  // so only a retry can find the breaker Open. Then the replica is known
+  // dead: end the hop now instead of burning the rest of its timeout and
+  // backoff schedule, and fail over at once (DESIGN.md §12).
+  if (call->attempts > 0 && breaker(call->shard, r).BlocksAttempts()) {
+    node.stats().RecordFastFail();
+    FinishHop(std::move(call),
+              Status::Unavailable("node circuit open (fast-fail)"));
+    return;
+  }
+  ++call->attempts;
+  const uint64_t token = ++call->token;
+  auto on_result = [this, call, replica = &node, token](Result<FvResult> res) {
+    if (token != call->token) {
+      // The call already gave up on this attempt; the node's work still
+      // completed (or failed) and the result is dropped here.
+      replica->stats().RecordLateCompletion();
       return;
     }
-    if (ClassifyFailure(res.status()) == FailureKind::kHealth) {
-      replica_breaker.RecordFailure(probe_hop);
-      pool_->shard(call->shard).node(r).stats().RecordFailover();
-      IssueRouted(call);
+    if (!call->Live(token)) return;
+    if (!res.ok() && IsHealthFailure(res.status()) &&
+        replica->config().retry.enabled) {
+      AttemptFailed(call, res.status());
       return;
     }
-    // Not a health signal (bad request, schema mismatch): report it, don't
-    // penalize the replica. A probe hop still settles its slot as a success
-    // — the replica answered, the error is the request's fault — otherwise
-    // the slot would leak and a breaker whose every probe drew a bad
-    // request would wedge Half-Open forever.
-    if (probe_hop) replica_breaker.RecordSuccess(/*probe=*/true);
-    auto cb = std::move(call->done);
-    cb(std::move(res));
+    FinishHop(call, std::move(res));
   };
-  StateOf(call->shard).Replica(r).SubmitAsync(call->verb, call->request,
-                                                  std::move(on_done));
+  const int qp_id = StateOf(call->shard).Qp(r).qp_id;
+  if (call->verb == Verb::kRead) {
+    node.TableRead(qp_id, call->request.vaddr, call->request.len,
+                   std::move(on_result));
+  } else {
+    node.FarviewRequest(qp_id, call->request, std::move(on_result));
+  }
+  if (!rp.enabled) return;
+  // The attempt's completion timeout. A resolved attempt (either way) bumps
+  // the token, turning this event into a no-op.
+  node.engine()->ScheduleAfter(
+      rp.completion_timeout, [this, call, replica = &node, token]() {
+        if (!call->Live(token)) return;
+        replica->stats().RecordTimeout();
+        AttemptFailed(call, Status::DeadlineExceeded(
+                                "no completion within the attempt deadline"));
+      });
+}
+
+void ShardedClient::AttemptFailed(std::shared_ptr<RoutedCall> call,
+                                  const Status& error) {
+  const uint64_t token = ++call->token;  // the attempt's events go stale
+  const int r = call->replica;
+  FarviewNode& node = pool_->shard(call->shard).node(r);
+  const RetryPolicy& rp = node.config().retry;
+  const QPair& qp = StateOf(call->shard).Qp(r);
+  // Graceful degradation: when the region itself is faulted, retrying into
+  // it cannot succeed until it heals — serve base-table bytes raw instead
+  // (the RNIC path needs no region).
+  if (rp.raw_read_fallback && qp.region_id >= 0 &&
+      node.region(qp.region_id).faulted()) {
+    node.stats().RecordFallback();
+    node.RawRead(qp.qp_id, call->request.vaddr, call->request.len,
+                 [this, call, token](Result<FvResult> res) {
+                   if (!call->Live(token)) return;
+                   if (res.ok()) res.value().degraded_raw = true;
+                   FinishHop(call, std::move(res));
+                 });
+    return;
+  }
+  if (call->attempts >= rp.max_attempts) {
+    FinishHop(std::move(call), error);
+    return;
+  }
+  // Capped exponential backoff: base * 2^(retry-1), clamped to the cap
+  // (overflow-safe — the policy clamps before each doubling).
+  const SimTime backoff = rp.BackoffForAttempt(call->attempts);
+  node.stats().RecordRetry();
+  node.engine()->ScheduleAfter(backoff, [this, call, token]() {
+    if (!call->Live(token)) return;
+    StartAttempt(call);
+  });
+}
+
+void ShardedClient::FinishHop(std::shared_ptr<RoutedCall> call,
+                              Result<FvResult> res) {
+  ++call->token;  // no event of this hop may act after it ends
+  const int r = call->replica;
+  CircuitBreaker& replica_breaker = breaker(call->shard, r);
+  // Read before any re-route: a failover hop overwrites `probe_hop`.
+  const bool probe_hop = call->probe_hop;
+  if (res.ok()) {
+    replica_breaker.RecordSuccess(probe_hop);
+    const uint64_t bytes = res.value().data.size();
+    if (call->verb == Verb::kRead) {
+      ShardStats(call->shard).RecordFragmentRead(bytes);
+    } else {
+      ShardStats(call->shard).RecordFragmentOffload(bytes);
+    }
+    call->Settle(std::move(res));
+    return;
+  }
+  if (IsHealthFailure(res.status())) {
+    replica_breaker.RecordFailure(probe_hop);
+    pool_->shard(call->shard).node(r).stats().RecordFailover();
+    IssueRouted(std::move(call));
+    return;
+  }
+  // Not a health signal (bad request, schema mismatch): report it, don't
+  // penalize the replica. A probe hop still settles its slot as a success
+  // — the replica answered, the error is the request's fault — otherwise
+  // the slot would leak and a breaker whose every probe drew a bad request
+  // would wedge Half-Open forever.
+  if (probe_hop) replica_breaker.RecordSuccess(/*probe=*/true);
+  call->Settle(std::move(res));
 }
 
 void ShardedClient::GatherAsync(const FTable& table, Verb verb,
@@ -735,8 +887,8 @@ void ShardedClient::LoadPipelineAsync(const FTable& table,
         ld->Arrive(pipeline.status());
         continue;
       }
-      sh.Replica(r).LoadPipelineAsync(
-          std::move(pipeline).value(),
+      cluster.node(r).LoadPipeline(
+          sh.Qp(r).qp_id, std::move(pipeline).value(),
           [alive = alive_, this, ld, s, r, version](Status loaded) {
             if (*alive && loaded.ok()) {
               StateOf(s).loaded_version[static_cast<size_t>(r)] = version;
@@ -814,8 +966,8 @@ void ShardedClient::OnRejoin(int shard, int replica,
     return;
   }
   const uint64_t version = sh.version;
-  sh.Replica(replica).LoadPipelineAsync(
-      std::move(pipeline).value(),
+  pool_->shard(shard).node(replica).LoadPipeline(
+      sh.Qp(replica).qp_id, std::move(pipeline).value(),
       [alive = alive_, this, shard, replica, version, done](Status loaded) {
         if (!*alive) {
           done();

@@ -96,17 +96,22 @@ using PipelineFactory = std::function<Result<Pipeline>()>;
 /// The client of a replicated and/or sharded pool: the paper's programmatic
 /// interface (Section 4.2) over S shards × R replicas (DESIGN.md §12–§13).
 /// An unsharded replicated pool is `num_shards = 1`; one shard of one
-/// replica is event-identical to a bare node (fault_identity_test).
+/// replica is event-identical to a bare node (fault_identity_test), and is
+/// how a single node gets the reliability policy.
 ///
-/// Per shard, the client routes like a replicated pool's client:
+/// The client holds one queue pair per replica and drives the replicas'
+/// nodes directly. Per shard, it routes like a replicated pool's client:
 ///
-///  - one `FarviewClient` per replica carries the retry policy (DESIGN.md
-///    §7); a per-replica `CircuitBreaker` gates it;
 ///  - reads and operator calls go to the next in-sync replica in
-///    round-robin order whose breaker admits them; a health failure
-///    (`Unavailable`, `DeadlineExceeded`) records on the breaker and fails
-///    over, any other error is the request's own and is reported as is;
-///    when no replica is left the call settles at once (fast-fail);
+///    round-robin order whose `CircuitBreaker` admits them (a hop);
+///  - under the node config's `RetryPolicy` (DESIGN.md §7) a hop gets up to
+///    `max_attempts` attempts, each with a completion timeout and capped
+///    backoff between them, degrades to a raw read when the replica's
+///    region is faulted, and gives up early once the breaker is Open;
+///  - a hop that ends in a health failure (`Unavailable`,
+///    `DeadlineExceeded`) records on the breaker and fails over, any other
+///    error is the request's own and is reported as is; when no replica is
+///    left the call settles at once (fast-fail);
 ///  - writes are mirrored (primary first, then the other in-rotation
 ///    replicas) and alloc/free are applied on every in-rotation replica,
 ///    each logged in the shard's replication log so crashed replicas
@@ -132,6 +137,9 @@ using PipelineFactory = std::function<Result<Pipeline>()>;
 /// when no other traffic must stay pending); the async forms require the
 /// caller to keep referenced row data alive, and the table allocated, until
 /// the completion fires (mirror hops read both after the primary's ack).
+/// `CloseConnection` with calls in flight settles each of them once with
+/// `FailedPrecondition` at its next event; a write in flight still records
+/// its epoch as applied, missed or aborted, so the replicas converge.
 class ShardedClient {
  public:
   ShardedClient(ShardedPool* pool, int client_id);
@@ -144,6 +152,7 @@ class ShardedClient {
   /// schedule begins (a connection cannot be opened to a crashed replica);
   /// on failure nothing stays connected.
   Status OpenConnection();
+  /// Disconnects every queue pair and forgets the shard map.
   void CloseConnection();
 
   bool connected() const { return !shards_.empty(); }
@@ -249,7 +258,8 @@ class ShardedClient {
 
   /// Routing state of one shard (DESIGN.md §12).
   struct Shard {
-    std::vector<std::unique_ptr<FarviewClient>> replicas;
+    /// This client's queue pair on each replica.
+    std::vector<QPair*> qps;
     std::vector<std::unique_ptr<CircuitBreaker>> breakers;
     /// Deterministic round-robin cursor over replicas.
     int rr_cursor = 0;
@@ -259,13 +269,13 @@ class ShardedClient {
     PipelineFactory factory;
     uint64_t version = 0;
     std::vector<uint64_t> loaded_version;
-    int rejoin_hook = 0;
+    int rejoin_hook = 0;  ///< 0 = none registered (hook ids start at 1)
 
-    FarviewClient& Replica(int r) { return *replicas[static_cast<size_t>(r)]; }
+    const QPair& Qp(int r) const { return *qps[static_cast<size_t>(r)]; }
   };
 
-  /// One routed read / operator call, re-issued across a shard's replicas
-  /// on failover.
+  /// One routed read / operator call: its attempt loop on the current
+  /// replica, re-issued across a shard's replicas on failover.
   struct RoutedCall;
   /// One mirrored write across a shard's primary and mirror hops.
   struct MirroredWrite;
@@ -285,7 +295,7 @@ class ShardedClient {
   /// the operation in that error).
   Status ApplyLogged(
       int shard, FarviewCluster::LogEntry entry, const char* what,
-      const std::function<Status(FarviewClient&, uint64_t epoch)>& apply);
+      const std::function<Status(int replica, uint64_t epoch)>& apply);
   Status AllocOnShard(int shard, FTable* local);
   Status FreeOnShard(int shard, const FTable& local);
 
@@ -298,8 +308,17 @@ class ShardedClient {
   /// Routes one read / operator call on `shard`.
   void Route(int shard, Verb verb, const FvRequest& request,
              std::function<void(Result<FvResult>)> done);
-  /// Routes (or re-routes after failover) one call.
+  /// Starts the call's next hop on a picked replica, or fast-fails it.
   void IssueRouted(std::shared_ptr<RoutedCall> call);
+  /// Posts one attempt of the current hop and, under the retry policy,
+  /// then arms its completion timeout.
+  void StartAttempt(std::shared_ptr<RoutedCall> call);
+  /// A health failure or timeout of the live attempt: degrade to a raw
+  /// read, back off and retry, or end the hop.
+  void AttemptFailed(std::shared_ptr<RoutedCall> call, const Status& error);
+  /// Ends the current hop: records its outcome on the replica's breaker,
+  /// then settles the call or fails it over.
+  void FinishHop(std::shared_ptr<RoutedCall> call, Result<FvResult> res);
   /// Next eligible replica of `shard` (in-sync, breaker admits, not yet
   /// tried), or -1. Operator calls additionally require the replica's
   /// loaded pipeline to be current. `probe` reports whether the admission

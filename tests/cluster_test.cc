@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -877,6 +878,77 @@ TEST(ClusterTest, RejoinWithFailedPipelineReloadServesReadsOnly) {
       << "rejoined replica serves no reads";
 }
 
+TEST(ClusterTest, RejoinReloadsAMissedPipelineAndServesOffloadsAgain) {
+  // Twin of RejoinWithFailedPipelineReloadServesReadsOnly with a factory
+  // that keeps working: replica 0 misses a pipeline version and an
+  // allocation while down, so its rejoin pass replays only a control entry
+  // and its rejoin hook reloads the pipeline (a 5 ms reconfiguration). A
+  // write posted during that reload is missed too and resynced by a second
+  // pass before the replica rejoins with the current pipeline.
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
+  cc.node.faults.enabled = true;
+  cc.node.faults.node_crash_at = 12 * kMillisecond;
+  cc.node.faults.node_restart_at = 14 * kMillisecond;
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table v1 = MakeRows(128 * kKiB, 5);
+  const Table v2 = MakeRows(128 * kKiB, 6);
+  FTable ft = AllocOnly(client, v1);
+  PipelineFactory factory = [&ft]() -> Result<Pipeline> {
+    return PipelineBuilder(ft.schema).Build();
+  };
+
+  client.TableWriteAsync(ft, v1, [](Result<SimTime> w) {
+    EXPECT_TRUE(w.ok());
+  });
+  client.LoadPipelineAsync(ft, factory, [](Status s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  });
+  FTable during;
+  engine.ScheduleAt(13 * kMillisecond, [&]() {
+    // Replica 0 is down: it misses both the version bump and the
+    // allocation (no write follows, so its pass replays control only).
+    client.LoadPipelineAsync(ft, factory, [](Status s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    });
+    during = AllocOnly(client, v1, "during");
+  });
+  std::optional<Result<SimTime>> reload_write;
+  engine.ScheduleAt(15 * kMillisecond, [&]() {
+    // Restarted at 14 ms, replica 0 is still reloading the pipeline.
+    EXPECT_FALSE(cluster.InSync(0));
+    client.TableWriteAsync(
+        ft, v2, [&](Result<SimTime> w) { reload_write.emplace(w); });
+  });
+  engine.Run();
+
+  ASSERT_TRUE(reload_write.has_value());
+  EXPECT_TRUE(reload_write->ok());
+  EXPECT_TRUE(cluster.InSync(0)) << "replica 0 never rejoined";
+  EXPECT_EQ(cluster.applied_epoch(0), cluster.epoch());
+  const ByteBuffer expect(v2.data(), v2.data() + v2.size_bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 0, 1, ft), expect);
+  EXPECT_EQ(ReplicaBytes(cluster, 1, 1, ft), expect);
+  // The replayed allocation left both allocators at the same address.
+  FTable after = AllocOnly(client, v1, "after");
+  EXPECT_NE(after.vaddr, during.vaddr);
+
+  const uint64_t routed_before =
+      cluster.node(0).stats().reliability().cluster_requests;
+  for (int i = 0; i < 4; ++i) {
+    Result<FvResult> res = client.Offload(ft);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res.value().data, expect);
+  }
+  EXPECT_GT(cluster.node(0).stats().reliability().cluster_requests,
+            routed_before)
+      << "reloaded replica serves no operator calls";
+}
+
 TEST(ClusterTest, AbortedEpochUnparksLoneFencedReplica) {
   // A mirror hop failing on an in-sync replica fences it immediately
   // (MarkMissed), and with no other in-sync replica the rejoin pass parks
@@ -960,6 +1032,136 @@ TEST(ClusterTest, RepeatCrashWithAbortedEpochConvergesAndRejoins) {
   // The pool still serves both verbs.
   EXPECT_TRUE(client.TableWrite(ft, v2).ok());
   EXPECT_TRUE(client.TableRead(ft).ok());
+}
+
+// --- Closing with calls in flight -------------------------------------------
+
+/// Runs `issue` at the engine's current time and `CloseConnection` 10 us
+/// later, then drains the engine.
+void CloseDuring(sim::Engine& engine, ShardedClient& client,
+                 const std::function<void()>& issue) {
+  issue();
+  engine.ScheduleAfter(10 * kMicrosecond, [&]() { client.CloseConnection(); });
+  engine.Run();
+}
+
+TEST(ClusterTest, CloseWithReadsInFlightFailsEachOnce) {
+  // Regression: the routed calls' completions indexed the routing state
+  // CloseConnection had cleared. With or without the retry policy, each
+  // call in flight settles exactly once with FailedPrecondition.
+  for (const bool retry : {false, true}) {
+    SCOPED_TRACE(retry ? "retry on" : "retry off");
+    ShardedConfig sc = TestConfig(2);
+    sc.cluster.node.retry.enabled = retry;
+    sim::Engine engine;
+    ShardedPool pool(&engine, sc);
+    ShardedClient client(&pool, 1);
+    ASSERT_TRUE(client.OpenConnection().ok());
+    const Table rows = MakeRows(1 * kMiB);
+    FTable ft = AllocOnly(client, rows);
+    ASSERT_TRUE(client.TableWrite(ft, rows).ok());
+
+    std::vector<Result<FvResult>> settled;
+    CloseDuring(engine, client, [&]() {
+      for (int i = 0; i < 2; ++i) {  // one read on each replica
+        client.TableReadAsync(
+            ft, [&](Result<FvResult> r) { settled.push_back(std::move(r)); });
+      }
+    });
+    ASSERT_EQ(settled.size(), 2u);
+    for (const Result<FvResult>& r : settled) {
+      EXPECT_TRUE(r.status().IsFailedPrecondition()) << r.status().ToString();
+    }
+    EXPECT_FALSE(client.connected());
+  }
+}
+
+TEST(ClusterTest, CloseWithAnOffloadInFlightFailsItOnce) {
+  sim::Engine engine;
+  ShardedPool pool(&engine, TestConfig(2));
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table rows = MakeRows(1 * kMiB);
+  FTable ft = AllocOnly(client, rows);
+  ASSERT_TRUE(client.TableWrite(ft, rows).ok());
+  ASSERT_TRUE(client
+                  .LoadPipeline(ft, [&ft]() -> Result<Pipeline> {
+                    return PipelineBuilder(ft.schema).Build();
+                  })
+                  .ok());
+
+  int calls = 0;
+  std::optional<Result<FvResult>> offload;
+  CloseDuring(engine, client, [&]() {
+    client.OffloadAsync(ft, /*vectorized=*/false, [&](Result<FvResult> r) {
+      ++calls;
+      offload.emplace(std::move(r));
+    });
+  });
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(offload.has_value());
+  EXPECT_TRUE(offload->status().IsFailedPrecondition())
+      << offload->status().ToString();
+}
+
+TEST(ClusterTest, CloseWithAMirroredWriteInFlightStillConverges) {
+  // The primary acks after the close: no mirror hop can be posted any
+  // more, so the write fails FailedPrecondition, but its epoch is applied
+  // on the primary and missed on the secondary, which resyncs. The
+  // replicas a later client reads agree.
+  sim::Engine engine;
+  ShardedPool pool(&engine, TestConfig(2));
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table v1 = MakeRows(1 * kMiB, 5);
+  const Table v2 = MakeRows(1 * kMiB, 6);
+  FTable ft = AllocOnly(client, v1);
+  ASSERT_TRUE(client.TableWrite(ft, v1).ok());
+
+  int calls = 0;
+  std::optional<Result<SimTime>> wrote;
+  CloseDuring(engine, client, [&]() {
+    client.TableWriteAsync(ft, v2, [&](Result<SimTime> w) {
+      ++calls;
+      wrote.emplace(std::move(w));
+    });
+  });
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(wrote.has_value());
+  EXPECT_TRUE(wrote->status().IsFailedPrecondition())
+      << wrote->status().ToString();
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_TRUE(cluster.InSync(r)) << "replica " << r;
+    EXPECT_EQ(cluster.applied_epoch(r), cluster.epoch()) << "replica " << r;
+  }
+  const ByteBuffer expect(v2.data(), v2.data() + v2.size_bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 0, 1, ft), expect);
+  EXPECT_EQ(ReplicaBytes(cluster, 1, 1, ft), expect);
+}
+
+TEST(ClusterTest, ReusedTableNameKeepsReplicaAllocatorsAligned) {
+  // Regression: each replica's client kept a catalog that refused a taken
+  // name after that replica's allocator had already allocated, so the
+  // replicas' allocators diverged and every later allocation on the shard
+  // failed. The pool keys its tables by address: a reused name is a new
+  // table.
+  sim::Engine engine;
+  ShardedPool pool(&engine, TestConfig(2));
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table v1 = MakeRows(64 * kKiB, 5);
+  const Table v2 = MakeRows(64 * kKiB, 6);
+  FTable first = AllocOnly(client, v1, "t");
+  FTable second = AllocOnly(client, v2, "t");
+  EXPECT_NE(first.vaddr, second.vaddr);
+  FTable other = AllocOnly(client, v1, "u");
+  ASSERT_TRUE(client.TableWrite(first, v1).ok());
+  ASSERT_TRUE(client.TableWrite(second, v2).ok());
+  Result<FvResult> read = client.TableRead(second);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().data, v2.bytes());
+  EXPECT_TRUE(client.FreeTableMem(&other).ok());
 }
 
 }  // namespace

@@ -43,6 +43,31 @@ TEST(FailureInjectionTest, MemoryExhaustionIsCleanAndRecoverable) {
   EXPECT_TRUE(client.AllocTableMem(&small).ok());
 }
 
+TEST(FailureInjectionTest, TakenTableNameAllocatesNothing) {
+  // Regression: the node allocated before the catalog refused the name, so
+  // the refused call burned a 2 MiB page and still set the handle's vaddr.
+  sim::Engine engine;
+  FarviewNode node(&engine, FarviewConfig());
+  FarviewClient client(&node, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  FTable first;
+  first.name = "t";
+  first.schema = Schema::DefaultWideRow();
+  first.num_rows = 1024;  // 64 KiB: one page
+  ASSERT_TRUE(client.AllocTableMem(&first).ok());
+
+  FTable again = first;
+  again.vaddr = 0;
+  EXPECT_TRUE(client.AllocTableMem(&again).IsAlreadyExists());
+  EXPECT_EQ(again.vaddr, 0u) << "a refused allocation changed the handle";
+
+  FTable next = first;
+  next.name = "u";
+  ASSERT_TRUE(client.AllocTableMem(&next).ok());
+  EXPECT_EQ(next.vaddr, first.vaddr + Mmu::kPageSize)
+      << "the refused allocation burned address space";
+}
+
 TEST(FailureInjectionTest, RegionBusyRejectsOverlappingWork) {
   bench::FvFixture fx;
   TableGenerator gen(1);

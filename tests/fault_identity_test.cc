@@ -209,8 +209,8 @@ TEST(FaultIdentityTest, SingleShardSingleReplicaOffloadIsEventIdenticalToBareNod
 }
 
 TEST(FaultIdentityTest, RetryWrapperIsEventIdenticalWhenDisabled) {
-  // The sync TableRead routes through the async retry entry point; with the
-  // policy disabled the wrapper must add no events and no latency.
+  // The sync TableRead is AwaitSync over the async read: the wrapper must
+  // add no events and no latency.
   bench::FvFixture a;
   bench::FvFixture b;
   const Table rows = MakeRows(256 * kKiB);

@@ -17,6 +17,7 @@
 #include "benchlib/experiment.h"
 #include "fv/client.h"
 #include "fv/farview_node.h"
+#include "fv/sharding.h"
 #include "net/fault_plan.h"
 #include "net/rnic_model.h"
 #include "table/generator.h"
@@ -42,19 +43,63 @@ Result<FvResult> ReadOnce(bench::FvFixture& fx, const FTable& ft) {
   return fx.client().TableRead(ft);
 }
 
+/// Unallocated handle of a table "t" sized for `rows`.
+FTable Handle(const Table& rows) {
+  FTable ft;
+  ft.name = "t";
+  ft.schema = rows.schema();
+  ft.num_rows = rows.num_rows();
+  return ft;
+}
+
 /// Allocates Farview memory for `rows` WITHOUT running the engine (pure
 /// bookkeeping). Tests that interleave requests with config-scheduled fault
 /// events (absolute sim times) must schedule those requests before the
 /// first engine drain — `FvFixture::Upload`'s synchronous write would
 /// otherwise run the whole fault timeline to completion first.
 FTable AllocOnly(bench::FvFixture& fx, const Table& rows) {
-  FTable ft;
-  ft.name = "t";
-  ft.schema = rows.schema();
-  ft.num_rows = rows.num_rows();
+  FTable ft = Handle(rows);
   EXPECT_TRUE(fx.client().AllocTableMem(&ft).ok());
   return ft;
 }
+
+/// A node with the client retry policy on. The policy runs in the pool
+/// client, so the node is a one-shard, one-replica pool (DESIGN.md §7).
+class RetryPool {
+ public:
+  explicit RetryPool(const FarviewConfig& node)
+      : pool_(&engine_, PoolConfig(node)), client_(&pool_, /*client_id=*/1) {
+    EXPECT_TRUE(client_.OpenConnection().ok());
+  }
+
+  sim::Engine& engine() { return engine_; }
+  FarviewNode& node() { return pool_.shard(0).node(0); }
+  ShardedClient& client() { return client_; }
+
+  /// Allocates without running the engine (see `AllocOnly` above).
+  FTable AllocOnly(const Table& rows) {
+    FTable ft = Handle(rows);
+    EXPECT_TRUE(client_.AllocTableMem(&ft).ok());
+    return ft;
+  }
+
+  FTable Upload(const Table& rows) {
+    const FTable ft = AllocOnly(rows);
+    EXPECT_TRUE(client_.TableWrite(ft, rows).ok());
+    return ft;
+  }
+
+ private:
+  static ShardedConfig PoolConfig(const FarviewConfig& node) {
+    ShardedConfig sc;
+    sc.cluster.node = node;
+    return sc;
+  }
+
+  sim::Engine engine_;
+  ShardedPool pool_;
+  ShardedClient client_;
+};
 
 // --- FaultPlan unit behavior ------------------------------------------------
 
@@ -258,8 +303,8 @@ TEST(RegionFaultTest, FallbackServesRawBytesWhileFaulted) {
   cfg.faults.faulted_region = 0;
   cfg.faults.region_fault_at = 0;  // faulted from the start, permanently
   cfg.retry.enabled = true;
-  bench::FvFixture fx(cfg);
-  const FTable ft = fx.Upload("t", rows);
+  RetryPool fx(cfg);
+  const FTable ft = fx.Upload(rows);
 
   Result<FvResult> read = fx.client().TableRead(ft);
   ASSERT_TRUE(read.ok());
@@ -283,8 +328,8 @@ TEST(RegionFaultTest, RetryOutlivesTheFaultWindow) {
   cfg.faults.region_fault_duration = 100 * kMicrosecond;
   cfg.retry.enabled = true;
   cfg.retry.raw_read_fallback = false;  // force the backoff-retry path
-  bench::FvFixture fx(cfg);
-  const FTable ft = AllocOnly(fx, rows);
+  RetryPool fx(cfg);
+  const FTable ft = fx.AllocOnly(rows);
 
   std::optional<Result<FvResult>> out;
   fx.engine().ScheduleAt(2 * kMillisecond + 10 * kMicrosecond, [&]() {
@@ -528,8 +573,8 @@ TEST(RetryTest, TimeoutExhaustsAttemptsAndCountsLateCompletions) {
   cfg.retry.completion_timeout = 20 * kMicrosecond;  // every attempt misses
   cfg.retry.max_attempts = 3;
   cfg.retry.raw_read_fallback = false;
-  bench::FvFixture fx(cfg);
-  const FTable ft = fx.Upload("t", rows);
+  RetryPool fx(cfg);
+  const FTable ft = fx.Upload(rows);
 
   std::optional<Result<FvResult>> out;
   fx.client().TableReadAsync(
@@ -538,7 +583,8 @@ TEST(RetryTest, TimeoutExhaustsAttemptsAndCountsLateCompletions) {
   ASSERT_TRUE(out.has_value());
   ASSERT_FALSE(out->ok());
   // The last attempt fails at its deadline (earlier attempts may bounce off
-  // the still-busy region as Unavailable instead).
+  // the still-busy region as Unavailable instead); the lone replica's hop
+  // then has nowhere to fail over, so the call fast-fails Unavailable.
   EXPECT_TRUE(out->status().IsDeadlineExceeded() ||
               out->status().IsUnavailable());
   const NodeStats::ReliabilityStats& rel = fx.node().stats().reliability();
@@ -589,36 +635,56 @@ TEST(RetryTest, DisabledPolicyIsSingleShot) {
   EXPECT_FALSE(rel.AnyNonZero());
 }
 
+TEST(RetryTest, BareNodeClientRefusesARetryPolicy) {
+  // The policy runs only in the pool client; a bare client that accepted
+  // it would silently run single-shot.
+  FarviewConfig cfg;
+  cfg.retry.enabled = true;
+  sim::Engine engine;
+  FarviewNode node(&engine, cfg);
+  FarviewClient client(&node, 1);
+  EXPECT_TRUE(client.OpenConnection().IsInvalidArgument());
+  EXPECT_FALSE(client.connected());
+}
+
 TEST(RetryTest, DisconnectDuringRetryFlushesQueuedRequestSafely) {
   const Table rows = MakeRows(1 * kMiB);
   FarviewConfig cfg;
   cfg.submission_queue_depth = 2;
   cfg.retry.enabled = true;
-  bench::FvFixture fx(cfg);
-  const FTable ft = fx.Upload("t", rows);
+  RetryPool fx(cfg);
+  const FTable ft = fx.Upload(rows);
 
   const SimTime t0 = fx.engine().Now();
-  std::optional<Result<FvResult>> first, second;
-  fx.client().TableReadAsync(
-      ft, [&](Result<FvResult> r) { first.emplace(std::move(r)); });
-  fx.client().TableReadAsync(
-      ft, [&](Result<FvResult> r) { second.emplace(std::move(r)); });
-  // Disconnect once the first request is executing and the second waits in
-  // the submission queue: the flush path fails the queued one, its retry
-  // then finds the connection gone.
+  std::optional<Result<FvResult>> executing, queued, retrying;
+  int settled = 0;
+  auto read = [&](std::optional<Result<FvResult>>* out) {
+    fx.client().TableReadAsync(ft, [&settled, out](Result<FvResult> r) {
+      ++settled;
+      out->emplace(std::move(r));
+    });
+  };
+  // The first read executes, the second waits in the submission queue, and
+  // the third finds the queue full and backs off to retry.
+  read(&executing);
+  read(&queued);
+  read(&retrying);
+  // Disconnect while the first is executing, the second is queued and the
+  // third is in its backoff: the flush fails the queued one, the executing
+  // one still completes inside the node, and the retry finds the
+  // connection gone. Each call settles exactly once, with the typed close.
   fx.engine().ScheduleAt(t0 + 10 * kMicrosecond,
                          [&]() { fx.client().CloseConnection(); });
   fx.engine().Run();
 
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  // The executing request is one-sided RDMA already in flight: it delivers.
-  EXPECT_TRUE(first->ok());
-  EXPECT_FALSE(second->ok());
-  EXPECT_TRUE(second->status().IsFailedPrecondition() ||
-              second->status().IsUnavailable() ||
-              second->status().IsNotFound());
+  EXPECT_EQ(settled, 3);
+  for (const auto* out : {&executing, &queued, &retrying}) {
+    ASSERT_TRUE(out->has_value());
+    EXPECT_TRUE((*out)->status().IsFailedPrecondition())
+        << (*out)->status().ToString();
+  }
   EXPECT_GE(fx.node().stats().reliability().retries, 1u);
+  EXPECT_GE(fx.node().stats().failed_count(), 1u);  // the flushed request
 }
 
 // --- Analytic loss penalty (RNIC/RCPU baselines) ----------------------------
