@@ -75,10 +75,7 @@ ClusterRun RunCluster(const Table& rows, int num_replicas,
   ShardedClient client(&pool, /*client_id=*/1);
   FV_CHECK(client.OpenConnection().ok());
 
-  FTable ft;
-  ft.name = "t";
-  ft.schema = rows.schema();
-  ft.num_rows = rows.num_rows();
+  FTable ft{.name = "t", .schema = rows.schema(), .num_rows = rows.num_rows()};
   FV_CHECK(client.AllocTableMem(&ft).ok());
 
   ClusterRun run;

@@ -59,10 +59,7 @@ FvPoint RunFv(const Table& rows, double loss_rate, int credit_window) {
   FarviewNode& node = pool.shard(0).node(0);
   ShardedClient client(&pool, /*client_id=*/1);
   FV_CHECK(client.OpenConnection().ok());
-  FTable ft;
-  ft.name = "t";
-  ft.schema = rows.schema();
-  ft.num_rows = rows.num_rows();
+  FTable ft{.name = "t", .schema = rows.schema(), .num_rows = rows.num_rows()};
   FV_CHECK(client.AllocTableMem(&ft).ok());
   FV_CHECK(client.TableWrite(ft, rows).ok());
 

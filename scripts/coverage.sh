@@ -15,7 +15,9 @@
 #   4. prints every line of src/fv/*.cc that gcov reports as never
 #      executed, as `file:line: source`, then a per-file count.
 #
-# Usage: coverage.sh <build_dir>
+# Usage: coverage.sh [--no-tests] <build_dir>
+#   --no-tests: skip step 2, so the report lists the lines no golden
+#               driver reaches: code whose only callers are tests.
 #   build_dir: a new directory or an earlier coverage tree (not the Release
 #              build/: the coverage flags would rebuild it). Counters left
 #              by an earlier run are cleared first.
@@ -24,7 +26,12 @@
 
 set -u
 
-build_dir="${1:?usage: coverage.sh <build_dir>}"
+run_tests=1
+if [ "${1:-}" = "--no-tests" ]; then
+  run_tests=0
+  shift
+fi
+build_dir="${1:?usage: coverage.sh [--no-tests] <build_dir>}"
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Debug \
@@ -38,11 +45,13 @@ cmake --build "$build_dir" -j4 >/dev/null || exit 1
 find "$build_dir" -name '*.gcda' -delete
 
 fail=0
-ctest --test-dir "$build_dir" -j4 -E bench_identity --output-on-failure \
-  >"$build_dir/coverage-ctest.log" 2>&1 || {
-  echo "coverage: ctest failed (see $build_dir/coverage-ctest.log)" >&2
-  fail=1
-}
+if [ "$run_tests" = 1 ]; then
+  ctest --test-dir "$build_dir" -j4 -E bench_identity --output-on-failure \
+    >"$build_dir/coverage-ctest.log" 2>&1 || {
+    echo "coverage: ctest failed (see $build_dir/coverage-ctest.log)" >&2
+    fail=1
+  }
+fi
 for golden in "$repo_root"/tests/goldens/bench/*.txt; do
   name="$(basename "$golden" .txt)"
   "$build_dir/bench/$name" >/dev/null 2>&1 || {

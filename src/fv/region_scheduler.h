@@ -64,8 +64,9 @@ class RegionScheduler {
   RegionScheduler(const RegionScheduler&) = delete;
   RegionScheduler& operator=(const RegionScheduler&) = delete;
 
-  /// Builder invoked when a region must be (re)configured for a job.
-  using PipelineFactory = std::function<Result<Pipeline>()>;
+  /// Builder invoked when a region must be (re)configured for a job (the
+  /// scheduler's name for `farview::PipelineFactory`).
+  using PipelineFactory = farview::PipelineFactory;
 
   /// Submits a job on behalf of the shared connection `qp_id` owned by
   /// `client_id`. `pipeline_key` identifies the pipeline configuration for

@@ -113,7 +113,6 @@ void ResyncScheduler::Start(FarviewNode* source, FarviewNode* target,
   done_ = std::move(done);
   range_index_ = 0;
   range_offset_ = 0;
-  bytes_copied_ = 0;
   active_ = true;
   ScheduleNextChunk();
 }
@@ -178,7 +177,6 @@ void ResyncScheduler::CompleteChunk() {
     done(std::move(s));
     return;
   }
-  bytes_copied_ += chunk;
   target_->stats().RecordResyncBytes(chunk);
   range_offset_ += chunk;
   if (range_offset_ >= r.bytes) {

@@ -14,6 +14,15 @@
 
 namespace farview {
 
+/// The one failure classification behind "retry?", "penalize the
+/// replica?" and "fail over?" (DESIGN.md §7, §12): `Unavailable` and
+/// `DeadlineExceeded` mean the replica may be dead (retried, recorded on
+/// its breaker, failed over); any other error is the request's own
+/// (reported as is, never retried, never penalizes a replica).
+inline bool IsHealthFailure(const Status& s) {
+  return s.IsUnavailable() || s.IsDeadlineExceeded();
+}
+
 /// Parameters of the per-replica circuit breaker (DESIGN.md §12). The
 /// breaker is the client-side health tracker of one replica: it sits on top
 /// of the pool client's `RetryPolicy` (DESIGN.md §7) and decides whether
@@ -158,9 +167,6 @@ class ResyncScheduler {
   /// Cancels the active stream (no-op when idle). `done` is not invoked.
   void Abort();
 
-  bool active() const { return active_; }
-  uint64_t bytes_copied() const { return bytes_copied_; }
-
  private:
   /// Schedules the serialization delay of the next chunk, or finishes.
   void ScheduleNextChunk();
@@ -175,7 +181,6 @@ class ResyncScheduler {
   std::function<void(Status)> done_;
   size_t range_index_ = 0;
   uint64_t range_offset_ = 0;
-  uint64_t bytes_copied_ = 0;
   uint64_t token_ = 0;  ///< bumped by Abort; stale chunk events are dropped
   bool active_ = false;
   /// Staging buffer for the chunk copy, reused across chunks and streams so

@@ -12,33 +12,21 @@
 namespace farview {
 namespace {
 
-/// The one failure classification behind "retry?", "penalize the
-/// replica?" and "fail over?" (DESIGN.md §7, §12): `Unavailable` and
-/// `DeadlineExceeded` mean the replica may be dead (retried, recorded on
-/// its breaker, failed over); any other error is the request's own
-/// (reported as is, never retried, never penalizes a replica).
-bool IsHealthFailure(const Status& s) {
-  return s.IsUnavailable() || s.IsDeadlineExceeded();
-}
-
 /// Golden-ratio mix keeping per-shard breaker jitter streams independent;
 /// shard 0 keeps the template seed unchanged (the 1-shard identity pin).
 constexpr uint64_t kShardSeedMix = 0x9E3779B97F4A7C15ull;
 
-/// Fan-in of parallel hops (scatter, gather, load, mirror): counts the
-/// outstanding hops down, keeps the first error and the latest ack.
+/// Fan-in of parallel hops (scatter, gather, load): counts the outstanding
+/// hops down, keeps the first error and the latest ack.
 struct FanIn {
   size_t pending = 0;
   Status error;
   SimTime last_ack = 0;
 
-  void Fail(const Status& s) {
-    if (error.ok()) error = s;
-  }
   /// Folds one hop's outcome; true when it was the last outstanding hop.
   bool Arrive(const Status& hop, SimTime ack = 0) {
     if (!hop.ok()) {
-      Fail(hop);
+      if (error.ok()) error = hop;
     } else {
       last_ack = std::max(last_ack, ack);
     }
@@ -107,36 +95,6 @@ struct ShardedClient::RoutedCall {
   }
 };
 
-/// One mirrored write: primary hop, then parallel mirror hops. Holds what
-/// its hops need by value: the shard map it was issued from may be cleared
-/// by `CloseConnection` before they complete.
-struct ShardedClient::MirroredWrite {
-  int shard = 0;
-  FarviewCluster* cluster = nullptr;
-  uint64_t vaddr = 0;           ///< shard-local address of the fragment
-  const Table* rows = nullptr;  ///< caller keeps it alive until completion
-  uint64_t epoch = 0;
-  std::vector<int> targets;  ///< in-rotation replicas at issue, index order
-  size_t primary_pos = 0;    ///< current primary candidate within `targets`
-  /// Mirror-hop countdown; `error` holds the first primary-hop error,
-  /// reported only if every candidate primary fails.
-  FanIn fan;
-  /// Liveness flag of the connection the write was issued on.
-  std::shared_ptr<bool> alive;
-  std::function<void(Result<SimTime>)> done;
-
-  /// Settles the caller with `res`, or `FailedPrecondition` once the
-  /// connection has closed.
-  void Settle(Result<SimTime> res) {
-    auto cb = std::move(done);
-    if (*alive) {
-      cb(std::move(res));
-    } else {
-      cb(Status::FailedPrecondition("connection closed mid-write"));
-    }
-  }
-};
-
 struct ShardedClient::Gather {
   FanIn fan;
   std::vector<std::optional<FvResult>> parts;  ///< fragment order
@@ -176,7 +134,7 @@ Status ShardedClient::OpenConnection() {
         CloseConnection();
         return qp.status();
       }
-      sh.qps.push_back(qp.value());
+      sh.qp_ids.push_back(qp.value()->qp_id);
     }
   }
   for (int s = 0; s < pool_->num_shards(); ++s) {
@@ -206,9 +164,9 @@ void ShardedClient::CloseConnection() {
     FarviewCluster& cluster = pool_->shard(s);
     const Shard& sh = StateOf(s);
     cluster.RemoveRejoinHook(sh.rejoin_hook);
-    for (size_t r = 0; r < sh.qps.size(); ++r) {
+    for (size_t r = 0; r < sh.qp_ids.size(); ++r) {
       const Status closed =
-          cluster.node(static_cast<int>(r)).Disconnect(sh.qps[r]->qp_id);
+          cluster.node(static_cast<int>(r)).Disconnect(sh.qp_ids[r]);
       FV_CHECK(closed.ok()) << closed.ToString();
     }
   }
@@ -220,75 +178,6 @@ NodeStats& ShardedClient::ShardStats(int shard) {
   // Shard-level counters live on the shard's primary node: the stable home
   // replica 0 plays for reliability counters too.
   return pool_->shard(shard).node(0).stats();
-}
-
-// --- Logged control operations ----------------------------------------------
-
-Status ShardedClient::ApplyLogged(
-    int shard, FarviewCluster::LogEntry entry, const char* what,
-    const std::function<Status(int replica, uint64_t epoch)>& apply) {
-  FarviewCluster& cluster = pool_->shard(shard);
-  entry.client_id = client_id_;
-  const uint64_t epoch = cluster.AppendEntry(entry);
-  bool applied = false;
-  for (int r = 0; r < cluster.num_replicas(); ++r) {
-    if (!cluster.CanApply(r)) {
-      cluster.MarkMissed(r, epoch);
-      continue;
-    }
-    const Status s = apply(r, epoch);
-    if (!s.ok()) {
-      // Control ops are synchronous and deterministic, so the failure is
-      // not replica health: abort the epoch before reporting it, or a
-      // replica that missed it would replay a doomed op on rejoin and
-      // crash recovery.
-      cluster.AbortEntry(epoch);
-      return s;
-    }
-    cluster.MarkApplied(r, epoch);
-    applied = true;
-  }
-  if (!applied) {
-    cluster.AbortEntry(epoch);
-    return Status::Unavailable(std::string("no in-rotation replica for ") +
-                               what);
-  }
-  return Status::OK();
-}
-
-Status ShardedClient::AllocOnShard(int shard, FTable* local) {
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kAlloc;
-  entry.bytes = local->SizeBytes();
-  FarviewCluster& cluster = pool_->shard(shard);
-  const Shard& sh = StateOf(shard);
-  std::optional<uint64_t> vaddr;
-  const Status allocated = ApplyLogged(
-      shard, entry, "allocation", [&](int r, uint64_t epoch) -> Status {
-        FV_ASSIGN_OR_RETURN(
-            const uint64_t at,
-            cluster.node(r).AllocTableMem(sh.Qp(r), entry.bytes));
-        if (!vaddr.has_value()) {
-          vaddr = at;
-          cluster.SetEntryVaddr(epoch, at);
-        } else if (at != *vaddr) {
-          return Status::Internal("replica allocators diverged");
-        }
-        return Status::OK();
-      });
-  if (allocated.ok()) local->vaddr = *vaddr;
-  return allocated;
-}
-
-Status ShardedClient::FreeOnShard(int shard, const FTable& local) {
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kFree;
-  entry.vaddr = local.vaddr;
-  FarviewCluster& cluster = pool_->shard(shard);
-  const Shard& sh = StateOf(shard);
-  return ApplyLogged(shard, entry, "free", [&](int r, uint64_t) {
-    return cluster.node(r).FreeTableMem(sh.Qp(r), local.vaddr);
-  });
 }
 
 Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
@@ -344,18 +233,20 @@ Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
   auto rollback = [&](size_t allocated) {
     for (size_t i = 0; i < allocated; ++i) {
       const Fragment& f = st.fragments[i];
-      FV_IGNORE_ERROR(FreeOnShard(f.shard, f.local),
+      FV_IGNORE_ERROR(pool_->shard(f.shard).Free(client_id_, f.local.vaddr),
                       "rolling back a partially allocated sharded table");
     }
   };
 
   for (size_t i = 0; i < st.fragments.size(); ++i) {
     Fragment& f = st.fragments[i];
-    const Status s = AllocOnShard(f.shard, &f.local);
-    if (!s.ok()) {
+    Result<uint64_t> vaddr =
+        pool_->shard(f.shard).Alloc(client_id_, f.local.SizeBytes());
+    if (!vaddr.ok()) {
       rollback(i);
-      return s;
+      return vaddr.status();
     }
+    f.local.vaddr = vaddr.value();
     // The stripe contract (DESIGN.md §13): a fragment never crosses its
     // shard's address stripe. Reject — do not silently split — so the
     // vaddr arithmetic stays bijective.
@@ -394,7 +285,8 @@ Status ShardedClient::FreeTableMem(FTable* table) {
   if (table == nullptr) return Status::InvalidArgument("null table");
   FV_ASSIGN_OR_RETURN(const ShardedTable* st, Lookup(*table));
   for (const Fragment& frag : st->fragments) {
-    FV_RETURN_IF_ERROR(FreeOnShard(frag.shard, frag.local));
+    FV_RETURN_IF_ERROR(pool_->shard(frag.shard).Free(client_id_,
+                                                     frag.local.vaddr));
   }
   tables_.erase(table->vaddr);
   table->vaddr = 0;
@@ -420,7 +312,9 @@ void ShardedClient::TableWriteAsync(
   if (frags.size() == 1) {
     const Fragment& frag = frags[0];
     ShardStats(frag.shard).RecordFragmentWrite();
-    MirrorWrite(frag.shard, frag.local, rows, std::move(done));
+    pool_->shard(frag.shard).Write(client_id_, StateOf(frag.shard).qp_ids,
+                                   alive_, frag.local.vaddr, rows.data(),
+                                   rows.size_bytes(), std::move(done));
     return;
   }
 
@@ -445,17 +339,17 @@ void ShardedClient::TableWriteAsync(
   for (size_t i = 0; i < frags.size(); ++i) {
     const Fragment& frag = frags[i];
     ShardStats(frag.shard).RecordFragmentWrite();
-    MirrorWrite(frag.shard, frag.local, sc->slices[i],
-                [sc](Result<SimTime> r) {
-                  if (!sc->fan.Arrive(r.status(), r.ok() ? r.value() : 0)) {
-                    return;
-                  }
-                  if (sc->fan.error.ok()) {
-                    sc->done(sc->fan.last_ack);
-                  } else {
-                    sc->done(sc->fan.error);
-                  }
-                });
+    const Table& slice = sc->slices[i];
+    pool_->shard(frag.shard).Write(
+        client_id_, StateOf(frag.shard).qp_ids, alive_, frag.local.vaddr,
+        slice.data(), slice.size_bytes(), [sc](Result<SimTime> r) {
+          if (!sc->fan.Arrive(r.status(), r.ok() ? r.value() : 0)) return;
+          if (sc->fan.error.ok()) {
+            sc->done(sc->fan.last_ack);
+          } else {
+            sc->done(sc->fan.error);
+          }
+        });
   }
 }
 
@@ -464,124 +358,6 @@ Result<SimTime> ShardedClient::TableWrite(const FTable& table,
   return AwaitSync<Result<SimTime>>(pool_->engine(), [&](auto done) {
     TableWriteAsync(table, rows, std::move(done));
   });
-}
-
-void ShardedClient::MirrorWrite(int shard, const FTable& local,
-                                const Table& rows,
-                                std::function<void(Result<SimTime>)> done) {
-  FarviewCluster& cluster = pool_->shard(shard);
-  // Per-write control blocks recycle through the byte-block pool's size
-  // classes (DESIGN.md §8a) so a write-heavy steady state stays off the
-  // global allocator.
-  auto mw =
-      std::allocate_shared<MirroredWrite>(PooledAllocator<MirroredWrite>());
-  mw->shard = shard;
-  mw->cluster = &cluster;
-  mw->vaddr = local.vaddr;
-  mw->rows = &rows;
-  mw->alive = alive_;
-  mw->done = std::move(done);
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kWrite;
-  entry.client_id = client_id_;
-  entry.vaddr = local.vaddr;
-  entry.bytes = rows.size_bytes();
-  mw->epoch = cluster.AppendEntry(entry);
-  for (int r = 0; r < cluster.num_replicas(); ++r) {
-    if (cluster.CanApply(r)) {
-      mw->targets.push_back(r);
-    } else {
-      cluster.MarkMissed(r, mw->epoch);
-    }
-  }
-  if (mw->targets.empty()) {
-    // Nothing applied the write: abort the epoch so recovery skips it
-    // (otherwise a lone restarted replica would wait forever for a resync
-    // source holding bytes that never existed).
-    cluster.AbortEntry(mw->epoch);
-    mw->Settle(
-        Status::Unavailable("no in-rotation replica for mirrored write"));
-    return;
-  }
-  TryPrimaryWrite(std::move(mw));
-}
-
-void ShardedClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
-  FarviewCluster& cluster = *mw->cluster;
-  if (mw->primary_pos >= mw->targets.size() || !*mw->alive) {
-    // Every candidate primary failed (`fan.error` holds the first
-    // failure), or the connection closed before the next could be tried:
-    // no replica holds the bytes, so the epoch must not be resynced.
-    cluster.AbortEntry(mw->epoch);
-    mw->Settle(mw->fan.error);
-    return;
-  }
-  const int primary = mw->targets[mw->primary_pos];
-  cluster.node(primary).TableWrite(
-      StateOf(mw->shard).Qp(primary).qp_id, mw->vaddr, mw->rows->data(),
-      mw->rows->size_bytes(), [this, mw, primary](Result<SimTime> res) {
-        FarviewCluster& c = *mw->cluster;
-        if (!res.ok()) {
-          if (!IsHealthFailure(res.status())) {
-            // Not a health signal (e.g. an MMU error on a stale vaddr):
-            // the same request would fail on every replica, so fencing
-            // the primary — and then each candidate in turn — would empty
-            // the rotation over one bad write. No bytes landed anywhere;
-            // abort the epoch and report the error to the caller.
-            c.AbortEntry(mw->epoch);
-            mw->Settle(res.status());
-            return;
-          }
-          // The primary died under the write: record the failover and try
-          // the next candidate as primary.
-          c.MarkMissed(primary, mw->epoch);
-          c.node(primary).stats().RecordFailover();
-          mw->fan.Fail(res.status());
-          ++mw->primary_pos;
-          TryPrimaryWrite(mw);
-          return;
-        }
-        c.MarkApplied(primary, mw->epoch);
-        mw->fan.last_ack = res.value();
-        if (!*mw->alive) {
-          // No mirror hop can be posted on a closed connection: the other
-          // targets miss the epoch and resync it from the primary.
-          for (size_t i = mw->primary_pos + 1; i < mw->targets.size(); ++i) {
-            c.MarkMissed(mw->targets[i], mw->epoch);
-          }
-          mw->Settle(mw->fan.last_ack);
-          return;
-        }
-        // Primary acked: forward to the remaining live replicas in
-        // parallel (the primary->secondary mirror hop).
-        mw->fan.pending = mw->targets.size() - mw->primary_pos - 1;
-        if (mw->fan.pending == 0) {
-          mw->Settle(mw->fan.last_ack);
-          return;
-        }
-        const Shard& sh = StateOf(mw->shard);
-        for (size_t i = mw->primary_pos + 1; i < mw->targets.size(); ++i) {
-          const int secondary = mw->targets[i];
-          c.node(secondary).TableWrite(
-              sh.Qp(secondary).qp_id, mw->vaddr, mw->rows->data(),
-              mw->rows->size_bytes(), [mw, secondary](Result<SimTime> mirror) {
-                // A missed mirror converges via resync; the write still
-                // committed on the primary. No error classification here —
-                // whatever the cause, the primary holds bytes the secondary
-                // lacks, and resync from the primary is the repair either
-                // way. The fan-in's error is therefore never reported.
-                if (mirror.ok()) {
-                  mw->cluster->MarkApplied(secondary, mw->epoch);
-                } else {
-                  mw->cluster->MarkMissed(secondary, mw->epoch);
-                }
-                if (mw->fan.Arrive(mirror.status(),
-                                   mirror.ok() ? mirror.value() : 0)) {
-                  mw->Settle(mw->fan.last_ack);
-                }
-              });
-        }
-      });
 }
 
 // --- Reads and offloads: routed per shard, gathered over shards -------------
@@ -671,7 +447,7 @@ void ShardedClient::StartAttempt(std::shared_ptr<RoutedCall> call) {
     }
     FinishHop(call, std::move(res));
   };
-  const int qp_id = StateOf(call->shard).Qp(r).qp_id;
+  const int qp_id = StateOf(call->shard).QpId(r);
   if (call->verb == Verb::kRead) {
     node.TableRead(qp_id, call->request.vaddr, call->request.len,
                    std::move(on_result));
@@ -696,7 +472,8 @@ void ShardedClient::AttemptFailed(std::shared_ptr<RoutedCall> call,
   const int r = call->replica;
   FarviewNode& node = pool_->shard(call->shard).node(r);
   const RetryPolicy& rp = node.config().retry;
-  const QPair& qp = StateOf(call->shard).Qp(r);
+  // The call is live, so the connection and its queue pairs are open.
+  const QPair& qp = *node.FindQPair(StateOf(call->shard).QpId(r));
   // Graceful degradation: when the region itself is faulted, retrying into
   // it cannot succeed until it heals — serve base-table bytes raw instead
   // (the RNIC path needs no region).
@@ -879,7 +656,7 @@ void ShardedClient::LoadPipelineAsync(const FTable& table,
     const uint64_t version = ++sh.version;
     bool any = false;
     for (int r = 0; r < cluster.num_replicas(); ++r) {
-      if (!cluster.CanApply(r)) continue;
+      if (!cluster.InSync(r)) continue;
       any = true;
       ++ld->fan.pending;
       Result<Pipeline> pipeline = factory();
@@ -888,7 +665,7 @@ void ShardedClient::LoadPipelineAsync(const FTable& table,
         continue;
       }
       cluster.node(r).LoadPipeline(
-          sh.Qp(r).qp_id, std::move(pipeline).value(),
+          sh.QpId(r), std::move(pipeline).value(),
           [alive = alive_, this, ld, s, r, version](Status loaded) {
             if (*alive && loaded.ok()) {
               StateOf(s).loaded_version[static_cast<size_t>(r)] = version;
@@ -967,7 +744,7 @@ void ShardedClient::OnRejoin(int shard, int replica,
   }
   const uint64_t version = sh.version;
   pool_->shard(shard).node(replica).LoadPipeline(
-      sh.Qp(replica).qp_id, std::move(pipeline).value(),
+      sh.QpId(replica), std::move(pipeline).value(),
       [alive = alive_, this, shard, replica, version, done](Status loaded) {
         if (!*alive) {
           done();

@@ -87,12 +87,6 @@ class ShardedPool {
   std::vector<std::unique_ptr<FarviewCluster>> shards_;
 };
 
-/// Builds a fresh `Pipeline` on demand. `Pipeline` is move-only, so a
-/// replicated load keeps the recipe instead of the object: every replica —
-/// including one rejoining after a crash — gets its own instance from the
-/// same factory. Must be deterministic (same pipeline every call).
-using PipelineFactory = std::function<Result<Pipeline>()>;
-
 /// The client of a replicated and/or sharded pool: the paper's programmatic
 /// interface (Section 4.2) over S shards × R replicas (DESIGN.md §12–§13).
 /// An unsharded replicated pool is `num_shards = 1`; one shard of one
@@ -112,10 +106,9 @@ using PipelineFactory = std::function<Result<Pipeline>()>;
 ///    `DeadlineExceeded`) records on the breaker and fails over, any other
 ///    error is the request's own and is reported as is; when no replica is
 ///    left the call settles at once (fast-fail);
-///  - writes are mirrored (primary first, then the other in-rotation
-///    replicas) and alloc/free are applied on every in-rotation replica,
-///    each logged in the shard's replication log so crashed replicas
-///    converge on rejoin;
+///  - writes, allocs and frees go to the shard's cluster (`Write`,
+///    `Alloc`, `Free`), which runs each as one logged epoch through these
+///    queue pairs; the client never sees the replication log;
 ///  - a loaded pipeline is versioned per replica and reloaded on rejoin; a
 ///    replica behind the current version serves reads only.
 ///
@@ -138,8 +131,8 @@ using PipelineFactory = std::function<Result<Pipeline>()>;
 /// caller to keep referenced row data alive, and the table allocated, until
 /// the completion fires (mirror hops read both after the primary's ack).
 /// `CloseConnection` with calls in flight settles each of them once with
-/// `FailedPrecondition` at its next event; a write in flight still records
-/// its epoch as applied, missed or aborted, so the replicas converge.
+/// `FailedPrecondition` at its next event; a write in flight still settles
+/// its epoch in the shard's log, so the replicas converge.
 class ShardedClient {
  public:
   ShardedClient(ShardedPool* pool, int client_id);
@@ -259,7 +252,7 @@ class ShardedClient {
   /// Routing state of one shard (DESIGN.md §12).
   struct Shard {
     /// This client's queue pair on each replica.
-    std::vector<QPair*> qps;
+    std::vector<int> qp_ids;
     std::vector<std::unique_ptr<CircuitBreaker>> breakers;
     /// Deterministic round-robin cursor over replicas.
     int rr_cursor = 0;
@@ -271,14 +264,12 @@ class ShardedClient {
     std::vector<uint64_t> loaded_version;
     int rejoin_hook = 0;  ///< 0 = none registered (hook ids start at 1)
 
-    const QPair& Qp(int r) const { return *qps[static_cast<size_t>(r)]; }
+    int QpId(int r) const { return qp_ids[static_cast<size_t>(r)]; }
   };
 
   /// One routed read / operator call: its attempt loop on the current
   /// replica, re-issued across a shard's replicas on failover.
   struct RoutedCall;
-  /// One mirrored write across a shard's primary and mirror hops.
-  struct MirroredWrite;
   /// Fan-in of one gathered read or offload.
   struct Gather;
 
@@ -288,22 +279,6 @@ class ShardedClient {
   /// Shard-map lookup with the remap guard (vaddr, name and row count must
   /// all match the registered table).
   Result<const ShardedTable*> Lookup(const FTable& table) const;
-
-  /// Appends `entry` to `shard`'s replication log and applies it through
-  /// `apply` on every in-rotation replica; the others miss it. Aborts the
-  /// epoch on the first error, or when no replica applied it (`what` names
-  /// the operation in that error).
-  Status ApplyLogged(
-      int shard, FarviewCluster::LogEntry entry, const char* what,
-      const std::function<Status(int replica, uint64_t epoch)>& apply);
-  Status AllocOnShard(int shard, FTable* local);
-  Status FreeOnShard(int shard, const FTable& local);
-
-  /// Mirrored write of `rows` into `local` on one shard.
-  void MirrorWrite(int shard, const FTable& local, const Table& rows,
-                   std::function<void(Result<SimTime>)> done);
-  /// Issues the primary write of `mw`, advancing past dead primaries.
-  void TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw);
 
   /// Routes one read / operator call on `shard`.
   void Route(int shard, Verb verb, const FvRequest& request,

@@ -75,9 +75,6 @@ class Mmu {
   /// to hold them all).
   uint64_t tlb_entries() const { return page_table_.size(); }
 
-  /// Number of live allocations.
-  uint64_t num_allocations() const { return allocations_.size(); }
-
   /// Total bytes currently allocated (page granular).
   uint64_t allocated_bytes() const { return allocated_bytes_; }
 

@@ -1,6 +1,7 @@
 #ifndef FARVIEW_OPERATORS_PIPELINE_H_
 #define FARVIEW_OPERATORS_PIPELINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,6 +110,14 @@ class PipelineBuilder {
   Pipeline pipeline_;
   Status first_error_;
 };
+
+/// Builds a fresh `Pipeline` on demand. `Pipeline` is move-only, so a load
+/// that may run again keeps the recipe instead of the object: every pool
+/// replica — including one rejoining after a crash — and every region the
+/// `RegionScheduler` reconfigures for a job gets its own instance from the
+/// same factory. Must be deterministic (same pipeline every call).
+// fvcheck:allow=hot-path-alloc setup (a load's recipe, never per event)
+using PipelineFactory = std::function<Result<Pipeline>()>;
 
 }  // namespace farview
 

@@ -20,6 +20,27 @@
 #include "table/generator.h"
 
 namespace farview {
+
+/// Drives a cluster's replication log directly, below the pool client.
+class FarviewClusterTestPeer {
+ public:
+  /// Appends a 4 KiB write entry that replica `r` missed (fencing it when
+  /// it is in sync); returns the entry's epoch.
+  static uint64_t MissWrite(FarviewCluster& cluster, int r) {
+    FarviewCluster::LogEntry entry;
+    entry.kind = FarviewCluster::LogEntry::Kind::kWrite;
+    entry.client_id = 1;
+    entry.vaddr = 0x1000;
+    entry.bytes = 4 * kKiB;
+    const uint64_t epoch = cluster.AppendEntry(entry);
+    cluster.MarkMissed(r, epoch);
+    return epoch;
+  }
+  static void Abort(FarviewCluster& cluster, uint64_t epoch) {
+    cluster.AbortEntry(epoch);
+  }
+};
+
 namespace {
 
 /// Seed under test: FV_FAULT_SEED when set (the CI seed sweep), else 1.
@@ -86,7 +107,6 @@ TEST(ClusterTest, MirroredWriteReachesEveryReplica) {
   const ByteBuffer expect(rows.data(), rows.data() + rows.size_bytes());
   for (int r = 0; r < 3; ++r) {
     EXPECT_TRUE(cluster.InSync(r));
-    EXPECT_EQ(cluster.applied_epoch(r), cluster.epoch());
     EXPECT_EQ(ReplicaBytes(cluster, r, 1, ft), expect) << "replica " << r;
   }
 }
@@ -414,7 +434,6 @@ TEST(ClusterTest, ControlEntriesReplayOnRejoin) {
   ASSERT_TRUE(late_ops.has_value());
   EXPECT_TRUE(late_ops->ok());
   EXPECT_TRUE(cluster.InSync(0));
-  EXPECT_EQ(cluster.applied_epoch(0), cluster.epoch());
   // The replayed allocator state matches: the fresh table's bytes are
   // readable at the agreed address on the recovered replica.
   const ByteBuffer expect(rows.data(), rows.data() + rows.size_bytes());
@@ -567,7 +586,6 @@ TEST(ClusterTest, FailedControlOpDuringOutageDoesNotPoisonRecovery) {
 
   // Rejoin must skip both failed epochs instead of FV_CHECK-aborting.
   EXPECT_TRUE(cluster.InSync(0)) << "recovery never completed";
-  EXPECT_EQ(cluster.applied_epoch(0), cluster.epoch());
   Result<FvResult> read = client.TableRead(ft);
   ASSERT_TRUE(read.ok());
   const ByteBuffer expect(rows.data(), rows.data() + rows.size_bytes());
@@ -695,9 +713,62 @@ TEST(ClusterTest, WriteLosingEveryReplicaAbortsItsEpoch) {
       << wrote->status().ToString();
   for (int r = 0; r < 2; ++r) {
     EXPECT_TRUE(cluster.InSync(r)) << "replica " << r << " never rejoined";
-    EXPECT_EQ(cluster.applied_epoch(r), cluster.epoch());
-    EXPECT_EQ(cluster.node(r).stats().reliability().resync_bytes, 0u)
-        << "replica " << r << " resynced an aborted write";
+  }
+  // The primary took the bytes when the write was posted, and rejoined
+  // first with no source to copy from; replica 1 then copied the aborted
+  // write's range from it, so the two agree.
+  EXPECT_EQ(cluster.node(0).stats().reliability().resync_bytes, 0u);
+  EXPECT_EQ(cluster.node(1).stats().reliability().resync_bytes,
+            v2.size_bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 0, 1, ft), v2.bytes());
+  EXPECT_EQ(ReplicaBytes(cluster, 1, 1, ft), v2.bytes());
+}
+
+TEST(ClusterTest, WriteAbortedOnEveryReplicaLeavesRoutedReadsAgreeing) {
+  // The primary takes the write's bytes and dies before its ack; the
+  // failover hop finds the secondary down, so the write is aborted and
+  // only the primary holds the new bytes. Whichever replica restarts first
+  // rejoins alone with what it holds, and the other copies the aborted
+  // write's range from it: every routed read then returns the same bytes.
+  for (const int first : {0, 1}) {
+    SCOPED_TRACE("replica " + std::to_string(first) + " restarts first");
+    sim::Engine engine;
+    ShardedPool pool(&engine, TestConfig(2));
+    FarviewCluster& cluster = pool.shard(0);
+    ShardedClient client(&pool, 1);
+    ASSERT_TRUE(client.OpenConnection().ok());
+    const Table v1 = MakeRows(128 * kKiB, 7);
+    const Table v2 = MakeRows(128 * kKiB, 8);
+    FTable ft = AllocOnly(client, v1);
+    ASSERT_TRUE(client.TableWrite(ft, v1).ok());
+
+    const SimTime arrived =
+        engine.Now() + cluster.node(0).config().net.fv_request_latency;
+    std::optional<Result<SimTime>> wrote;
+    client.TableWriteAsync(ft, v2,
+                           [&](Result<SimTime> w) { wrote.emplace(w); });
+    engine.ScheduleAt(arrived + 1 * kNanosecond, [&]() {
+      cluster.node(0).CrashNow();
+      cluster.node(1).CrashNow();
+    });
+    engine.ScheduleAt(arrived + 1 * kMillisecond,
+                      [&]() { cluster.node(first).RestartNow(); });
+    engine.ScheduleAt(arrived + 2 * kMillisecond,
+                      [&]() { cluster.node(1 - first).RestartNow(); });
+    engine.Run();
+
+    ASSERT_TRUE(wrote.has_value());
+    EXPECT_TRUE(wrote->status().IsUnavailable()) << wrote->status().ToString();
+    const ByteBuffer& expect = first == 0 ? v2.bytes() : v1.bytes();
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_TRUE(cluster.InSync(r)) << "replica " << r;
+      EXPECT_EQ(ReplicaBytes(cluster, r, 1, ft), expect) << "replica " << r;
+    }
+    for (int i = 0; i < 4; ++i) {
+      Result<FvResult> read = client.TableRead(ft);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      EXPECT_EQ(read.value().data, expect) << "read " << i;
+    }
   }
 }
 
@@ -929,7 +1000,6 @@ TEST(ClusterTest, RejoinReloadsAMissedPipelineAndServesOffloadsAgain) {
   ASSERT_TRUE(reload_write.has_value());
   EXPECT_TRUE(reload_write->ok());
   EXPECT_TRUE(cluster.InSync(0)) << "replica 0 never rejoined";
-  EXPECT_EQ(cluster.applied_epoch(0), cluster.epoch());
   const ByteBuffer expect(v2.data(), v2.data() + v2.size_bytes());
   EXPECT_EQ(ReplicaBytes(cluster, 0, 1, ft), expect);
   EXPECT_EQ(ReplicaBytes(cluster, 1, 1, ft), expect);
@@ -950,23 +1020,16 @@ TEST(ClusterTest, RejoinReloadsAMissedPipelineAndServesOffloadsAgain) {
 }
 
 TEST(ClusterTest, AbortedEpochUnparksLoneFencedReplica) {
-  // A mirror hop failing on an in-sync replica fences it immediately
-  // (MarkMissed), and with no other in-sync replica the rejoin pass parks
-  // it waiting for a resync source. If that write epoch is then aborted
-  // (it landed nowhere), there is nothing to resync — the abort must purge
-  // the epoch and restart the parked recovery, or the lone replica stays
-  // fenced forever and the pool is dead.
+  // A write hop failing on an in-sync replica fences it immediately, and
+  // with no other in-sync replica the rejoin pass parks it waiting for a
+  // resync source. If that write epoch is then aborted, an aborted write
+  // never needs a source — the abort must restart the parked recovery, or
+  // the lone replica stays fenced forever and the pool is dead.
   sim::Engine engine;
   FarviewCluster cluster(&engine, TestConfig(1).cluster);
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kWrite;
-  entry.client_id = 1;
-  entry.vaddr = 0x1000;
-  entry.bytes = 4 * kKiB;
-  const uint64_t epoch = cluster.AppendEntry(entry);
-  cluster.MarkMissed(0, epoch);
+  const uint64_t epoch = FarviewClusterTestPeer::MissWrite(cluster, 0);
   ASSERT_FALSE(cluster.InSync(0)) << "missed epoch must fence the replica";
-  cluster.AbortEntry(epoch);
+  FarviewClusterTestPeer::Abort(cluster, epoch);
   EXPECT_TRUE(cluster.InSync(0))
       << "aborted epoch left the lone replica parked";
 }
@@ -975,11 +1038,10 @@ TEST(ClusterTest, RepeatCrashWithAbortedEpochConvergesAndRejoins) {
   // Repeat-crash regression for the abort/generation bookkeeping: replica
   // 0 crashes, misses a write, restarts, crashes *again* mid-resync (the
   // generation guard must void the first stream and re-queue its epochs),
-  // and while both replicas are down a write is aborted — the abort must
-  // purge that epoch from both replicas' missed lists so neither recovery
-  // ever waits on (or replays) an epoch whose bytes never existed. Replica
-  // 1 in particular rejoins instantly: its only missed epoch is the
-  // aborted one.
+  // and while both replicas are down a write is aborted — neither recovery
+  // may wait on a source for that epoch. Replica 1 in particular rejoins
+  // instantly: its only missed epoch is the aborted one, and no replica is
+  // in sync to copy it from.
   sim::Engine engine;
   ShardedPool pool(&engine, TestConfig(2));
   FarviewCluster& cluster = pool.shard(0);
@@ -1133,7 +1195,6 @@ TEST(ClusterTest, CloseWithAMirroredWriteInFlightStillConverges) {
       << wrote->status().ToString();
   for (int r = 0; r < 2; ++r) {
     EXPECT_TRUE(cluster.InSync(r)) << "replica " << r;
-    EXPECT_EQ(cluster.applied_epoch(r), cluster.epoch()) << "replica " << r;
   }
   const ByteBuffer expect(v2.data(), v2.data() + v2.size_bytes());
   EXPECT_EQ(ReplicaBytes(cluster, 0, 1, ft), expect);
