@@ -46,9 +46,9 @@ T AwaitSync(sim::Engine* engine, Post&& post) {
 ///   tableWrite / farviewRequest / fvSelect ...
 ///
 /// Every verb is one attempt on one queue pair. Timeouts, retries, raw-read
-/// degradation and failover (DESIGN.md §7, §12) belong to the pool client,
-/// `ShardedClient`; a bare node that wants them is a one-shard,
-/// one-replica `ShardedPool`.
+/// degradation and failover (DESIGN.md §7, §12) belong to the pool: each
+/// shard's `FarviewCluster` runs them for its clients. A bare node that
+/// wants them is a one-shard, one-replica `ShardedPool`.
 ///
 /// Methods come in two flavors:
 ///  - asynchronous (`...Async`), for experiments with concurrent clients;

@@ -1,24 +1,65 @@
 #ifndef FARVIEW_FV_CLUSTER_H_
 #define FARVIEW_FV_CLUSTER_H_
 
+#include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "fv/farview_node.h"
 #include "fv/replication.h"
+#include "operators/pipeline.h"
 #include "sim/engine.h"
 
 namespace farview {
 
+/// Fan-in of parallel hops — a scatter's or a gather's fragments, a
+/// pipeline load's replicas, a mirrored write's mirrors: counts the
+/// outstanding hops down, keeps the first error and the latest ack.
+struct FanIn {
+  size_t pending = 0;
+  Status error;
+  SimTime last_ack = 0;
+
+  /// Folds one hop's outcome; true when it was the last outstanding hop.
+  bool Arrive(const Status& hop, SimTime ack = 0) {
+    if (!hop.ok()) {
+      if (error.ok()) error = hop;
+    } else {
+      last_ack = std::max(last_ack, ack);
+    }
+    return --pending == 0;
+  }
+};
+
+/// One pipeline load over the replicas of a table's shards: settles
+/// `done` with the first error once every hop arrived. It starts with one
+/// count that guards the issuing loop, dropped by a final
+/// `Arrive(Status::OK())`, so hops that fail synchronously cannot settle
+/// the load before every hop is out.
+struct PipelineLoad {
+  explicit PipelineLoad(std::function<void(Status)> on_done)
+      : done(std::move(on_done)) {
+    fan.pending = 1;
+  }
+
+  /// Folds one hop's outcome and settles `done` after the last.
+  void Arrive(const Status& hop) {
+    if (fan.Arrive(hop)) done(fan.error);
+  }
+
+  FanIn fan;
+  std::function<void(Status)> done;
+};
+
 /// Configuration of a replicated Farview pool (DESIGN.md §12).
 struct ClusterConfig {
   /// Template for every replica node (memory, network, regions) and the
-  /// retry policy the pool client runs against each replica. The fault
-  /// schedule inside `node.faults` / `node.net.faults` is applied to
-  /// `faulted_replica` only — the surviving replicas run fault-free, which
-  /// is what makes failover observable.
+  /// retry policy the cluster's routed calls run against each replica.
+  /// The fault schedule inside `node.faults` / `node.net.faults` is
+  /// applied to `faulted_replica` only — the surviving replicas run
+  /// fault-free, which is what makes failover observable.
   FarviewConfig node;
 
   /// Pool size. 1 disables replication entirely: no mirroring hop, no
@@ -36,30 +77,33 @@ struct ClusterConfig {
   /// Crash-recovery resync stream parameters.
   ReplicationConfig replication;
 
-  /// Per-replica circuit-breaker policy used by every pool client.
+  /// Circuit-breaker policy of every connection's per-replica breakers.
   CircuitBreakerPolicy breaker;
 };
 
 /// A replicated Farview pool: N identically configured `FarviewNode`s on
-/// one simulation engine, plus the replication protocol that keeps them
-/// convergent across crashes (DESIGN.md §12). The cluster is that
-/// protocol's one owner: the pool client (`ShardedClient`) calls `Alloc`,
-/// `Free` and `Write` and routes reads, and never sees the log.
+/// one simulation engine, the replication protocol that keeps them
+/// convergent across crashes, and every client connection to them
+/// (DESIGN.md §12). The cluster is the only code that talks to its
+/// replicas: a client (`ShardedClient`) opens one `Connection`, then calls
+/// `Route`, `LoadPipeline`, `Write`, `Alloc` and `Free` through it, and
+/// never sees a queue pair, a breaker or the log.
 ///
 /// Every state-changing operation (alloc/free/write) appends one
 /// epoch-numbered entry to the log before it is applied. Replicas that are
 /// in rotation apply the entry immediately; replicas that are down or
 /// resyncing miss it and the miss is recorded. Epoch fencing follows: a
-/// replica is routed reads only while `InSync` — a restarted node can never
+/// replica is routed calls only while `InSync` — a restarted node can never
 /// serve pre-crash bytes. An operation that fails with a request error, or
 /// that no replica takes, aborts its epoch: the numbering stays monotone,
 /// but rejoin replay skips an aborted control entry.
 ///
-/// Crash recovery runs when a crashed replica restarts: missed control
-/// entries (alloc/free) are replayed in log order, missed write
-/// ranges are copied from a surviving in-sync replica by a rate-limited
-/// `ResyncScheduler` stream, and registered rejoin hooks (pipeline reloads)
-/// run; passes repeat until no new entry was missed, then the replica
+/// A crash opens every connection's breaker on the replica. Crash recovery
+/// runs when a crashed replica restarts: missed control entries
+/// (alloc/free) are replayed in log order, missed write ranges are copied
+/// from a surviving in-sync replica by a rate-limited `ResyncScheduler`
+/// stream, and every connection whose pipeline the replica missed reloads
+/// it; passes repeat until no new entry was missed, then the replica
 /// rejoins rotation. With `num_replicas == 1` none of this machinery ever
 /// schedules an event.
 class FarviewCluster {
@@ -71,18 +115,19 @@ class FarviewCluster {
     kResyncing,  ///< restarted but fenced until recovery completes
   };
 
-  /// Called when `replica` finished data resync; the hook performs its own
-  /// recovery work (pipeline reload) and then must invoke the completion
-  /// callback exactly once.
-  using RejoinHook = std::function<void(int replica, std::function<void()>)>;
+  /// One client's connection to every replica: its queue pair and
+  /// `CircuitBreaker` on each, the round-robin cursor, and the pipeline
+  /// recipe with the version each replica has loaded. Opaque outside the
+  /// cluster; the client holds it from `Connect` to `Disconnect`, and the
+  /// calls in flight on it hold it past that.
+  struct Connection;
+  using ConnectionPtr = std::shared_ptr<Connection>;
 
   FarviewCluster(sim::Engine* engine, const ClusterConfig& config);
 
   FarviewCluster(const FarviewCluster&) = delete;
   FarviewCluster& operator=(const FarviewCluster&) = delete;
 
-  sim::Engine* engine() { return engine_; }
-  const ClusterConfig& config() const { return config_; }
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   FarviewNode& node(int r) { return *replicas_[static_cast<size_t>(r)].node; }
 
@@ -101,33 +146,65 @@ class FarviewCluster {
     return replicas_[static_cast<size_t>(r)].in_sync_at;
   }
 
+  // --- Connections ----------------------------------------------------------
+
+  /// Opens `client_id`'s connection: a breaker and a queue pair on each
+  /// replica, in replica order. Fails, leaving nothing open, when a replica
+  /// refuses the queue pair (e.g. it is down).
+  Result<ConnectionPtr> Connect(int client_id);
+
+  /// Disconnects `conn`'s queue pairs. Each call still in flight on it
+  /// settles once with `FailedPrecondition` at its next event and posts no
+  /// further hop; a write in flight still settles its epoch, so the
+  /// replicas converge.
+  void Disconnect(Connection& conn);
+
+  /// `conn`'s circuit breaker on replica `r`, for tests and introspection.
+  CircuitBreaker& breaker(Connection& conn, int r);
+
+  // --- Routed calls (DESIGN.md §7, §12) ------------------------------------
+
+  /// Routes one read (`Verb::kRead`) or operator call over `request`'s
+  /// range. Each replica the call tries is a hop: the next in-sync replica
+  /// in round-robin order whose breaker admits it and, for an operator
+  /// call, that holds the current pipeline. Under the node config's
+  /// `RetryPolicy` a hop gets up to `max_attempts` attempts, each with a
+  /// completion timeout and capped backoff between them, degrades to a raw
+  /// read when the replica's region is faulted, and gives up early once
+  /// the breaker is Open. A hop that ends in a health failure records on
+  /// the breaker and fails over; any other error is the request's own and
+  /// is reported as is. When no replica is left the call settles at once
+  /// (fast-fail). `done` is the call's own completion, never wrapped.
+  void Route(const ConnectionPtr& conn, Verb verb, const FvRequest& request,
+             std::function<void(Result<FvResult>)> done);
+
+  /// Loads the factory's pipeline on every in-sync replica through `conn`,
+  /// one hop of `load` each (`Unavailable` when no replica is in sync), and
+  /// keeps the factory as the connection's current version: a replica that
+  /// missed it reloads it on rejoin, and one whose reload fails serves
+  /// reads only.
+  void LoadPipeline(const ConnectionPtr& conn, PipelineFactory factory,
+                    const std::shared_ptr<PipelineLoad>& load);
+
   // --- Logged operations: each runs one epoch end to end -----------------
 
-  /// Allocates `bytes` for `client_id` on every in-sync replica, which must
-  /// agree on the address returned; the others miss the epoch. Aborts it
-  /// on the first error (a control op's error is the request's, never a
+  /// Allocates `bytes` for `conn`'s client on every in-sync replica, which
+  /// must agree on the address returned; the others miss the epoch. Aborts
+  /// it on the first error (a control op's error is the request's, never a
   /// replica's health), or with `Unavailable` when no replica is in sync.
-  Result<uint64_t> Alloc(int client_id, uint64_t bytes);
+  Result<uint64_t> Alloc(const Connection& conn, uint64_t bytes);
 
-  /// Frees `client_id`'s allocation at `vaddr`, under `Alloc`'s rules.
-  Status Free(int client_id, uint64_t vaddr);
+  /// Frees `conn`'s client's allocation at `vaddr`, under `Alloc`'s rules.
+  Status Free(const Connection& conn, uint64_t vaddr);
 
-  /// Mirrored write of `len` bytes at `vaddr`, posted through the caller's
-  /// queue pair `qp_ids[r]` on replica r (ids, never `QPair*`: `Disconnect`
-  /// frees the queue pairs). The lowest in-sync replica is the primary, the
-  /// next one replaces it after a health failure, and the mirrors follow in
-  /// parallel after its ack; `done` gets the slowest ack. Aborts the epoch
-  /// when no replica is in sync, a primary fails with a request error, or
-  /// every primary failed. Once the caller's `alive` flag is false no hop
-  /// is posted and `done` gets `FailedPrecondition`. `data` must stay valid
-  /// until `done`.
-  void Write(int client_id, const std::vector<int>& qp_ids,
-             std::shared_ptr<bool> alive, uint64_t vaddr, const uint8_t* data,
+  /// Mirrored write of `len` bytes at `vaddr` through `conn`. The lowest
+  /// in-sync replica is the primary, the next one replaces it after a
+  /// health failure, and the mirrors follow in parallel after its ack;
+  /// `done` gets the slowest ack. Aborts the epoch when no replica is in
+  /// sync, a primary fails with a request error, or every primary failed.
+  /// `data` must stay valid until `done`.
+  void Write(const ConnectionPtr& conn, uint64_t vaddr, const uint8_t* data,
              uint64_t len, std::function<void(Result<SimTime>)> done);
-
-  /// Registers a rejoin hook; the returned id unregisters it.
-  int AddRejoinHook(RejoinHook hook);
-  void RemoveRejoinHook(int id);
 
  private:
   /// Tests drive the log directly through it (cluster_test.cc).
@@ -159,9 +236,10 @@ class FarviewCluster {
     /// so a repeated crash can never rejoin holding pre-crash bytes.
     std::vector<uint64_t> resyncing;
     /// Invalidation token for in-flight recovery steps: bumped on every
-    /// crash/restart so stale resync/hook completions are dropped.
+    /// crash/restart so stale resync/reload completions are dropped.
     uint64_t rejoin_gen = 0;
-    int pending_hooks = 0;
+    /// Rejoin pipeline reloads still in flight, plus the issuing guard.
+    int pending_reloads = 0;
     /// Fenced with missed writes but no in-sync resync source; recovery
     /// resumes when some replica rejoins (`StartParkedRejoins`).
     bool parked = false;
@@ -169,8 +247,29 @@ class FarviewCluster {
     SimTime in_sync_at = 0;
   };
 
+  /// One routed call in flight (`Route`).
+  struct RoutedCall;
   /// One mirrored write in flight (`Write`).
   struct MirroredWrite;
+
+  /// Starts the call's next hop on a picked replica, or fast-fails it.
+  void IssueRouted(std::shared_ptr<RoutedCall> call);
+  /// Posts one attempt of the current hop and, under the retry policy,
+  /// then arms its completion timeout.
+  void StartAttempt(std::shared_ptr<RoutedCall> call);
+  /// A health failure or timeout of the live attempt: degrade to a raw
+  /// read, back off and retry, or end the hop.
+  void AttemptFailed(std::shared_ptr<RoutedCall> call, const Status& error);
+  /// Ends the current hop: records its outcome on the replica's breaker,
+  /// then settles the call or fails it over.
+  void FinishHop(std::shared_ptr<RoutedCall> call, Result<FvResult> res);
+  /// Next eligible replica for `conn` (in-sync, breaker admits, not yet
+  /// tried), or -1. Operator calls additionally require the replica's
+  /// loaded pipeline to be current. `probe` reports whether the admission
+  /// consumed a Half-Open probe slot; the hop's outcome must be recorded on
+  /// the breaker with that flag.
+  int PickReplica(Connection& conn, uint64_t tried_mask, Verb verb,
+                  bool* probe);
 
   /// Appends an entry; returns its epoch (1-based, monotone).
   uint64_t AppendEntry(const LogEntry& entry);
@@ -205,9 +304,12 @@ class FarviewCluster {
   /// live write ranges exist but no in-sync source does.
   void RunRejoinPass(int r);
 
-  /// After a pass that drained the missed list: run rejoin hooks, then
-  /// either loop (new entries were missed meanwhile) or rejoin rotation.
-  void RunRejoinHooks(int r);
+  /// After a pass that drained the missed list: reload every open
+  /// connection's pipeline that `r` is behind on, then `ReloadDone`.
+  void ReloadPipelines(int r);
+  /// One reload of `r`'s rejoin (of generation `gen`) settled; after the
+  /// last, loop (new entries were missed meanwhile) or rejoin rotation.
+  void ReloadDone(int r, uint64_t gen);
   void CompleteRejoin(int r);
 
   /// Re-merges epochs whose resync stream was aborted back into `missed`
@@ -224,8 +326,9 @@ class FarviewCluster {
   ClusterConfig config_;
   std::vector<Replica> replicas_;
   std::vector<LogEntry> log_;
-  std::map<int, RejoinHook> rejoin_hooks_;
-  int next_hook_id_ = 1;
+  /// Open connections, in the order they were opened: the order a crash
+  /// opens their breakers and a rejoin reloads their pipelines.
+  std::vector<ConnectionPtr> connections_;
 };
 
 }  // namespace farview

@@ -236,7 +236,6 @@ RequestContextPtr FarviewNode::NewContext(
   ctx->client_id = client_id;
   ctx->verb = verb;
   ctx->request = request;
-  ctx->slo = request.slo;
   ctx->submitted = engine_->Now();
   ctx->done = std::move(done);
   return ctx;

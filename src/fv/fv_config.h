@@ -54,9 +54,9 @@ struct FvFaultConfig {
 
 /// Client-side reliability policy (DESIGN.md §7): completion timeouts with
 /// capped exponential backoff, and graceful degradation to raw reads. Run
-/// by the pool client's routed calls (`ShardedClient`), per replica tried;
-/// a bare node's `FarviewClient` is single-shot and refuses a node that
-/// enables it. Disabled by default, preserving byte-identity.
+/// by a pool shard's routed calls (`FarviewCluster::Route`), per replica
+/// tried; a bare node's `FarviewClient` is single-shot and refuses a node
+/// that enables it. Disabled by default, preserving byte-identity.
 struct RetryPolicy {
   /// Master switch; when false a routed call issues each verb exactly once
   /// per replica and never arms a timeout.

@@ -171,10 +171,11 @@ class NodeStats {
   };
 
   /// Sharded-pool routing counters (DESIGN.md §13). Recorded on the primary
-  /// node of the shard the traffic was routed to, by `ShardedClient` only —
-  /// bare nodes and unsharded clusters never touch them, so the section is
-  /// omitted from fault-free reports and the seed goldens stay
-  /// byte-identical (same gating discipline as `ReliabilityStats`).
+  /// node of the shard the traffic was routed to, by the pool only
+  /// (`ShardedClient` and its shards' routed calls) — bare nodes never
+  /// touch them, so the section is omitted from their reports and the seed
+  /// goldens stay byte-identical (same gating discipline as
+  /// `ReliabilityStats`).
   struct ShardingStats {
     uint64_t fragment_reads = 0;   ///< table-fragment reads served here
     uint64_t fragment_writes = 0;  ///< table-fragment writes applied here

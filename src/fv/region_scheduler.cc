@@ -19,7 +19,9 @@ RegionScheduler::RegionScheduler(FarviewNode* node)
   }
   FV_CHECK(!regions_.empty()) << "no free region for the scheduler";
   node_->AddDownObserver([alive = alive_, this](bool down) {
-    if (*alive && down) FlushOnCrash();
+    if (*alive && down) {
+      FailWaiting("node crashed with the job queued", /*crash=*/true);
+    }
   });
 }
 
@@ -30,14 +32,13 @@ RegionScheduler::~RegionScheduler() {
   }
 }
 
-void RegionScheduler::FlushOnCrash() {
+void RegionScheduler::FailWaiting(const char* why, bool crash) {
   NodeStats& stats = node_->stats();
   for (auto& [id, tenant] : tenants_) {
     for (Job& job : tenant.jobs) {
       stats.RecordFailure(job.ctx->qp_id);
-      stats.RecordCrashFailure();
-      FailSoon(node_->engine(), std::move(job.ctx),
-               Status::Unavailable("node crashed with the job queued"));
+      if (crash) stats.RecordCrashFailure();
+      FailSoon(node_->engine(), std::move(job.ctx), Status::Unavailable(why));
     }
     tenant.jobs.clear();
     tenant.deficit = 0;
@@ -82,8 +83,8 @@ void RegionScheduler::OnArrival(Job job) {
   if (admission_.enabled()) {
     Status verdict =
         tenant.jobs.size() >= static_cast<size_t>(cfg.admission.tenant_queue_cap)
-            ? admission_.ShedTenantQueueFull(tenant_id, job.ctx->slo)
-            : admission_.Admit(tenant_id, job.ctx->slo);
+            ? admission_.ShedTenantQueueFull(tenant_id, job.ctx->request.slo)
+            : admission_.Admit(tenant_id, job.ctx->request.slo);
     if (!verdict.ok()) {
       stats.RecordRejection(job.ctx->qp_id);
       FailSoon(node_->engine(), std::move(job.ctx), std::move(verdict));
@@ -133,7 +134,7 @@ RegionScheduler::Job RegionScheduler::PopOldest() {
 
 size_t RegionScheduler::FirstFreeSlot() const {
   for (size_t s = 0; s < regions_.size(); ++s) {
-    if (!regions_[s].busy) return s;
+    if (regions_[s].Free()) return s;
   }
   return regions_.size();
 }
@@ -141,7 +142,7 @@ size_t RegionScheduler::FirstFreeSlot() const {
 size_t RegionScheduler::PreferredFreeSlot(const std::string& pipeline_key) {
   size_t free_slot = regions_.size();
   for (size_t s = 0; s < regions_.size(); ++s) {
-    if (regions_[s].busy) continue;
+    if (!regions_[s].Free()) continue;
     if (!regions_[s].loaded_key.empty() &&
         regions_[s].loaded_key == pipeline_key) {
       return s;  // resident pipeline: skip the reconfiguration
@@ -157,6 +158,15 @@ void RegionScheduler::Dispatch() {
   } else {
     DispatchFifo();
   }
+  // Jobs still wait, so no region is free. The scheduler is never told
+  // when a fault clears: with every region faulted and none busy, no
+  // completion would ever dispatch them, so they fail now, as
+  // FarviewNode::MaybeDispatch drains a faulted dedicated region's queue.
+  if (total_waiting_ == 0) return;
+  for (const RegionSlot& slot : regions_) {
+    if (slot.busy || !slot.region->faulted()) return;
+  }
+  FailWaiting("region faulted", /*crash=*/false);
 }
 
 void RegionScheduler::DispatchFifo() {
@@ -182,7 +192,7 @@ void RegionScheduler::DispatchFifo() {
     size_t& p = pos[best_id];
     size_t match = regions_.size();
     for (size_t s = 0; s < regions_.size(); ++s) {
-      if (!regions_[s].busy && !regions_[s].loaded_key.empty() &&
+      if (regions_[s].Free() && !regions_[s].loaded_key.empty() &&
           regions_[s].loaded_key == best->jobs[p].pipeline_key) {
         match = s;
         break;
@@ -199,7 +209,7 @@ void RegionScheduler::DispatchFifo() {
   // FIFO pass: the oldest job takes any free region (paying a reconfig).
   while (total_waiting_ > 0) {
     const size_t free_slot = FirstFreeSlot();
-    if (free_slot == regions_.size()) break;  // all busy
+    if (free_slot == regions_.size()) break;  // none free
     RunOn(free_slot, PopOldest());
   }
 }
@@ -212,7 +222,7 @@ void RegionScheduler::DispatchFair() {
   // rotation visit, then yields the head of the rotation; every active
   // tenant is visited once per cycle, so none can starve (DESIGN.md §15).
   while (total_waiting_ > 0) {
-    if (FirstFreeSlot() == regions_.size()) return;  // all busy
+    if (FirstFreeSlot() == regions_.size()) return;  // none free
     FV_CHECK(!rotation_.empty());
     const int tenant_id = rotation_.front();
     TenantQueue& tenant = tenants_[tenant_id];
@@ -224,7 +234,7 @@ void RegionScheduler::DispatchFair() {
     }
     if (tenant.deficit < 1) {
       // New visit: the head job's SLO class sets this rotation's quantum.
-      tenant.deficit += adm.WeightFor(tenant.jobs.front().ctx->slo);
+      tenant.deficit += adm.WeightFor(tenant.jobs.front().ctx->request.slo);
     }
     const size_t slot = PreferredFreeSlot(tenant.jobs.front().pipeline_key);
     if (slot == regions_.size()) return;

@@ -115,6 +115,10 @@ class RegionScheduler {
     DynamicRegion* region;
     std::string loaded_key;  ///< empty: nothing loaded yet
     bool busy = false;
+
+    /// Whether the slot may take a job: idle, and its region not faulted
+    /// (a faulted region would fail the job at once and take the next).
+    bool Free() const { return !busy && !region->faulted(); }
   };
 
   /// Admission + enqueue at node arrival (after the ingress hop).
@@ -134,11 +138,11 @@ class RegionScheduler {
   /// Removes and returns the waiting job with the smallest seq.
   Job PopOldest();
 
-  /// Index of the first free region, or `regions_.size()` when all busy.
+  /// Index of the first free slot, or `regions_.size()` when none is.
   size_t FirstFreeSlot() const;
 
-  /// Free region preferring `pipeline_key` residency (affinity hit), else
-  /// the first free one; `regions_.size()` when all busy.
+  /// Free slot preferring `pipeline_key` residency (affinity hit), else
+  /// the first free one; `regions_.size()` when none is.
   size_t PreferredFreeSlot(const std::string& pipeline_key);
 
   /// Removes the job at `pos` of `tenant`'s queue and maintains counters.
@@ -152,8 +156,9 @@ class RegionScheduler {
   void FinishJob(size_t slot_index, const RequestContextPtr& ctx,
                  Result<FvResult> res);
 
-  /// Crash observer: fails every waiting job with `Unavailable`.
-  void FlushOnCrash();
+  /// Fails every waiting job with `Unavailable(why)`, counting each as a
+  /// crash failure when `crash` (the crash observer's flush).
+  void FailWaiting(const char* why, bool crash);
 
   FarviewNode* node_;
   /// Per-tenant token buckets and the queue-delay shed signal; inert while

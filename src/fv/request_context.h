@@ -47,12 +47,9 @@ struct RequestContext {
   Verb verb = Verb::kFarview;
 
   /// Verb parameters (meaningful for FARVIEW; READ/WRITE use vaddr/len).
+  /// `request.slo` is the class the admission controller and fair
+  /// scheduler read (DESIGN.md §15).
   FvRequest request;
-
-  /// SLO class, mirrored from `request.slo` at submission so READ/WRITE
-  /// verbs (which fill only vaddr/len) still carry a class the admission
-  /// controller and fair scheduler can read (DESIGN.md §15).
-  SloClass slo = SloClass::kLatencySensitive;
 
   // --- Lifecycle stamps (simulated time, ps; 0 = stage not reached) -------
   SimTime submitted = 0;          ///< client posted the verb
@@ -74,9 +71,6 @@ struct RequestContext {
 
   /// Time spent waiting in the submission queue for the region.
   SimTime QueueWait() const { return region_start - ingress_done; }
-
-  /// End-to-end latency as the client observes it.
-  SimTime TotalLatency() const { return delivered - submitted; }
 
   /// True when every stamp that was set is ordered along the lifecycle
   /// (skipping stages the verb does not visit). Completed requests must

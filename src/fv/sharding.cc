@@ -16,24 +16,6 @@ namespace {
 /// shard 0 keeps the template seed unchanged (the 1-shard identity pin).
 constexpr uint64_t kShardSeedMix = 0x9E3779B97F4A7C15ull;
 
-/// Fan-in of parallel hops (scatter, gather, load): counts the outstanding
-/// hops down, keeps the first error and the latest ack.
-struct FanIn {
-  size_t pending = 0;
-  Status error;
-  SimTime last_ack = 0;
-
-  /// Folds one hop's outcome; true when it was the last outstanding hop.
-  bool Arrive(const Status& hop, SimTime ack = 0) {
-    if (!hop.ok()) {
-      if (error.ok()) error = hop;
-    } else {
-      last_ack = std::max(last_ack, ack);
-    }
-    return --pending == 0;
-  }
-};
-
 }  // namespace
 
 ShardedPool::ShardedPool(sim::Engine* engine, const ShardedConfig& config)
@@ -57,44 +39,6 @@ ShardedPool::ShardedPool(sim::Engine* engine, const ShardedConfig& config)
   }
 }
 
-/// One routed call (DESIGN.md §7, §12). `token` names the live attempt:
-/// completion, timeout, backoff and fallback events carry the token they
-/// were issued under, and one whose token is stale belongs to an attempt
-/// the call already abandoned.
-struct ShardedClient::RoutedCall {
-  int shard = 0;
-  Verb verb = Verb::kRead;
-  FvRequest request;
-  uint64_t tried_mask = 0;
-  int replica = 0;   ///< replica of the current hop
-  int attempts = 0;  ///< attempts issued on the current hop
-  /// True while the current hop occupies a Half-Open probe slot of its
-  /// replica's breaker; the hop's outcome must settle that slot.
-  bool probe_hop = false;
-  uint64_t token = 0;
-  /// Liveness flag of the connection the call was issued on.
-  std::shared_ptr<bool> alive;
-  std::function<void(Result<FvResult>)> done;
-
-  /// Settles the caller; every event of the call still pending goes stale.
-  void Settle(Result<FvResult> res) {
-    ++token;
-    auto cb = std::move(done);
-    cb(std::move(res));
-  }
-
-  /// Whether the event issued under `event_token` may act: its token is
-  /// still live and the connection open. The first live event to find the
-  /// connection closed settles the caller instead, touching no routing
-  /// state (it is gone).
-  bool Live(uint64_t event_token) {
-    if (event_token != token) return false;
-    if (*alive) return true;
-    Settle(Status::FailedPrecondition("connection closed mid-call"));
-    return false;
-  }
-};
-
 struct ShardedClient::Gather {
   FanIn fan;
   std::vector<std::optional<FvResult>> parts;  ///< fragment order
@@ -111,66 +55,23 @@ ShardedClient::~ShardedClient() { CloseConnection(); }
 
 Status ShardedClient::OpenConnection() {
   if (connected()) return Status::FailedPrecondition("already connected");
-  alive_ = std::make_shared<bool>(true);
-  shards_.resize(static_cast<size_t>(pool_->num_shards()));
   for (int s = 0; s < pool_->num_shards(); ++s) {
-    FarviewCluster& cluster = pool_->shard(s);
-    Shard& sh = StateOf(s);
-    const int n = cluster.num_replicas();
-    sh.loaded_version.assign(static_cast<size_t>(n), 0);
-    for (int r = 0; r < n; ++r) {
-      // Distinct jitter stream per (client, replica) breaker, derived from
-      // the shard's seed so runs reproduce bit-for-bit.
-      const uint64_t seed = cluster.config().seed * 0x9E3779B97F4A7C15ull +
-                            static_cast<uint64_t>(client_id_) * 1000003ull +
-                            static_cast<uint64_t>(r);
-      sh.breakers.push_back(std::make_unique<CircuitBreaker>(
-          cluster.engine(), cluster.config().breaker, seed,
-          &cluster.node(r).stats()));
-      Result<QPair*> qp = cluster.node(r).Connect(client_id_);
-      if (!qp.ok()) {
-        // Nothing stays connected: a partial routing state would make
-        // connected() true while data-path methods index past its end.
-        CloseConnection();
-        return qp.status();
-      }
-      sh.qp_ids.push_back(qp.value()->qp_id);
+    Result<FarviewCluster::ConnectionPtr> conn =
+        pool_->shard(s).Connect(client_id_);
+    if (!conn.ok()) {
+      CloseConnection();
+      return conn.status();
     }
-  }
-  for (int s = 0; s < pool_->num_shards(); ++s) {
-    FarviewCluster& cluster = pool_->shard(s);
-    for (int r = 0; r < cluster.num_replicas(); ++r) {
-      // The nodes outlive this connection; the alive flag voids the
-      // observer.
-      cluster.node(r).AddDownObserver([alive = alive_, this, s, r](bool down) {
-        if (!*alive || !down) return;
-        // Crash observed: force the breaker open so nothing waits out a
-        // timeout against a known-dead replica.
-        breaker(s, r).ForceOpen();
-      });
-    }
-    StateOf(s).rejoin_hook = cluster.AddRejoinHook(
-        [this, s](int r, std::function<void()> hook_done) {
-          OnRejoin(s, r, std::move(hook_done));
-        });
+    connections_.push_back(std::move(conn).value());
   }
   return Status::OK();
 }
 
 void ShardedClient::CloseConnection() {
-  if (!connected()) return;
-  *alive_ = false;
-  for (int s = 0; s < pool_->num_shards(); ++s) {
-    FarviewCluster& cluster = pool_->shard(s);
-    const Shard& sh = StateOf(s);
-    cluster.RemoveRejoinHook(sh.rejoin_hook);
-    for (size_t r = 0; r < sh.qp_ids.size(); ++r) {
-      const Status closed =
-          cluster.node(static_cast<int>(r)).Disconnect(sh.qp_ids[r]);
-      FV_CHECK(closed.ok()) << closed.ToString();
-    }
+  for (int s = 0; s < static_cast<int>(connections_.size()); ++s) {
+    pool_->shard(s).Disconnect(*ConnectionTo(s));
   }
-  shards_.clear();
+  connections_.clear();
   tables_.clear();
 }
 
@@ -233,15 +134,16 @@ Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
   auto rollback = [&](size_t allocated) {
     for (size_t i = 0; i < allocated; ++i) {
       const Fragment& f = st.fragments[i];
-      FV_IGNORE_ERROR(pool_->shard(f.shard).Free(client_id_, f.local.vaddr),
-                      "rolling back a partially allocated sharded table");
+      FV_IGNORE_ERROR(
+          pool_->shard(f.shard).Free(*ConnectionTo(f.shard), f.local.vaddr),
+          "rolling back a partially allocated sharded table");
     }
   };
 
   for (size_t i = 0; i < st.fragments.size(); ++i) {
     Fragment& f = st.fragments[i];
-    Result<uint64_t> vaddr =
-        pool_->shard(f.shard).Alloc(client_id_, f.local.SizeBytes());
+    Result<uint64_t> vaddr = pool_->shard(f.shard).Alloc(
+        *ConnectionTo(f.shard), f.local.SizeBytes());
     if (!vaddr.ok()) {
       rollback(i);
       return vaddr.status();
@@ -285,8 +187,9 @@ Status ShardedClient::FreeTableMem(FTable* table) {
   if (table == nullptr) return Status::InvalidArgument("null table");
   FV_ASSIGN_OR_RETURN(const ShardedTable* st, Lookup(*table));
   for (const Fragment& frag : st->fragments) {
-    FV_RETURN_IF_ERROR(pool_->shard(frag.shard).Free(client_id_,
-                                                     frag.local.vaddr));
+    FV_RETURN_IF_ERROR(
+        pool_->shard(frag.shard).Free(*ConnectionTo(frag.shard),
+                                      frag.local.vaddr));
   }
   tables_.erase(table->vaddr);
   table->vaddr = 0;
@@ -312,9 +215,9 @@ void ShardedClient::TableWriteAsync(
   if (frags.size() == 1) {
     const Fragment& frag = frags[0];
     ShardStats(frag.shard).RecordFragmentWrite();
-    pool_->shard(frag.shard).Write(client_id_, StateOf(frag.shard).qp_ids,
-                                   alive_, frag.local.vaddr, rows.data(),
-                                   rows.size_bytes(), std::move(done));
+    pool_->shard(frag.shard).Write(ConnectionTo(frag.shard), frag.local.vaddr,
+                                   rows.data(), rows.size_bytes(),
+                                   std::move(done));
     return;
   }
 
@@ -341,8 +244,8 @@ void ShardedClient::TableWriteAsync(
     ShardStats(frag.shard).RecordFragmentWrite();
     const Table& slice = sc->slices[i];
     pool_->shard(frag.shard).Write(
-        client_id_, StateOf(frag.shard).qp_ids, alive_, frag.local.vaddr,
-        slice.data(), slice.size_bytes(), [sc](Result<SimTime> r) {
+        ConnectionTo(frag.shard), frag.local.vaddr, slice.data(),
+        slice.size_bytes(), [sc](Result<SimTime> r) {
           if (!sc->fan.Arrive(r.status(), r.ok() ? r.value() : 0)) return;
           if (sc->fan.error.ok()) {
             sc->done(sc->fan.last_ack);
@@ -362,179 +265,6 @@ Result<SimTime> ShardedClient::TableWrite(const FTable& table,
 
 // --- Reads and offloads: routed per shard, gathered over shards -------------
 
-void ShardedClient::Route(int shard, Verb verb, const FvRequest& request,
-                          std::function<void(Result<FvResult>)> done) {
-  auto call = std::allocate_shared<RoutedCall>(PooledAllocator<RoutedCall>());
-  call->shard = shard;
-  call->verb = verb;
-  call->request = request;
-  call->alive = alive_;
-  call->done = std::move(done);
-  IssueRouted(std::move(call));
-}
-
-int ShardedClient::PickReplica(int shard, uint64_t tried_mask, Verb verb,
-                               bool* probe) {
-  FarviewCluster& cluster = pool_->shard(shard);
-  Shard& sh = StateOf(shard);
-  const int n = cluster.num_replicas();
-  for (int i = 0; i < n; ++i) {
-    const int r = (sh.rr_cursor + i) % n;
-    if ((tried_mask >> r) & 1u) continue;
-    if (!cluster.InSync(r)) continue;  // epoch fencing
-    if (verb == Verb::kFarview && sh.factory != nullptr &&
-        sh.loaded_version[static_cast<size_t>(r)] != sh.version) {
-      // Rejoined without the current pipeline (reload failed or is still
-      // in flight): operator calls would fail non-retryably, so route
-      // them elsewhere; the replica still serves reads.
-      continue;
-    }
-    if (!sh.breakers[static_cast<size_t>(r)]->AllowRequest(probe)) continue;
-    sh.rr_cursor = (r + 1) % n;
-    return r;
-  }
-  return -1;
-}
-
-void ShardedClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
-  FarviewCluster& cluster = pool_->shard(call->shard);
-  bool probe = false;
-  const int r = PickReplica(call->shard, call->tried_mask, call->verb, &probe);
-  if (r < 0) {
-    // Fast-fail: every replica is fenced, tripped, or already tried.
-    // Counted on replica 0's stats (the shard-level sink).
-    cluster.node(0).stats().RecordFastFail();
-    call->Settle(
-        Status::Unavailable("no in-sync replica available (fast-fail)"));
-    return;
-  }
-  call->tried_mask |= uint64_t{1} << r;
-  call->replica = r;
-  call->attempts = 0;
-  call->probe_hop = probe;
-  cluster.node(r).stats().RecordClusterRequest();
-  StartAttempt(std::move(call));
-}
-
-void ShardedClient::StartAttempt(std::shared_ptr<RoutedCall> call) {
-  const int r = call->replica;
-  FarviewNode& node = pool_->shard(call->shard).node(r);
-  const RetryPolicy& rp = node.config().retry;
-  // A hop's first attempt follows the breaker's admission at this instant,
-  // so only a retry can find the breaker Open. Then the replica is known
-  // dead: end the hop now instead of burning the rest of its timeout and
-  // backoff schedule, and fail over at once (DESIGN.md §12).
-  if (call->attempts > 0 && breaker(call->shard, r).BlocksAttempts()) {
-    node.stats().RecordFastFail();
-    FinishHop(std::move(call),
-              Status::Unavailable("node circuit open (fast-fail)"));
-    return;
-  }
-  ++call->attempts;
-  const uint64_t token = ++call->token;
-  auto on_result = [this, call, replica = &node, token](Result<FvResult> res) {
-    if (token != call->token) {
-      // The call already gave up on this attempt; the node's work still
-      // completed (or failed) and the result is dropped here.
-      replica->stats().RecordLateCompletion();
-      return;
-    }
-    if (!call->Live(token)) return;
-    if (!res.ok() && IsHealthFailure(res.status()) &&
-        replica->config().retry.enabled) {
-      AttemptFailed(call, res.status());
-      return;
-    }
-    FinishHop(call, std::move(res));
-  };
-  const int qp_id = StateOf(call->shard).QpId(r);
-  if (call->verb == Verb::kRead) {
-    node.TableRead(qp_id, call->request.vaddr, call->request.len,
-                   std::move(on_result));
-  } else {
-    node.FarviewRequest(qp_id, call->request, std::move(on_result));
-  }
-  if (!rp.enabled) return;
-  // The attempt's completion timeout. A resolved attempt (either way) bumps
-  // the token, turning this event into a no-op.
-  node.engine()->ScheduleAfter(
-      rp.completion_timeout, [this, call, replica = &node, token]() {
-        if (!call->Live(token)) return;
-        replica->stats().RecordTimeout();
-        AttemptFailed(call, Status::DeadlineExceeded(
-                                "no completion within the attempt deadline"));
-      });
-}
-
-void ShardedClient::AttemptFailed(std::shared_ptr<RoutedCall> call,
-                                  const Status& error) {
-  const uint64_t token = ++call->token;  // the attempt's events go stale
-  const int r = call->replica;
-  FarviewNode& node = pool_->shard(call->shard).node(r);
-  const RetryPolicy& rp = node.config().retry;
-  // The call is live, so the connection and its queue pairs are open.
-  const QPair& qp = *node.FindQPair(StateOf(call->shard).QpId(r));
-  // Graceful degradation: when the region itself is faulted, retrying into
-  // it cannot succeed until it heals — serve base-table bytes raw instead
-  // (the RNIC path needs no region).
-  if (rp.raw_read_fallback && qp.region_id >= 0 &&
-      node.region(qp.region_id).faulted()) {
-    node.stats().RecordFallback();
-    node.RawRead(qp.qp_id, call->request.vaddr, call->request.len,
-                 [this, call, token](Result<FvResult> res) {
-                   if (!call->Live(token)) return;
-                   if (res.ok()) res.value().degraded_raw = true;
-                   FinishHop(call, std::move(res));
-                 });
-    return;
-  }
-  if (call->attempts >= rp.max_attempts) {
-    FinishHop(std::move(call), error);
-    return;
-  }
-  // Capped exponential backoff: base * 2^(retry-1), clamped to the cap
-  // (overflow-safe — the policy clamps before each doubling).
-  const SimTime backoff = rp.BackoffForAttempt(call->attempts);
-  node.stats().RecordRetry();
-  node.engine()->ScheduleAfter(backoff, [this, call, token]() {
-    if (!call->Live(token)) return;
-    StartAttempt(call);
-  });
-}
-
-void ShardedClient::FinishHop(std::shared_ptr<RoutedCall> call,
-                              Result<FvResult> res) {
-  ++call->token;  // no event of this hop may act after it ends
-  const int r = call->replica;
-  CircuitBreaker& replica_breaker = breaker(call->shard, r);
-  // Read before any re-route: a failover hop overwrites `probe_hop`.
-  const bool probe_hop = call->probe_hop;
-  if (res.ok()) {
-    replica_breaker.RecordSuccess(probe_hop);
-    const uint64_t bytes = res.value().data.size();
-    if (call->verb == Verb::kRead) {
-      ShardStats(call->shard).RecordFragmentRead(bytes);
-    } else {
-      ShardStats(call->shard).RecordFragmentOffload(bytes);
-    }
-    call->Settle(std::move(res));
-    return;
-  }
-  if (IsHealthFailure(res.status())) {
-    replica_breaker.RecordFailure(probe_hop);
-    pool_->shard(call->shard).node(r).stats().RecordFailover();
-    IssueRouted(std::move(call));
-    return;
-  }
-  // Not a health signal (bad request, schema mismatch): report it, don't
-  // penalize the replica. A probe hop still settles its slot as a success
-  // — the replica answered, the error is the request's fault — otherwise
-  // the slot would leak and a breaker whose every probe drew a bad request
-  // would wedge Half-Open forever.
-  if (probe_hop) replica_breaker.RecordSuccess(/*probe=*/true);
-  call->Settle(std::move(res));
-}
-
 void ShardedClient::GatherAsync(const FTable& table, Verb verb,
                                 bool vectorized, PartialMerger* merger,
                                 std::function<void(Result<FvResult>)> done) {
@@ -547,9 +277,10 @@ void ShardedClient::GatherAsync(const FTable& table, Verb verb,
   if (frags.size() == 1 && merger == nullptr) {
     // Single fragment: plain routing, event-identical to an unsharded pool
     // (the 1-shard identity pin).
-    Route(frags[0].shard, verb,
-          FarviewClient::ScanRequest(frags[0].local, vectorized),
-          std::move(done));
+    pool_->shard(frags[0].shard)
+        .Route(ConnectionTo(frags[0].shard), verb,
+               FarviewClient::ScanRequest(frags[0].local, vectorized),
+               std::move(done));
     return;
   }
   // All fragments in parallel; concatenating in fragment order restores row
@@ -561,55 +292,57 @@ void ShardedClient::GatherAsync(const FTable& table, Verb verb,
   g->done = std::move(done);
   for (size_t i = 0; i < frags.size(); ++i) {
     const int shard = frags[i].shard;
-    Route(shard, verb, FarviewClient::ScanRequest(frags[i].local, vectorized),
-          [this, g, i, shard](Result<FvResult> r) {
-            if (r.ok()) {
-              if (g->merger != nullptr) {
-                ShardStats(shard).RecordPartialGroups(r.value().rows);
-              }
-              g->parts[i] = std::move(r).value();
-            }
-            if (!g->fan.Arrive(r.status())) return;
-            if (!g->fan.error.ok()) {
-              g->done(g->fan.error);
-              return;
-            }
-            FvResult out;
-            out.issued_at = g->parts[0]->issued_at;
-            out.first_byte_at = g->parts[0]->first_byte_at;
-            if (g->merger == nullptr) {
-              // One allocation, so each fragment's bytes are copied once.
-              size_t total = 0;
-              for (const std::optional<FvResult>& part : g->parts) {
-                total += part->data.size();
-              }
-              out.data.reserve(total);
-            }
-            for (std::optional<FvResult>& part : g->parts) {
-              if (g->merger != nullptr) {
-                const Status merged = g->merger->Consume(part->data.data(),
-                                                         part->data.size());
-                if (!merged.ok()) {
-                  g->done(merged);
-                  return;
-                }
-              } else {
-                out.data.insert(out.data.end(), part->data.begin(),
-                                part->data.end());
-                out.rows += part->rows;
-              }
-              out.bytes_on_wire += part->bytes_on_wire;
-              out.completed_at = std::max(out.completed_at, part->completed_at);
-              out.first_byte_at =
-                  std::min(out.first_byte_at, part->first_byte_at);
-              out.degraded_raw = out.degraded_raw || part->degraded_raw;
-            }
+    pool_->shard(shard).Route(
+        ConnectionTo(shard), verb,
+        FarviewClient::ScanRequest(frags[i].local, vectorized),
+        [this, g, i, shard](Result<FvResult> r) {
+          if (r.ok()) {
             if (g->merger != nullptr) {
-              out.rows = g->merger->num_groups();
-              out.data = g->merger->Finalize();
+              ShardStats(shard).RecordPartialGroups(r.value().rows);
             }
-            g->done(std::move(out));
-          });
+            g->parts[i] = std::move(r).value();
+          }
+          if (!g->fan.Arrive(r.status())) return;
+          if (!g->fan.error.ok()) {
+            g->done(g->fan.error);
+            return;
+          }
+          FvResult out;
+          out.issued_at = g->parts[0]->issued_at;
+          out.first_byte_at = g->parts[0]->first_byte_at;
+          if (g->merger == nullptr) {
+            // One allocation, so each fragment's bytes are copied once.
+            size_t total = 0;
+            for (const std::optional<FvResult>& part : g->parts) {
+              total += part->data.size();
+            }
+            out.data.reserve(total);
+          }
+          for (std::optional<FvResult>& part : g->parts) {
+            if (g->merger != nullptr) {
+              const Status merged = g->merger->Consume(part->data.data(),
+                                                       part->data.size());
+              if (!merged.ok()) {
+                g->done(merged);
+                return;
+              }
+            } else {
+              out.data.insert(out.data.end(), part->data.begin(),
+                              part->data.end());
+              out.rows += part->rows;
+            }
+            out.bytes_on_wire += part->bytes_on_wire;
+            out.completed_at = std::max(out.completed_at, part->completed_at);
+            out.first_byte_at =
+                std::min(out.first_byte_at, part->first_byte_at);
+            out.degraded_raw = out.degraded_raw || part->degraded_raw;
+          }
+          if (g->merger != nullptr) {
+            out.rows = g->merger->num_groups();
+            out.data = g->merger->Finalize();
+          }
+          g->done(std::move(out));
+        });
   }
 }
 
@@ -630,55 +363,17 @@ Result<FvResult> ShardedClient::TableRead(const FTable& table) {
 void ShardedClient::LoadPipelineAsync(const FTable& table,
                                       PipelineFactory factory,
                                       std::function<void(Status)> done) {
-  FV_CHECK(factory != nullptr);
   Result<const ShardedTable*> st = Lookup(table);
   if (!st.ok()) {
     done(st.status());
     return;
   }
-  struct Load {
-    FanIn fan;
-    std::function<void(Status)> done;
-    void Arrive(const Status& hop) {
-      if (fan.Arrive(hop)) done(fan.error);
-    }
-  };
-  auto ld = std::make_shared<Load>();
-  ld->done = std::move(done);
-  // One extra count guards the issuing loop: hops failing synchronously
-  // cannot settle the load before every hop is out.
-  ld->fan.pending = 1;
+  auto load = std::make_shared<PipelineLoad>(std::move(done));
   for (const Fragment& frag : st.value()->fragments) {
-    const int s = frag.shard;
-    FarviewCluster& cluster = pool_->shard(s);
-    Shard& sh = StateOf(s);
-    sh.factory = factory;
-    const uint64_t version = ++sh.version;
-    bool any = false;
-    for (int r = 0; r < cluster.num_replicas(); ++r) {
-      if (!cluster.InSync(r)) continue;
-      any = true;
-      ++ld->fan.pending;
-      Result<Pipeline> pipeline = factory();
-      if (!pipeline.ok()) {
-        ld->Arrive(pipeline.status());
-        continue;
-      }
-      cluster.node(r).LoadPipeline(
-          sh.QpId(r), std::move(pipeline).value(),
-          [alive = alive_, this, ld, s, r, version](Status loaded) {
-            if (*alive && loaded.ok()) {
-              StateOf(s).loaded_version[static_cast<size_t>(r)] = version;
-            }
-            ld->Arrive(loaded);
-          });
-    }
-    if (!any) {
-      ++ld->fan.pending;
-      ld->Arrive(Status::Unavailable("no in-rotation replica for load"));
-    }
+    pool_->shard(frag.shard).LoadPipeline(ConnectionTo(frag.shard), factory,
+                                          load);
   }
-  ld->Arrive(Status::OK());
+  load->Arrive(Status::OK());
 }
 
 Status ShardedClient::LoadPipeline(const FTable& table,
@@ -716,53 +411,6 @@ Result<FvResult> ShardedClient::LoadAndOffload(const FTable& table,
                                     std::move(done));
                       });
   });
-}
-
-void ShardedClient::OnRejoin(int shard, int replica,
-                             std::function<void()> done) {
-  // Reload the current pipeline recipe when the recovered replica is
-  // behind (it missed a LoadPipeline while out of rotation). Pipelines
-  // survive the crash itself (configuration flash), so a replica that was
-  // current stays current.
-  Shard& sh = StateOf(shard);
-  if (sh.factory == nullptr ||
-      sh.loaded_version[static_cast<size_t>(replica)] == sh.version) {
-    done();
-    return;
-  }
-  Result<Pipeline> pipeline = sh.factory();
-  if (!pipeline.ok()) {
-    // The replica still rejoins (its bytes are in sync) but keeps a stale
-    // loaded version, so PickReplica fences it from operator traffic until
-    // a later LoadPipeline succeeds. Reads are unaffected.
-    FV_LOG(kWarning) << "pipeline factory failed during rejoin of shard "
-                     << shard << " replica " << replica << ": "
-                     << pipeline.status().ToString()
-                     << "; replica serves reads only";
-    done();
-    return;
-  }
-  const uint64_t version = sh.version;
-  pool_->shard(shard).node(replica).LoadPipeline(
-      sh.QpId(replica), std::move(pipeline).value(),
-      [alive = alive_, this, shard, replica, version, done](Status loaded) {
-        if (!*alive) {
-          done();
-          return;
-        }
-        Shard& current = StateOf(shard);
-        if (loaded.ok() && version == current.version) {
-          current.loaded_version[static_cast<size_t>(replica)] = version;
-        } else if (!loaded.ok()) {
-          // Same degraded mode as a factory failure: rejoin for reads,
-          // fenced from operator routing while the pipeline is stale.
-          FV_LOG(kWarning) << "pipeline reload failed during rejoin of shard "
-                           << shard << " replica " << replica << ": "
-                           << loaded.ToString()
-                           << "; replica serves reads only";
-        }
-        done();
-      });
 }
 
 Result<FvResult> ShardedClient::FvSelect(const FTable& table,

@@ -48,8 +48,8 @@ struct ShardedConfig {
 /// space (DESIGN.md §13).
 ///
 /// The pool is pure address arithmetic plus cluster ownership — allocation
-/// policy, fragment maps and all routing live in `ShardedClient`, so the
-/// address-space contract stays in one place:
+/// policy and fragment maps live in `ShardedClient`, routing within a shard
+/// in its cluster, so the address-space contract stays in one place:
 ///
 ///   global vaddr = shard * shard_stride + shard-local vaddr
 ///
@@ -93,26 +93,12 @@ class ShardedPool {
 /// replica is event-identical to a bare node (fault_identity_test), and is
 /// how a single node gets the reliability policy.
 ///
-/// The client holds one queue pair per replica and drives the replicas'
-/// nodes directly. Per shard, it routes like a replicated pool's client:
-///
-///  - reads and operator calls go to the next in-sync replica in
-///    round-robin order whose `CircuitBreaker` admits them (a hop);
-///  - under the node config's `RetryPolicy` (DESIGN.md §7) a hop gets up to
-///    `max_attempts` attempts, each with a completion timeout and capped
-///    backoff between them, degrades to a raw read when the replica's
-///    region is faulted, and gives up early once the breaker is Open;
-///  - a hop that ends in a health failure (`Unavailable`,
-///    `DeadlineExceeded`) records on the breaker and fails over, any other
-///    error is the request's own and is reported as is; when no replica is
-///    left the call settles at once (fast-fail);
-///  - writes, allocs and frees go to the shard's cluster (`Write`,
-///    `Alloc`, `Free`), which runs each as one logged epoch through these
-///    queue pairs; the client never sees the replication log;
-///  - a loaded pipeline is versioned per replica and reloaded on rejoin; a
-///    replica behind the current version serves reads only.
-///
-/// Across shards, the client:
+/// The client holds one `FarviewCluster::Connection` per shard and maps
+/// tables onto shards; everything that touches a replica is the shard's
+/// cluster's, through that connection: routed reads and operator calls
+/// (breakers, the §7 attempt loop, failover), pipeline loads with their
+/// per-replica versions and rejoin reloads, and the logged alloc, free and
+/// mirrored write. Across shards, the client:
 ///
 ///  - range-partitions each striped table into per-shard row fragments and
 ///    keeps the client-side shard map (global vaddr -> fragments);
@@ -145,17 +131,17 @@ class ShardedClient {
   /// schedule begins (a connection cannot be opened to a crashed replica);
   /// on failure nothing stays connected.
   Status OpenConnection();
-  /// Disconnects every queue pair and forgets the shard map.
+  /// Closes every shard's connection and forgets the shard map.
   void CloseConnection();
 
-  bool connected() const { return !shards_.empty(); }
+  bool connected() const { return !connections_.empty(); }
   int client_id() const { return client_id_; }
   ShardedPool* pool() { return pool_; }
 
   /// Circuit breaker guarding `replica` of `shard`, for tests and
   /// introspection.
   CircuitBreaker& breaker(int shard, int replica) {
-    return *StateOf(shard).breakers[static_cast<size_t>(replica)];
+    return pool_->shard(shard).breaker(*ConnectionTo(shard), replica);
   }
 
   // --- Memory management (scattered; per-shard sub-allocators) -------------
@@ -249,57 +235,17 @@ class ShardedClient {
     std::vector<Fragment> fragments;
   };
 
-  /// Routing state of one shard (DESIGN.md §12).
-  struct Shard {
-    /// This client's queue pair on each replica.
-    std::vector<int> qp_ids;
-    std::vector<std::unique_ptr<CircuitBreaker>> breakers;
-    /// Deterministic round-robin cursor over replicas.
-    int rr_cursor = 0;
-    /// Current pipeline recipe (empty = none loaded) and its version, vs
-    /// the version each replica has loaded — rejoin reloads exactly when
-    /// behind.
-    PipelineFactory factory;
-    uint64_t version = 0;
-    std::vector<uint64_t> loaded_version;
-    int rejoin_hook = 0;  ///< 0 = none registered (hook ids start at 1)
-
-    int QpId(int r) const { return qp_ids[static_cast<size_t>(r)]; }
-  };
-
-  /// One routed read / operator call: its attempt loop on the current
-  /// replica, re-issued across a shard's replicas on failover.
-  struct RoutedCall;
   /// Fan-in of one gathered read or offload.
   struct Gather;
 
-  /// Routing state of shard `s`.
-  Shard& StateOf(int s) { return shards_[static_cast<size_t>(s)]; }
+  /// This client's connection to `shard`'s replicas.
+  const FarviewCluster::ConnectionPtr& ConnectionTo(int shard) const {
+    return connections_[static_cast<size_t>(shard)];
+  }
 
   /// Shard-map lookup with the remap guard (vaddr, name and row count must
   /// all match the registered table).
   Result<const ShardedTable*> Lookup(const FTable& table) const;
-
-  /// Routes one read / operator call on `shard`.
-  void Route(int shard, Verb verb, const FvRequest& request,
-             std::function<void(Result<FvResult>)> done);
-  /// Starts the call's next hop on a picked replica, or fast-fails it.
-  void IssueRouted(std::shared_ptr<RoutedCall> call);
-  /// Posts one attempt of the current hop and, under the retry policy,
-  /// then arms its completion timeout.
-  void StartAttempt(std::shared_ptr<RoutedCall> call);
-  /// A health failure or timeout of the live attempt: degrade to a raw
-  /// read, back off and retry, or end the hop.
-  void AttemptFailed(std::shared_ptr<RoutedCall> call, const Status& error);
-  /// Ends the current hop: records its outcome on the replica's breaker,
-  /// then settles the call or fails it over.
-  void FinishHop(std::shared_ptr<RoutedCall> call, Result<FvResult> res);
-  /// Next eligible replica of `shard` (in-sync, breaker admits, not yet
-  /// tried), or -1. Operator calls additionally require the replica's
-  /// loaded pipeline to be current. `probe` reports whether the admission
-  /// consumed a Half-Open probe slot; the hop's outcome must be recorded on
-  /// the breaker with that flag.
-  int PickReplica(int shard, uint64_t tried_mask, Verb verb, bool* probe);
 
   /// Routes `verb` to every fragment of `table` and gathers the results in
   /// row order; `merger`, when set, folds the fragment payloads instead of
@@ -313,22 +259,15 @@ class ShardedClient {
   Result<FvResult> LoadAndOffload(const FTable& table, PipelineFactory factory,
                                   bool vectorized, PartialMerger* merger);
 
-  /// Rejoin hook: reload the current pipeline on a recovered replica.
-  void OnRejoin(int shard, int replica, std::function<void()> done);
-
   /// Records a fragment op on the owning shard's primary-node counters.
   NodeStats& ShardStats(int shard);
 
   ShardedPool* pool_;
   int client_id_;
-  /// Per-shard routing state; empty while disconnected.
-  std::vector<Shard> shards_;
+  /// This client's connection to each shard; empty while disconnected.
+  std::vector<FarviewCluster::ConnectionPtr> connections_;
   /// Client-side shard map: global vaddr of the table -> its fragments.
   std::map<uint64_t, ShardedTable> tables_;
-  /// Liveness flag of the current connection, shared with the crash
-  /// observers and rejoin hooks registered on the (longer-lived) pool;
-  /// `CloseConnection` clears it.
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace farview

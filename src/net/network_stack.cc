@@ -101,7 +101,6 @@ void NetworkStack::TxStream::MaybeRelease() {
 void NetworkStack::TxStream::Push(uint64_t bytes) {
   FV_CHECK(!finished_) << "Push after Finish";
   pending_bytes_ += bytes;
-  bytes_pushed_ += bytes;
   TrySend();
 }
 

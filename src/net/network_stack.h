@@ -96,7 +96,6 @@ class NetworkStack {
     /// packet carries `last = true`.
     void Finish();
 
-    uint64_t bytes_pushed() const { return bytes_pushed_; }
     uint64_t packets_sent() const { return packets_sent_; }
 
     /// Instant the most recent packet finished serializing on the shared
@@ -150,7 +149,6 @@ class NetworkStack {
     int qp_id_;
     OnDelivered on_delivered_;
     uint64_t pending_bytes_ = 0;
-    uint64_t bytes_pushed_ = 0;
     uint64_t packets_sent_ = 0;
     int in_flight_packets_ = 0;
     bool finished_ = false;
@@ -243,9 +241,6 @@ class NetworkStack {
 
   /// Fault-event counts (all zero while faults are disabled).
   const FaultCounters& fault_counters() const { return fault_counters_; }
-
-  /// The active fault plan, or nullptr when faults are disabled.
-  const FaultPlan* fault_plan() const { return fault_plan_.get(); }
 
  private:
   /// Destroys `s` and recycles its pool slot.

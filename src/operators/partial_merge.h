@@ -49,28 +49,21 @@ class PartialMerger {
                                       std::vector<int> key_columns,
                                       std::vector<AggSpec> aggs);
 
-  /// Folds one shard's partial result rows (packed in `partial_schema()`
-  /// layout) into the merge state. Fails on a torn buffer.
+  /// Folds one shard's partial result rows (key columns + partial
+  /// aggregates) into the merge state. Fails on a torn buffer.
   Status Consume(const uint8_t* rows, uint64_t bytes);
 
   /// Emits the merged groups in the final layout, one row per group in
   /// first-consumed order, and resets the merge state.
   ByteBuffer Finalize();
 
-  /// Row layout each shard ships: key columns + partial aggregates.
-  const Schema& partial_schema() const { return partial_schema_; }
-
-  /// Row layout `Finalize` emits: key columns + original aggregates (same
-  /// as the single-node GROUP BY output).
-  const Schema& final_schema() const { return final_schema_; }
-
   uint64_t num_groups() const { return groups_.size(); }
 
  private:
   PartialMerger() = default;
 
-  Schema partial_schema_;
-  Schema final_schema_;
+  Schema partial_schema_;  ///< rows each shard ships: keys + partials
+  Schema final_schema_;    ///< rows `Finalize` emits: keys + originals
   uint32_t key_width_ = 0;
   std::vector<AggSpec> aggs_;          ///< original (final) aggregates
   std::vector<AggSpec> partials_;      ///< shard-side aggregates

@@ -953,7 +953,7 @@ TEST(ClusterTest, RejoinReloadsAMissedPipelineAndServesOffloadsAgain) {
   // Twin of RejoinWithFailedPipelineReloadServesReadsOnly with a factory
   // that keeps working: replica 0 misses a pipeline version and an
   // allocation while down, so its rejoin pass replays only a control entry
-  // and its rejoin hook reloads the pipeline (a 5 ms reconfiguration). A
+  // and its rejoin step reloads the pipeline (a 5 ms reconfiguration). A
   // write posted during that reload is missed too and resynced by a second
   // pass before the replica rejoins with the current pipeline.
   ShardedConfig sc = TestConfig(2);
@@ -1017,6 +1017,73 @@ TEST(ClusterTest, RejoinReloadsAMissedPipelineAndServesOffloadsAgain) {
   EXPECT_GT(cluster.node(0).stats().reliability().cluster_requests,
             routed_before)
       << "reloaded replica serves no operator calls";
+}
+
+TEST(ClusterTest, TwoClientsShareTheCrashAndTheRejoin) {
+  // Two pool clients on one shard: replica 0's crash opens both clients'
+  // breakers on it, a pipeline version client 2 loads during the outage is
+  // reloaded before the replica rejoins, and client 1, closed meanwhile,
+  // takes no part in the rejoin.
+  ShardedConfig sc = TestConfig(2);
+  ClusterConfig& cc = sc.cluster;
+  cc.node.faults.enabled = true;
+  cc.node.faults.node_crash_at = 12 * kMillisecond;
+  cc.node.faults.node_restart_at = 14 * kMillisecond;
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  FarviewCluster& cluster = pool.shard(0);
+  ShardedClient client1(&pool, 1);
+  ShardedClient client2(&pool, 2);
+  ASSERT_TRUE(client1.OpenConnection().ok());
+  ASSERT_TRUE(client2.OpenConnection().ok());
+  const Table rows = MakeRows(128 * kKiB);
+  FTable t1 = AllocOnly(client1, rows, "t1");
+  FTable t2 = AllocOnly(client2, rows, "t2");
+  PipelineFactory factory = [&rows]() -> Result<Pipeline> {
+    return PipelineBuilder(rows.schema()).Build();
+  };
+  auto upload = [&](ShardedClient& client, const FTable& ft) {
+    client.TableWriteAsync(ft, rows, [](Result<SimTime> w) {
+      EXPECT_TRUE(w.ok());
+    });
+    client.LoadPipelineAsync(ft, factory, [](Status s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    });
+  };
+  upload(client1, t1);
+  upload(client2, t2);
+  engine.ScheduleAt(12 * kMillisecond + 1 * kMicrosecond, [&]() {
+    for (ShardedClient* client : {&client1, &client2}) {
+      EXPECT_EQ(client->breaker(0, 0).state(), CircuitBreaker::State::kOpen)
+          << "client " << client->client_id();
+      EXPECT_EQ(client->breaker(0, 1).state(),
+                CircuitBreaker::State::kClosed)
+          << "client " << client->client_id();
+    }
+  });
+  engine.ScheduleAt(13 * kMillisecond, [&]() {
+    client2.LoadPipelineAsync(t2, factory, [](Status s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    });
+    client1.CloseConnection();
+  });
+  engine.Run();
+
+  ASSERT_TRUE(cluster.InSync(0)) << "replica 0 never rejoined";
+  // The restart, then client 2's reload: its request crosses the network
+  // (0.9 us) and the region reconfigures (5 ms). Client 1's pipeline was
+  // current, and its connection is closed.
+  EXPECT_EQ(cluster.in_sync_at(0), 19 * kMillisecond + 900 * kNanosecond);
+  const uint64_t routed_before =
+      cluster.node(0).stats().reliability().cluster_requests;
+  for (int i = 0; i < 4; ++i) {
+    Result<FvResult> res = client2.Offload(t2);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res.value().data, rows.bytes());
+  }
+  EXPECT_GT(cluster.node(0).stats().reliability().cluster_requests,
+            routed_before)
+      << "client 2's offloads never returned to the rejoined replica";
 }
 
 TEST(ClusterTest, AbortedEpochUnparksLoneFencedReplica) {

@@ -306,5 +306,79 @@ TEST_F(SchedulerTest, CrashFailsArrivalsFlushesWaitingAndVoidsInFlight) {
   EXPECT_TRUE(node_->down());
 }
 
+/// Runs `jobs` scheduler jobs of one tenant over a two-region node whose
+/// regions listed in `faulted` are faulted from the start (the fault never
+/// clears); returns each job's outcome.
+std::vector<Status> RunJobsBesideFaultedRegions(bool admission,
+                                                const std::vector<int>& faulted,
+                                                int jobs) {
+  sim::Engine engine;
+  FarviewConfig cfg;
+  cfg.num_regions = 2;
+  cfg.admission.enabled = admission;
+  FarviewNode node(&engine, cfg);
+  RegionScheduler scheduler(&node);
+  TableGenerator gen(1);
+  Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), 2000, 100);
+  EXPECT_TRUE(t.ok());
+  const Table& table = t.value();
+  Result<QPair*> qp = node.ConnectShared(/*client_id=*/1);
+  EXPECT_TRUE(qp.ok());
+  Result<uint64_t> vaddr = node.AllocTableMem(*qp.value(), table.size_bytes());
+  EXPECT_TRUE(vaddr.ok());
+  EXPECT_TRUE(node.mmu()
+                  .Write(1, vaddr.value(), table.size_bytes(), table.data())
+                  .ok());
+  for (const int r : faulted) node.region(r).InjectFault();
+
+  FvRequest req;
+  req.vaddr = vaddr.value();
+  req.len = table.size_bytes();
+  req.tuple_bytes = 64;
+  std::vector<Status> outcomes;
+  for (int i = 0; i < jobs; ++i) {
+    scheduler.Submit(1, qp.value()->qp_id, "select<50",
+                     []() {
+                       return PipelineBuilder(Schema::DefaultWideRow())
+                           .Select({Predicate::Int(0, CompareOp::kLt, 50)})
+                           .Build();
+                     },
+                     req, [&outcomes](Result<FvResult> r) {
+                       outcomes.push_back(r.status());
+                     });
+  }
+  engine.Run();
+  return outcomes;
+}
+
+TEST(SchedulerFaultTest, FaultedRegionTakesNoJobs) {
+  // Regression: a faulted region is idle, so the scheduler handed it the
+  // next job, which failed at once and left it idle for the one after —
+  // with region 0 faulted, one job of eight completed while region 1 was
+  // healthy. Every job now waits for the healthy region.
+  for (const bool admission : {false, true}) {
+    SCOPED_TRACE(admission ? "admission on" : "admission off");
+    const std::vector<Status> outcomes =
+        RunJobsBesideFaultedRegions(admission, /*faulted=*/{0}, /*jobs=*/8);
+    ASSERT_EQ(outcomes.size(), 8u);
+    for (const Status& s : outcomes) EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
+TEST(SchedulerFaultTest, EveryRegionFaultedFailsTheWaitingJobs) {
+  // The scheduler is never told when a fault clears: with every region
+  // faulted and none busy, the waiting jobs fail with Unavailable instead
+  // of waiting for a dispatch that never comes.
+  for (const bool admission : {false, true}) {
+    SCOPED_TRACE(admission ? "admission on" : "admission off");
+    const std::vector<Status> outcomes =
+        RunJobsBesideFaultedRegions(admission, /*faulted=*/{0, 1}, /*jobs=*/4);
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (const Status& s : outcomes) {
+      EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace farview
