@@ -17,7 +17,7 @@
 
 namespace farview {
 
-/// Process-wide recycler for large payload blocks.
+/// Process-wide recycler for payload blocks.
 ///
 /// glibc serves multi-MiB allocations from fresh mmap regions even when an
 /// equal-size block was freed a microsecond earlier: freeing an mmap'd chunk
@@ -25,19 +25,27 @@ namespace farview {
 /// equal-or-larger requests still take the mmap path. Every simulated
 /// request that materializes a multi-MiB stream therefore pays the full
 /// page-fault + zero cost again — milliseconds per request at fig12 sizes,
-/// dwarfing the event core (DESIGN.md §8). Payload buffers come in a
-/// handful of recurring sizes (request streams, table images, read
-/// results), so an exact-size free list converts them to warm-page reuse.
-///
-/// Blocks below the exact-size threshold recycle through power-of-two size
-/// classes instead: per-burst operator output (selection and hash-join
+/// dwarfing the event core (DESIGN.md §8). Small blocks cost allocator
+/// traffic instead: per-burst operator output (selection and hash-join
 /// survivors, decrypt's output for a borrowed batch, group-by key scratch)
 /// allocates thousands of small, similarly-sized ByteBuffers per simulated
 /// stream, and even with malloc's fast bins that is the dominant
-/// allocs/event term on fig12 (DESIGN.md §8a). A class free list turns the
-/// steady state into pure pointer pops with zero allocator traffic.
+/// allocs/event term on fig12 (DESIGN.md §8a).
 ///
-/// Zeroed stores (AcquireZeroed / ReleaseZeroed) are a third kind: large,
+/// Every block recycles through one size-class rule: a request rounds up
+/// to the next class, and one free list serves every request of a class,
+/// so the steady state is pure pointer pops. Up to 256 KiB the classes
+/// are powers of two: neighbouring sizes then share blocks, so fewer sit
+/// parked (eight classes per octave there measured 11 MiB more peak RSS
+/// on fvbench's `shard_failover`). Above 256 KiB there are eight classes
+/// per octave (288 KiB, 320 KiB, ..., 512 KiB, 576 KiB, ...), so a block
+/// is at most 12.5% larger than its request. Large payload sizes vary far
+/// more than a handful of recurring values (`rdma_rw` reads any multiple
+/// of 64 B in [4 KiB, 1 MiB]), and a free list keyed by exact size hits
+/// only on a repeat of the same size: it parks blocks nothing reuses. By
+/// class, the parked bytes follow the live blocks.
+///
+/// Zeroed stores (AcquireZeroed / ReleaseZeroed) are a second kind: large,
 /// sparsely written, zero-initialized memory such as a node's DRAM frame
 /// store (mem/physical_memory.h). They come from anonymous private
 /// mappings, which the kernel zero-fills page by page on first touch, and
@@ -47,32 +55,44 @@ namespace farview {
 /// never feeds back into simulated behavior — only wall-clock speed.
 class ByteBlockPool {
  public:
-  /// At or above this size blocks are keyed by exact byte count; below it
-  /// they round up to a power-of-two size class. Large payloads recur in a
-  /// handful of exact sizes (so exact keys maximize reuse without waste);
-  /// small scratch comes in many sizes (so classes are needed to hit).
-  static constexpr std::size_t kMinPooledBytes = 256 * 1024;
-
   /// Smallest size class. Requests below it still round up to one class-0
   /// block; the waste is bounded and tiny vectors are rare on the hot path.
   static constexpr std::size_t kMinClassBytes = 256;
 
-  /// Classes cover [256 B, 256 KiB] in powers of two; class `c` holds
-  /// blocks of physical size `kMinClassBytes << c`.
-  static constexpr int kNumClasses = 11;
+  /// Largest power-of-two class; above it classes step by an eighth of an
+  /// octave.
+  static constexpr std::size_t kFineClassBytes = 256 * 1024;
+
+  /// Largest size class: 2^63 bytes, past any container's `max_size()`,
+  /// so every request a container can make has a class.
+  static constexpr std::size_t kMaxClassBytes = std::size_t{1} << 63;
 
   /// Bound on bytes parked in free lists; past it, frees release for real.
   static constexpr std::size_t kMaxHeldBytes = 256ull << 20;
 
-  /// Size class serving a request of `n` bytes (n < kMinPooledBytes).
+  /// Size class serving a request of `n` bytes (n <= kMaxClassBytes): the
+  /// smallest class whose blocks hold `n` bytes.
   static constexpr int ClassOf(std::size_t n) {
-    return n <= kMinClassBytes ? 0 : std::bit_width(n - 1) - 8;
+    if (n <= kMinClassBytes) return 0;
+    if (n <= kFineClassBytes) return std::bit_width(n - 1) - 8;  // 1..10
+    // `n - 1` is a mantissa of 8 to 15 shifted left by `shift` (15 or
+    // more), plus a remainder; the class one mantissa step up holds `n`.
+    const int shift = std::bit_width(n - 1) - 4;
+    const int mantissa = static_cast<int>((n - 1) >> shift);
+    return 10 + 8 * (shift - 15) + mantissa - 7;
   }
 
-  /// Physical byte size of blocks in class `c`.
+  /// Physical byte size of blocks in class `c`: 256 B << c up to class 10
+  /// (256 KiB), then (9 + g % 8) << (15 + g / 8) for g = c - 11.
   static constexpr std::size_t ClassBytes(int c) {
-    return kMinClassBytes << c;
+    if (c <= 10) return kMinClassBytes << c;
+    const int g = c - 11;
+    return static_cast<std::size_t>(9 + g % 8) << (15 + g / 8);
   }
+
+  /// Eleven power-of-two classes (256 B to 256 KiB), then eight per octave
+  /// up to 2^63 B.
+  static constexpr int kNumClasses = 11 + 8 * (63 - 18);
 
   ByteBlockPool() = default;
 
@@ -80,10 +100,7 @@ class ByteBlockPool {
   ByteBlockPool& operator=(const ByteBlockPool&) = delete;
 
   ~ByteBlockPool() {
-    for (auto& [size, blocks] : free_) {
-      for (void* p : blocks) ::operator delete(p);
-    }
-    for (auto& blocks : class_free_) {
+    for (auto& blocks : free_) {
       for (void* p : blocks) ::operator delete(p);
     }
     for (auto& [size, stores] : zeroed_) {
@@ -92,18 +109,8 @@ class ByteBlockPool {
   }
 
   [[nodiscard]] void* Allocate(std::size_t n) {
-    if (n >= kMinPooledBytes) {
-      auto it = free_.find(n);
-      if (it != free_.end() && !it->second.empty()) {
-        void* p = it->second.back();
-        it->second.pop_back();
-        held_ -= n;
-        return p;
-      }
-      return ::operator new(n);
-    }
     const int c = ClassOf(n);
-    auto& blocks = class_free_[static_cast<std::size_t>(c)];
+    auto& blocks = free_[static_cast<std::size_t>(c)];
     if (!blocks.empty()) {
       void* p = blocks.back();
       blocks.pop_back();
@@ -116,35 +123,22 @@ class ByteBlockPool {
   }
 
   void Deallocate(void* p, std::size_t n) {
-    if (n >= kMinPooledBytes) {
-      if (held_ + n <= kMaxHeldBytes) {
-#ifdef FV_POOL_POISON
-        // Parked blocks are handed back verbatim by Allocate; poisoning
-        // makes a use-after-free of recycled payload read 0xFB instead of
-        // the previous request's bytes (see kPoolPoisonByte in
-        // common/pool.h).
-        std::memset(p, 0xFB, n);
-#endif
-        free_[n].push_back(p);
-        held_ += n;
-        return;
-      }
+    const int c = ClassOf(n);
+    if (held_ + ClassBytes(c) > kMaxHeldBytes) {
       ::operator delete(p);
       return;
     }
-    const int c = ClassOf(n);
-    if (held_ + ClassBytes(c) <= kMaxHeldBytes) {
 #ifdef FV_POOL_POISON
-      // Poison the full physical class size, not just the requested `n`:
-      // a later Allocate from this class may expose up to ClassBytes(c)
-      // bytes, and the tail beyond `n` must read as poison too.
-      std::memset(p, 0xFB, ClassBytes(c));
+    // Parked blocks are handed back verbatim by Allocate; poisoning makes a
+    // use-after-free of a recycled block read 0xFB instead of the previous
+    // owner's bytes (see kPoolPoisonByte in common/pool.h). Poison the full
+    // class size, not just the requested `n`: a later Allocate from this
+    // class may expose up to ClassBytes(c) bytes, and the tail beyond `n`
+    // must read as poison too.
+    std::memset(p, 0xFB, ClassBytes(c));
 #endif
-      class_free_[static_cast<std::size_t>(c)].push_back(p);
-      held_ += ClassBytes(c);
-      return;
-    }
-    ::operator delete(p);
+    free_[static_cast<std::size_t>(c)].push_back(p);
+    held_ += ClassBytes(c);
   }
 
   /// Returns `n` bytes (n > 0) that read as zero: a parked store of
@@ -197,16 +191,20 @@ class ByteBlockPool {
   }
 
  private:
-  std::unordered_map<std::size_t, std::vector<void*>> free_;
-  std::array<std::vector<void*>, kNumClasses> class_free_;
+  /// Parked blocks by size class, each list used as a stack (LIFO).
+  std::array<std::vector<void*>, kNumClasses> free_;
   /// Parked zeroed stores, keyed by exact byte count; all read zero.
   std::unordered_map<std::size_t, std::vector<uint8_t*>> zeroed_;
   std::size_t held_ = 0;
 };
 
-/// Allocator behind ByteBuffer: exact-size recycling through ByteBlockPool
-/// for large blocks, power-of-two size-class recycling below the threshold.
-/// Stateless, so all instances compare equal and container moves steal
+static_assert(ByteBlockPool::ClassOf(ByteBlockPool::kMaxClassBytes) ==
+              ByteBlockPool::kNumClasses - 1);
+static_assert(ByteBlockPool::ClassBytes(ByteBlockPool::kNumClasses - 1) ==
+              ByteBlockPool::kMaxClassBytes);
+
+/// Allocator behind ByteBuffer: blocks recycle through ByteBlockPool's size
+/// classes. Stateless, so all instances compare equal and container moves steal
 /// storage.
 class PooledByteAllocator {
  public:
@@ -251,7 +249,7 @@ class PooledByteAllocator {
 };
 
 /// Typed face of the pooled allocator: routes objects of any `T` through
-/// ByteBlockPool's power-of-two size classes. Pair with
+/// ByteBlockPool's size classes. Pair with
 /// `std::allocate_shared` for per-request control blocks (e.g. the pool
 /// client's mirrored-write state), so steady-state request traffic
 /// recycles through the pool instead of hitting the global allocator
@@ -285,9 +283,9 @@ class PooledAllocator {
 };
 
 /// Byte buffer used throughout for raw tuple data; rows are stored in
-/// little-endian fixed-width layout (see src/table/row_layout.h). Large
-/// buffers recycle their blocks through ByteBlockPool, so the payload path
-/// stays free of repeated page-fault + zero costs. NOTE: unlike a plain
+/// little-endian fixed-width layout (see src/table/row_layout.h). Buffers
+/// recycle their blocks through ByteBlockPool, so the payload path stays
+/// free of repeated page-fault + zero costs. NOTE: unlike a plain
 /// std::vector, `resize(n)` and `ByteBuffer(n)` default-initialize — new
 /// bytes are indeterminate until written; use `resize(n, 0)` when zeroed
 /// growth is required (see PooledByteAllocator::construct).
@@ -296,11 +294,14 @@ using ByteBuffer = std::vector<uint8_t, PooledByteAllocator>;
 /// Copies `n` bytes like memcpy, but for large blocks uses non-temporal
 /// stores so a multi-MiB payload copy does not evict the simulator's
 /// working set (event buckets, flow tables, hash state) from the private
-/// caches. Only for bytes nothing reads again soon: plain-read results
-/// (`Mmu::ReadInto`), which the simulator hands to the client and never
-/// reads. A region's input stream is read back by its operators within
-/// microseconds, so it is copied with a plain memcpy instead: streamed
-/// bytes would have to come back from DRAM (DESIGN.md §8).
+/// caches. Meant for bytes that are not read back at once: plain-read
+/// results (`Mmu::ReadInto`). The client receives a result whole; only a
+/// sharded pool's gather (`ShardedClient::GatherAsync`) reads one again, to
+/// copy each fragment result once into the gathered result, and a plain
+/// memcpy here measured no faster on fvbench's `rdma_rw`. A region's input
+/// stream is read back by its operators within microseconds, so it is
+/// copied with a plain memcpy instead: streamed bytes would have to come
+/// back from DRAM (DESIGN.md §8).
 void StreamCopy(uint8_t* dst, const uint8_t* src, std::size_t n);
 
 /// Reads a little-endian 64-bit unsigned integer at `p`.

@@ -302,9 +302,9 @@ void DynamicRegion::ExecuteRead(
   }
   auto st = std::make_shared<EgressState>();
   // Plain reads have no datapath stage, so the payload is appended straight
-  // into the result: one streaming-copy pass (nothing in the simulator
-  // reads a result again), no scratch buffer and no value-initializing
-  // resize.
+  // into the result: one streaming-copy pass (no operator reads a result;
+  // only a sharded pool's gather copies it once more), no scratch buffer
+  // and no value-initializing resize.
   s = mmu_->ReadInto(ctx->client_id, ctx->request.vaddr, ctx->request.len,
                      &st->result.data);
   if (!s.ok()) {

@@ -55,6 +55,7 @@ void FarviewNode::ScheduleFaultEvents() {
           f.region_fault_at + f.region_fault_duration, [this, r]() {
             regions_[static_cast<size_t>(r)]->ClearFault();
             for (const auto& entry : qp_queues_) MaybeDispatch(entry.first);
+            for (const auto& observer : heal_observers_) observer();
           });
     }
   }

@@ -175,6 +175,13 @@ class FarviewNode {
     region_taken_[static_cast<size_t>(region_id)] = false;
   }
 
+  /// Registers an observer told when a region fault clears, after the
+  /// dedicated queues were offered the region: the scheduler dispatches
+  /// its waiting jobs from it.
+  void AddHealObserver(std::function<void()> observer) {
+    heal_observers_.push_back(std::move(observer));
+  }
+
   // --- Request lifecycle (DESIGN.md §6b) ----------------------------------
 
   /// Builds the context of a verb posted now on `qp_id`: the one place a
@@ -248,6 +255,8 @@ class FarviewNode {
   std::unique_ptr<Rng> fault_rng_;
   /// Crash/restart observers, notified in registration order.
   std::vector<std::function<void(bool)>> down_observers_;
+  /// Region-fault-cleared observers, notified in registration order.
+  std::vector<std::function<void()>> heal_observers_;
   /// True while crashed (between CrashNow and RestartNow).
   bool down_ = false;
   /// Instant of the most recent crash; `Settle` voids requests that reached

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
+
+#include "common/logging.h"
 
 namespace farview {
 
@@ -44,6 +47,9 @@ void AppendCounterSection(std::ostringstream& out, const char* label,
 }  // namespace
 
 void NodeStats::RecordCompletion(const RequestContext& ctx) {
+  FV_CHECK(ctx.StampsMonotone())
+      << "request " << ctx.request_id
+      << " completed with stage stamps out of lifecycle order";
   RequestRecord rec;
   rec.request_id = ctx.request_id;
   rec.qp_id = ctx.qp_id;
@@ -59,7 +65,13 @@ void NodeStats::RecordCompletion(const RequestContext& ctx) {
   rec.bytes_on_wire = ctx.bytes_on_wire;
   rec.packets = ctx.packets;
   rec.rows = ctx.rows;
-  completed_.push_back(rec);
+  if (recent_.size() < kRecentCompletions) {
+    if (recent_.empty()) recent_.reserve(kRecentCompletions);
+    recent_.push_back(rec);
+  } else {
+    recent_[completed_count_ % kRecentCompletions] = rec;
+  }
+  ++completed_count_;
 
   if (rec.ingress_done > 0) {
     ingress_.Add(static_cast<double>(rec.ingress_done - rec.submitted));
@@ -84,6 +96,19 @@ void NodeStats::RecordCompletion(const RequestContext& ctx) {
     qp.first_submitted = rec.submitted;
   }
   qp.last_delivered = std::max(qp.last_delivered, rec.delivered);
+}
+
+std::vector<NodeStats::RequestRecord> NodeStats::recent_completions() const {
+  // The next slot to overwrite holds the oldest record (before the ring
+  // fills it is one past the end, and the copy is the records in order).
+  const auto oldest =
+      recent_.begin() +
+      static_cast<std::ptrdiff_t>(completed_count_ % kRecentCompletions);
+  std::vector<RequestRecord> out;
+  out.reserve(recent_.size());
+  std::rotate_copy(recent_.begin(), oldest, recent_.end(),
+                   std::back_inserter(out));
+  return out;
 }
 
 uint64_t NodeStats::failed_count() const {
@@ -157,7 +182,7 @@ SimTime NodeStats::region_busy_time(int region_id) const {
 std::string NodeStats::FormatReport(SimTime now,
                                     double link_utilization) const {
   std::ostringstream out;
-  out << "NodeStats: " << completed_.size() << " completed, "
+  out << "NodeStats: " << completed_count_ << " completed, "
       << failed_count() << " failed, " << rejected_count() << " rejected\n";
   out << "  stage latency [us]        p50        p90        p99        max\n";
   AppendStageRow(out, "ingress", ingress_);

@@ -83,8 +83,9 @@ constexpr bool EveryMemberHasARow() {
 /// perturb timing (the shape tests stay byte-identical with it enabled).
 class NodeStats {
  public:
-  /// Compact completion record kept for every finished request; tests use
-  /// these to assert the stage-stamp monotonicity invariant.
+  /// Compact completion record. The registry keeps only the most recent
+  /// `kRecentCompletions` of them (`recent_completions()`); the counts and
+  /// distributions cover every completion.
   struct RequestRecord {
     uint64_t request_id = 0;
     int qp_id = -1;
@@ -100,14 +101,11 @@ class NodeStats {
     uint64_t bytes_on_wire = 0;
     uint64_t packets = 0;
     uint64_t rows = 0;
-
-    /// Same invariant as RequestContext::StampsMonotone.
-    bool StampsMonotone() const {
-      return LifecycleStampsMonotone({submitted, ingress_done, region_start,
-                                      first_memory_beat, operator_done,
-                                      egress_finished, delivered});
-    }
   };
+
+  /// Completion records kept: a fixed window of the latest, so the
+  /// registry's memory does not grow with the length of a run.
+  static constexpr size_t kRecentCompletions = 64;
 
   /// Fault, retry and degradation event counts (DESIGN.md §7). All stay
   /// zero while fault injection and the retry policy are disabled, and the
@@ -261,7 +259,10 @@ class NodeStats {
   /// Allocates the next node-unique request id (monotone from 1).
   uint64_t NextRequestId() { return ++last_request_id_; }
 
-  /// Folds a finished request into the distributions and appends its record.
+  /// Counts a finished request, folds it into the distributions and keeps
+  /// its record in the recent window. Aborts when its stage stamps are out
+  /// of lifecycle order (RequestContext::StampsMonotone), so every
+  /// completion is checked, not only the recorded ones.
   void RecordCompletion(const RequestContext& ctx);
 
   /// Counts a request that reached the node but failed with a Status.
@@ -338,12 +339,14 @@ class NodeStats {
 
   // --- Queries -------------------------------------------------------------
 
-  uint64_t completed_count() const { return completed_.size(); }
+  uint64_t completed_count() const { return completed_count_; }
   /// Sums of the per-qp `failed` / `rejected` counters.
   uint64_t failed_count() const;
   uint64_t rejected_count() const;
 
-  const std::vector<RequestRecord>& completed() const { return completed_; }
+  /// The records of the last `kRecentCompletions` completions (all of
+  /// them before that many), oldest first.
+  std::vector<RequestRecord> recent_completions() const;
   const std::map<int, QpStats>& per_qp() const { return per_qp_; }
   const ReliabilityStats& reliability() const { return reliability_; }
   const ShardingStats& sharding() const { return sharding_; }
@@ -368,7 +371,10 @@ class NodeStats {
  private:
   uint64_t last_request_id_ = 0;
 
-  std::vector<RequestRecord> completed_;
+  uint64_t completed_count_ = 0;
+  /// Ring of the latest records: completion i lives in slot
+  /// i % kRecentCompletions.
+  std::vector<RequestRecord> recent_;
   std::map<int, QpStats> per_qp_;
   std::map<int, SimTime> region_busy_;
   ReliabilityStats reliability_;

@@ -23,6 +23,9 @@ RegionScheduler::RegionScheduler(FarviewNode* node)
       FailWaiting("node crashed with the job queued", /*crash=*/true);
     }
   });
+  node_->AddHealObserver([alive = alive_, this]() {
+    if (*alive) Dispatch();
+  });
 }
 
 RegionScheduler::~RegionScheduler() {
@@ -158,10 +161,11 @@ void RegionScheduler::Dispatch() {
   } else {
     DispatchFifo();
   }
-  // Jobs still wait, so no region is free. The scheduler is never told
-  // when a fault clears: with every region faulted and none busy, no
-  // completion would ever dispatch them, so they fail now, as
-  // FarviewNode::MaybeDispatch drains a faulted dedicated region's queue.
+  // Jobs still wait, so no region is free. With every region faulted and
+  // none busy, they fail now rather than wait for a fault to clear, as
+  // FarviewNode::MaybeDispatch drains a faulted dedicated region's queue:
+  // a fault need not ever clear (FvFaultConfig::region_fault_duration 0).
+  // A fault that does clear dispatches through the node's heal observer.
   if (total_waiting_ == 0) return;
   for (const RegionSlot& slot : regions_) {
     if (slot.busy || !slot.region->faulted()) return;

@@ -1,6 +1,7 @@
 #include "fv/request_context.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,20 +12,15 @@ const char* SloClassName(SloClass slo) {
   return slo == SloClass::kBatch ? "batch" : "latency";
 }
 
-bool LifecycleStampsMonotone(std::initializer_list<SimTime> stamps) {
+bool RequestContext::StampsMonotone() const {
   SimTime prev = 0;
-  for (SimTime s : stamps) {
+  for (SimTime s : {submitted, ingress_done, region_start, first_memory_beat,
+                    operator_done, egress_finished, delivered}) {
     if (s == 0) continue;  // stage skipped by this verb
     if (s < prev) return false;
     prev = s;
   }
   return true;
-}
-
-bool RequestContext::StampsMonotone() const {
-  return LifecycleStampsMonotone({submitted, ingress_done, region_start,
-                                  first_memory_beat, operator_done,
-                                  egress_finished, delivered});
 }
 
 SubmissionQueue::SubmissionQueue(int depth) : depth_(depth) {

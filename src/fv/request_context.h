@@ -17,10 +17,6 @@
 
 namespace farview {
 
-/// Walks stamps given in lifecycle order; a stamp of 0 means the stage was
-/// skipped. True when every visited stamp is >= the previous visited one.
-bool LifecycleStampsMonotone(std::initializer_list<SimTime> stamps);
-
 /// The bookkeeping spine of one in-flight request on the client→node→
 /// region→network data path. Every data-path verb (READ, WRITE, FARVIEW)
 /// allocates one context at submission and threads it through the stacks in
@@ -74,7 +70,8 @@ struct RequestContext {
 
   /// True when every stamp that was set is ordered along the lifecycle
   /// (skipping stages the verb does not visit). Completed requests must
-  /// always satisfy this — it is the node's monotonicity invariant.
+  /// always satisfy this — it is the node's monotonicity invariant, which
+  /// NodeStats::RecordCompletion checks for every completion.
   bool StampsMonotone() const;
 };
 

@@ -62,9 +62,11 @@ class Mmu {
   /// value-initializing resize of the destination first — which keeps the
   /// per-request materialization cost at one pass over the payload and, for
   /// large spans, out of the private caches (DESIGN.md §8). For plain-read
-  /// results, which nothing reads again; a region's operator input, read
-  /// back at once, is copied with `Read` so it stays in cache. On error the
-  /// appended region is indeterminate; callers must discard `*out`.
+  /// results, which are not read back at once (a sharded pool's gather
+  /// copies each fragment result once more); a region's operator input,
+  /// read back at once, is copied with `Read` so it stays in cache. On
+  /// error the appended region is indeterminate; callers must discard
+  /// `*out`.
   Status ReadInto(int client, uint64_t vaddr, uint64_t len,
                   ByteBuffer* out) const;
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "common/alloc_counter.h"
 #include "common/bytes.h"
 #include "common/inline_fn.h"
 #include "common/logging.h"
@@ -180,6 +184,64 @@ TEST(BytesTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(2048), "2.0 KiB");
   EXPECT_EQ(FormatBytes(3 * kMiB), "3.0 MiB");
   EXPECT_EQ(FormatBytes(kGiB), "1.00 GiB");
+}
+
+TEST(ByteBlockPoolTest, EverySizeTakesTheSmallestClassThatHoldsIt) {
+  using P = ByteBlockPool;
+  // Each class maps back to itself and the last one is the largest block.
+  for (int c = 0; c < P::kNumClasses; ++c) {
+    ASSERT_EQ(P::ClassOf(P::ClassBytes(c)), c) << c;
+    if (c > 0) {
+      ASSERT_LT(P::ClassBytes(c - 1), P::ClassBytes(c)) << c;
+    }
+  }
+  EXPECT_EQ(P::ClassBytes(P::kNumClasses - 1), P::kMaxClassBytes);
+  EXPECT_EQ(P::ClassBytes(0), P::kMinClassBytes);
+  EXPECT_EQ(P::ClassOf(1), 0);
+  // Every size up to 1 MiB takes the smallest class holding it: a power
+  // of two up to 256 KiB, and above it at most an eighth larger than the
+  // size.
+  for (std::size_t n = 1; n <= (std::size_t{1} << 20); ++n) {
+    const int c = P::ClassOf(n);
+    ASSERT_GE(P::ClassBytes(c), n) << n;
+    if (c > 0) {
+      ASSERT_LT(P::ClassBytes(c - 1), n) << n;
+    }
+    if (n <= P::kFineClassBytes) {
+      ASSERT_TRUE(IsPowerOfTwo(P::ClassBytes(c))) << n;
+    } else {
+      ASSERT_LE(P::ClassBytes(c), n + n / 8) << n;
+    }
+  }
+}
+
+TEST(ByteBlockPoolTest, DistinctLargeSizesReuseTheirClassBlocks) {
+  // fvbench's rdma_rw reads thousands of distinct sizes in [4 KiB, 1 MiB].
+  // Keyed by exact size, each distinct size cost a fresh block that was
+  // then parked and never reused; by class, the range costs one block and
+  // one free list per class, whatever the number of sizes.
+  if (!alloc_counter::hook_active()) {
+    GTEST_SKIP() << "counting operator-new hook not linked (sanitizer build)";
+  }
+  constexpr std::size_t kLo = 256 * 1024;
+  constexpr std::size_t kHi = 1024 * 1024;
+  Rng rng(28);
+  std::set<std::size_t> distinct;
+  std::vector<std::size_t> sizes;
+  while (sizes.size() < 10'000) {
+    // Log-uniform in [kLo, kHi].
+    const auto n = static_cast<std::size_t>(
+        static_cast<double>(kLo) * std::exp2(2.0 * rng.NextDouble()));
+    if (distinct.insert(n).second) sizes.push_back(n);
+  }
+  ByteBlockPool pool;
+  const uint64_t allocs0 = alloc_counter::allocations();
+  for (const std::size_t n : sizes) pool.Deallocate(pool.Allocate(n), n);
+  const uint64_t fresh = alloc_counter::allocations() - allocs0;
+  const int classes =
+      ByteBlockPool::ClassOf(kHi) - ByteBlockPool::ClassOf(kLo) + 1;
+  EXPECT_EQ(classes, 17);
+  EXPECT_LE(fresh, 2u * static_cast<uint64_t>(classes));
 }
 
 TEST(PoolPoisonConfig, ReleaseMatchesBuildConfiguration) {

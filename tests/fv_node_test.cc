@@ -810,11 +810,14 @@ TEST_F(FvQueueTest, StageStampsMonotoneForEveryCompletedRequest) {
   engine_.Run();
   ASSERT_EQ(done, 4);
 
-  // Every completed request (the table write included) satisfies the
-  // lifecycle invariant; region verbs visited every stage.
-  ASSERT_GE(node_.stats().completed().size(), 5u);
-  for (const NodeStats::RequestRecord& rec : node_.stats().completed()) {
-    EXPECT_TRUE(rec.StampsMonotone()) << "request " << rec.request_id;
+  // Every completed request (the table write included) passed the
+  // lifecycle check at record time; the kept records show region verbs
+  // visited every stage.
+  const std::vector<NodeStats::RequestRecord> recent =
+      node_.stats().recent_completions();
+  ASSERT_GE(recent.size(), 5u);
+  for (const NodeStats::RequestRecord& rec : recent) {
+    SCOPED_TRACE(rec.request_id);
     // (The very first write is submitted at sim time 0, so `submitted`
     // itself may legitimately be 0.)
     EXPECT_GE(rec.ingress_done, rec.submitted);
@@ -886,6 +889,48 @@ TEST(NodeStatsTest, RecordersAccumulateIntoTheirCounters) {
   EXPECT_EQ(stats.region_busy_time(1), 0);
   // Request ids stay node-unique: monotone from 1.
   EXPECT_EQ(stats.NextRequestId(), 4u);
+}
+
+TEST(NodeStatsTest, CountsEveryCompletionAndKeepsOnlyTheLatestRecords) {
+  // A long run's registry must not grow with its completions: the count
+  // stays exact while the records kept are a fixed window of the latest.
+  NodeStats stats;
+  EXPECT_TRUE(stats.recent_completions().empty());
+  constexpr uint64_t kCompletions = 1'000'000;
+  for (uint64_t i = 0; i < kCompletions; ++i) {
+    RequestContext ctx = CompletedCtx(1, static_cast<SimTime>(i),
+                                      static_cast<SimTime>(i + 10));
+    ctx.request_id = i + 1;
+    stats.RecordCompletion(ctx);
+    if (i == 2) {
+      // Before the window fills it holds every record, in order.
+      const std::vector<NodeStats::RequestRecord> first =
+          stats.recent_completions();
+      ASSERT_EQ(first.size(), 3u);
+      for (size_t j = 0; j < first.size(); ++j) {
+        EXPECT_EQ(first[j].request_id, j + 1);
+      }
+    }
+  }
+  EXPECT_EQ(stats.completed_count(), kCompletions);
+  EXPECT_EQ(stats.per_qp().at(1).completed, kCompletions);
+  EXPECT_EQ(stats.total_latency().count(), kCompletions);
+  const std::vector<NodeStats::RequestRecord> recent =
+      stats.recent_completions();
+  ASSERT_EQ(recent.size(), NodeStats::kRecentCompletions);
+  // Oldest first, ending at the last completion.
+  for (size_t i = 0; i < recent.size(); ++i) {
+    EXPECT_EQ(recent[i].request_id,
+              kCompletions - NodeStats::kRecentCompletions + i + 1);
+  }
+}
+
+TEST(NodeStatsDeathTest, OutOfOrderStampsAbortAtRecordTime) {
+  // Delivered before it was submitted: the lifecycle check fails for the
+  // completion itself, whether or not its record is kept.
+  NodeStats stats;
+  RequestContext ctx = CompletedCtx(1, 20 * kMicrosecond, 10 * kMicrosecond);
+  EXPECT_DEATH(stats.RecordCompletion(ctx), "out of lifecycle order");
 }
 
 TEST(NodeStatsTest, QpSpanStartsAtASubmitAtTimeZero) {

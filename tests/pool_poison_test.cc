@@ -69,12 +69,12 @@ TEST(PoolPoisonTest, RecycledSlotStillPoisonedAfterDefaultInitAcquire) {
 
 TEST(PoolPoisonTest, ParkedByteBlockReadsAsPoison) {
   ByteBlockPool pool;
-  const std::size_t n = ByteBlockPool::kMinPooledBytes;
+  const std::size_t n = 256 * 1024;
   auto* block = static_cast<unsigned char*>(pool.Allocate(n));
   std::memset(block, 0x5A, n);
   pool.Deallocate(block, n);  // parked in the free list, poisoned
   auto* again = static_cast<unsigned char*>(pool.Allocate(n));
-  ASSERT_EQ(again, block) << "exact-size free list should recycle the block";
+  ASSERT_EQ(again, block) << "class free list should recycle the block";
   volatile unsigned char* raw = again;
   for (std::size_t i = 0; i < n; i += 4096) {
     ASSERT_EQ(raw[i], kPoolPoisonByte) << "offset " << i;
@@ -84,7 +84,7 @@ TEST(PoolPoisonTest, ParkedByteBlockReadsAsPoison) {
 }
 
 TEST(PoolPoisonTest, ParkedClassBlockPoisonedToFullClassSize) {
-  // Below kMinPooledBytes blocks recycle through power-of-two size classes
+  // Up to 256 KiB blocks recycle through power-of-two size classes
   // (ISSUE 6: operator scratch, SoA queue arrays). Poison-on-park must
   // cover the full physical class size, not just the requested byte count:
   // a later Allocate from the same class may expose the tail beyond `n`.
@@ -106,10 +106,29 @@ TEST(PoolPoisonTest, ParkedClassBlockPoisonedToFullClassSize) {
   pool.Deallocate(again, phys);
 }
 
+TEST(PoolPoisonTest, LargeClassBlockPoisonedOverALargerRequest) {
+  // Large payloads share classes too: a block freed after a 300 KiB
+  // request is reissued for a 320 KiB one (both in the 320 KiB class), and
+  // the bytes past the first request must read as poison as well.
+  ByteBlockPool pool;
+  const std::size_t small = 300 * 1024;
+  const std::size_t large = 320 * 1024;
+  ASSERT_EQ(ByteBlockPool::ClassOf(small), ByteBlockPool::ClassOf(large));
+  auto* block = static_cast<unsigned char*>(pool.Allocate(small));
+  std::memset(block, 0x5A, small);
+  pool.Deallocate(block, small);
+  auto* again = static_cast<unsigned char*>(pool.Allocate(large));
+  ASSERT_EQ(again, block) << "class free list should recycle the block";
+  volatile unsigned char* raw = again;
+  for (std::size_t i = 0; i < large; ++i) {
+    ASSERT_EQ(raw[i], kPoolPoisonByte) << "offset " << i;
+  }
+  pool.Deallocate(again, large);
+}
+
 TEST(PoolPoisonTest, TinyBlocksRoundUpToClassZeroAndPoison) {
   // Even a tiny request occupies (and on park, poisons) a whole class-0
-  // block, so no recycled storage below the exact-size threshold escapes
-  // the poisoning contract.
+  // block, so no recycled storage escapes the poisoning contract.
   ByteBlockPool pool;
   auto* p = static_cast<unsigned char*>(pool.Allocate(64));
   ASSERT_NE(p, nullptr);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -306,48 +307,64 @@ TEST_F(SchedulerTest, CrashFailsArrivalsFlushesWaitingAndVoidsInFlight) {
   EXPECT_TRUE(node_->down());
 }
 
+/// A node whose scheduler serves one tenant's scans of a 2000-row table,
+/// all jobs of one pipeline.
+struct OneTenantNode {
+  explicit OneTenantNode(const FarviewConfig& cfg)
+      : node(&engine, cfg), scheduler(&node) {
+    TableGenerator gen(1);
+    Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), 2000, 100);
+    EXPECT_TRUE(t.ok());
+    const Table& table = t.value();
+    Result<QPair*> qp = node.ConnectShared(/*client_id=*/1);
+    EXPECT_TRUE(qp.ok());
+    qp_id = qp.value()->qp_id;
+    Result<uint64_t> vaddr =
+        node.AllocTableMem(*qp.value(), table.size_bytes());
+    EXPECT_TRUE(vaddr.ok());
+    EXPECT_TRUE(node.mmu()
+                    .Write(1, vaddr.value(), table.size_bytes(), table.data())
+                    .ok());
+    req.vaddr = vaddr.value();
+    req.len = table.size_bytes();
+    req.tuple_bytes = 64;
+  }
+
+  void Submit(std::function<void(Result<FvResult>)> done) {
+    scheduler.Submit(1, qp_id, "select<50",
+                     []() {
+                       return PipelineBuilder(Schema::DefaultWideRow())
+                           .Select({Predicate::Int(0, CompareOp::kLt, 50)})
+                           .Build();
+                     },
+                     req, std::move(done));
+  }
+
+  sim::Engine engine;
+  FarviewNode node;
+  RegionScheduler scheduler;
+  int qp_id = 0;
+  FvRequest req;
+};
+
 /// Runs `jobs` scheduler jobs of one tenant over a two-region node whose
 /// regions listed in `faulted` are faulted from the start (the fault never
 /// clears); returns each job's outcome.
 std::vector<Status> RunJobsBesideFaultedRegions(bool admission,
                                                 const std::vector<int>& faulted,
                                                 int jobs) {
-  sim::Engine engine;
   FarviewConfig cfg;
   cfg.num_regions = 2;
   cfg.admission.enabled = admission;
-  FarviewNode node(&engine, cfg);
-  RegionScheduler scheduler(&node);
-  TableGenerator gen(1);
-  Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), 2000, 100);
-  EXPECT_TRUE(t.ok());
-  const Table& table = t.value();
-  Result<QPair*> qp = node.ConnectShared(/*client_id=*/1);
-  EXPECT_TRUE(qp.ok());
-  Result<uint64_t> vaddr = node.AllocTableMem(*qp.value(), table.size_bytes());
-  EXPECT_TRUE(vaddr.ok());
-  EXPECT_TRUE(node.mmu()
-                  .Write(1, vaddr.value(), table.size_bytes(), table.data())
-                  .ok());
-  for (const int r : faulted) node.region(r).InjectFault();
-
-  FvRequest req;
-  req.vaddr = vaddr.value();
-  req.len = table.size_bytes();
-  req.tuple_bytes = 64;
+  OneTenantNode n(cfg);
+  for (const int r : faulted) n.node.region(r).InjectFault();
   std::vector<Status> outcomes;
   for (int i = 0; i < jobs; ++i) {
-    scheduler.Submit(1, qp.value()->qp_id, "select<50",
-                     []() {
-                       return PipelineBuilder(Schema::DefaultWideRow())
-                           .Select({Predicate::Int(0, CompareOp::kLt, 50)})
-                           .Build();
-                     },
-                     req, [&outcomes](Result<FvResult> r) {
-                       outcomes.push_back(r.status());
-                     });
+    n.Submit([&outcomes](Result<FvResult> r) {
+      outcomes.push_back(r.status());
+    });
   }
-  engine.Run();
+  n.engine.Run();
   return outcomes;
 }
 
@@ -366,9 +383,9 @@ TEST(SchedulerFaultTest, FaultedRegionTakesNoJobs) {
 }
 
 TEST(SchedulerFaultTest, EveryRegionFaultedFailsTheWaitingJobs) {
-  // The scheduler is never told when a fault clears: with every region
-  // faulted and none busy, the waiting jobs fail with Unavailable instead
-  // of waiting for a dispatch that never comes.
+  // With every region faulted and none busy, the waiting jobs fail with
+  // Unavailable at once, as a faulted dedicated region's queue does,
+  // instead of waiting for a fault that here never clears.
   for (const bool admission : {false, true}) {
     SCOPED_TRACE(admission ? "admission on" : "admission off");
     const std::vector<Status> outcomes =
@@ -377,6 +394,41 @@ TEST(SchedulerFaultTest, EveryRegionFaultedFailsTheWaitingJobs) {
     for (const Status& s : outcomes) {
       EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
     }
+  }
+}
+
+TEST(SchedulerFaultTest, HealedRegionTakesWaitingJobs) {
+  // Regression: the scheduler was not told when a fault cleared, so jobs
+  // waiting while the healthy region reconfigured started on the healed
+  // region only at the next completion. Region 0 is faulted from 0 to 1 ms
+  // and three jobs of one pipeline arrive at once: job 1 reconfigures
+  // region 1, and at 1 ms job 2 must start reconfiguring region 0. Job 3
+  // then runs on region 1 once job 1 ends, so every job is done within two
+  // reconfiguration times; serialized, the last ended at 10.02 ms.
+  for (const bool admission : {false, true}) {
+    SCOPED_TRACE(admission ? "admission on" : "admission off");
+    FarviewConfig cfg;
+    cfg.num_regions = 2;
+    cfg.admission.enabled = admission;
+    cfg.faults.enabled = true;
+    cfg.faults.faulted_region = 0;
+    cfg.faults.region_fault_at = 0;
+    cfg.faults.region_fault_duration = kMillisecond;
+    OneTenantNode n(cfg);
+    std::vector<SimTime> finished;
+    for (int i = 0; i < 3; ++i) {
+      n.Submit([&n, &finished](Result<FvResult> r) {
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        finished.push_back(n.engine.Now());
+      });
+    }
+    n.engine.RunUntil(cfg.faults.region_fault_duration + kNanosecond);
+    EXPECT_FALSE(n.node.region(0).faulted());
+    EXPECT_EQ(n.scheduler.queued_jobs(), 1u) << "the healed region idles";
+    n.engine.Run();
+    ASSERT_EQ(finished.size(), 3u);
+    EXPECT_LT(finished.back(), 2 * cfg.region_reconfig_time);
+    EXPECT_EQ(n.scheduler.reconfigurations(), 2u);
   }
 }
 
